@@ -20,9 +20,9 @@ from .experiments import (ExperimentConfig, ExperimentReport, load_input,
 from .io import FlowRecord, LoadReport, export, ingest
 from .lrtc import (CompletionResult, LrtcHyperParams, LrtcPosterior, lrtc_fit,
                    lrtc_predict, short_term_predict)
-from .pipeline import (DayPrediction, ForecastPlan, lean_update,
-                       rolling_update_evaluation, two_step_forecast,
-                       update_location_factor)
+from .pipeline import (DayPrediction, ForecastPlan, forecast_from_model,
+                       lean_update, rolling_update_evaluation,
+                       two_step_forecast, update_location_factor)
 from .synthetic import SyntheticSpec, generate_synthetic, planted_labels
 from .tensor_ops import (DegenerateSolveWarning, cp_reconstruct, fold,
                          khatri_rao, khatri_rao_all, relative_residual,
@@ -60,6 +60,7 @@ __all__ = [
     "export",
     "field_to_vector",
     "fold",
+    "forecast_from_model",
     "generate_synthetic",
     "ingest",
     "khatri_rao",

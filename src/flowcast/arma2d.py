@@ -208,67 +208,53 @@ def arma2d_fit(f: Field2D, orders) -> Arma2dModel:
     return Arma2dModel(ar, ma, float(np.mean(resid**2)), (p1, p2, q1, q2))
 
 
-def _innovation_filter(model, c, valid):
-    """Recursive innovation estimates; absent cells and lags off the grid count 0."""
+def _recursion(model, c, known, eps):
+    """Run the model recursion over ``c`` in time order (week-major, day within).
+
+    A known cell yields its innovation, ``eps = c - prediction``; any other
+    cell yields its value, the prediction plus ``b_00 * eps`` of the cell
+    itself.  Lags off the grid count 0.  ``c`` and ``eps`` are updated in
+    place.
+    """
     p1, p2, q1, q2 = model.orders
     ar_offs = _lag_offsets(p1, p2, include_origin=False)
     ma_offs = _lag_offsets(q1, q2, include_origin=False)
     d_ext, w_ext = c.shape
-    eps = np.zeros_like(c)
     for w in range(w_ext):
         for d in range(d_ext):
-            if not valid[d, w]:
-                continue
             pred = 0.0
             for i, j in ar_offs:
-                if d - i >= 0 and w - j >= 0 and valid[d - i, w - j]:
+                if d - i >= 0 and w - j >= 0:
                     pred -= model.ar[i, j] * c[d - i, w - j]
+            if not known[d, w]:
+                pred += model.ma[0, 0] * eps[d, w]
             for i, j in ma_offs:
                 if d - i >= 0 and w - j >= 0:
                     pred += model.ma[i, j] * eps[d - i, w - j]
-            eps[d, w] = c[d, w] - pred
-    return eps
+            if known[d, w]:
+                eps[d, w] = c[d, w] - pred
+            else:
+                c[d, w] = pred
 
 
 def arma2d_forecast(model: Arma2dModel, f: Field2D, horizon_weeks: int) -> Field2D:
     """Extend ``f`` by ``horizon_weeks`` columns of conditional expectations.
 
-    Future noise is zero; MA terms draw on in-sample innovation estimates
-    where their lags reach observed cells.  Absent trailing cells of the last
-    observed week are filled the same way.  Observed cells pass through
-    unchanged.
+    One pass in time order estimates the innovation of each observed cell
+    and fills each absent or future cell with its conditional expectation
+    (future noise is zero), so later cells see the filled values.  Observed
+    cells pass through unchanged.
     """
     h = int(horizon_weeks)
     if h < 1:
         raise ValueError("horizon_weeks must be >= 1")
-    p1, p2, q1, q2 = model.orders
-    ar_offs = _lag_offsets(p1, p2, include_origin=False)
-    ma_offs = _lag_offsets(q1, q2, include_origin=False)
-
     mu = float(f.values[f.valid].mean())
     d_ext, w_in = f.values.shape
-    w_out = w_in + h
-    c = np.zeros((d_ext, w_out))
-    known = np.zeros((d_ext, w_out), dtype=bool)
+    c = np.zeros((d_ext, w_in + h))
+    known = np.zeros(c.shape, dtype=bool)
     c[:, :w_in] = np.where(f.valid, f.values - mu, 0.0)
     known[:, :w_in] = f.valid
-
-    eps = np.zeros((d_ext, w_out))
-    eps[:, :w_in] = _innovation_filter(model, c[:, :w_in], f.valid)
-
-    # fill absent and future cells in flattened time order (week-major, day within)
-    for w in range(w_out):
-        for d in range(d_ext):
-            if known[d, w]:
-                continue
-            pred = 0.0
-            for i, j in ar_offs:
-                if d - i >= 0 and w - j >= 0:
-                    pred -= model.ar[i, j] * c[d - i, w - j]
-            for i, j in ma_offs:
-                if d - i >= 0 and w - j >= 0:
-                    pred += model.ma[i, j] * eps[d - i, w - j]
-            c[d, w] = pred
+    _recursion(model, c, known, np.zeros(c.shape))
 
     out = c + mu
     out[:, :w_in][f.valid] = f.values[f.valid]
@@ -282,21 +268,9 @@ def simulate_field(model: Arma2dModel, days: int, weeks: int, seed: int = 0,
     ``burnin_weeks`` leading columns are simulated and discarded so the
     retained grid is close to the stationary regime in the week direction.
     """
-    p1, p2, q1, q2 = model.orders
-    ar_offs = _lag_offsets(p1, p2, include_origin=False)
-    ma_offs = _lag_offsets(q1, q2, include_origin=True)
     rng = np.random.default_rng(seed)
     w_tot = weeks + burnin_weeks
     eps = rng.normal(0.0, math.sqrt(model.sigma2), size=(days, w_tot))
     v = np.zeros((days, w_tot))
-    for w in range(w_tot):
-        for d in range(days):
-            acc = 0.0
-            for i, j in ar_offs:
-                if d - i >= 0 and w - j >= 0:
-                    acc -= model.ar[i, j] * v[d - i, w - j]
-            for i, j in ma_offs:
-                if d - i >= 0 and w - j >= 0:
-                    acc += model.ma[i, j] * eps[d - i, w - j]
-            v[d, w] = acc
+    _recursion(model, v, np.zeros(v.shape, dtype=bool), eps)
     return Field2D(v[:, burnin_weeks:])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cp import AlsConfig, cp_fit
 from .clustering import agglomerate, choose_cluster_count, embed_stations
-from .experiments import (ExperimentConfig, run_longterm_experiment,
+from .experiments import (ExperimentConfig, final_day_suffix, run_longterm_experiment,
                           run_shortterm_experiment, run_update_experiment,
                           update_report, write_report)
 from .io import ingest
@@ -218,24 +218,17 @@ def _cmd_update(args):
 
 def _cmd_complete(args):
     tensor, station_ids = _load_tensor(args.tensor)
-    n_slots = tensor.shape[2]
-    start = args.suffix_start
-    if start is None:
-        start = int(np.ceil(0.3 * n_slots))
-    if not 0 < start < n_slots:
-        raise ValueError("suffix start must lie strictly inside the day")
+    start, future = final_day_suffix(tensor.shape, args.suffix_start)
     overrides = {"max_rank": args.max_rank, "max_iters": args.max_iters,
                  "elbo_tol": args.elbo_tol, "seed": args.seed}
     hp = LrtcHyperParams(**{k: v for k, v in overrides.items() if v is not None})
-    future = np.zeros(tensor.shape, dtype=bool)
-    future[:, -1, start:] = True
     result = short_term_predict(tensor, future, hp)
     _save_tensor(args.out, result.imputed, station_ids,
                  predictive_variance=result.predictive_variance,
                  mask=future,
                  effective_rank=np.int64(result.effective_rank))
     print(f"completed {int(future.sum())} masked cells (slots {start}.."
-          f"{n_slots - 1} of the final day), effective rank {result.effective_rank}")
+          f"{tensor.shape[2] - 1} of the final day), effective rank {result.effective_rank}")
     print(f"wrote {args.out}")
     return 0
 

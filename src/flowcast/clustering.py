@@ -9,7 +9,6 @@ Completion downstream runs per cluster on the split tensors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,33 +87,31 @@ def embed_stations(model: CpModel, variance_retained: float = 0.9,
 
 
 def _upgma_trace(coords):
-    """Full group-average merge history over the embedding rows."""
+    """Full group-average merge history over the embedding rows.
+
+    Lance-Williams updates on a dense distance matrix (Muellner 2011).  Each
+    cluster lives in the row of its smallest station, so the first minimum
+    in row-major order is the closest pair with the lowest station indices.
+    """
     n = coords.shape[0]
-    dist = {}
-    for i, j in itertools.combinations(range(n), 2):
-        dist[(i, j)] = float(np.linalg.norm(coords[i] - coords[j]))
-    members = {i: [i] for i in range(n)}
-    active = set(range(n))
+    dist = np.full((n, n), np.inf)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = np.linalg.norm(coords[i] - coords[j])
+    ids = np.arange(n)
+    sizes = np.ones(n)
     trace = []
     for step in range(n - 1):
-        best_key, best_pair = None, None
-        for a, b in itertools.combinations(sorted(active), 2):
-            d = dist[(a, b)]
-            lo, hi = sorted((members[a][0], members[b][0]))
-            key = (d, lo, hi)
-            if best_key is None or key < best_key:
-                best_key, best_pair = key, (a, b)
-        a, b = best_pair
-        new = n + step
-        members[new] = sorted(members[a] + members[b])
-        for o in active - {a, b}:
-            da = dist[tuple(sorted((a, o)))]
-            db = dist[tuple(sorted((b, o)))]
-            na, nb = len(members[a]), len(members[b])
-            dist[(o, new) if o < new else (new, o)] = (na * da + nb * db) / (na + nb)
-        active -= {a, b}
-        active.add(new)
-        trace.append((a, b, best_key[0], len(members[new])))
+        lo, hi = divmod(int(np.argmin(dist)), n)
+        d = float(dist[lo, hi])
+        na, nb = sizes[lo], sizes[hi]
+        merged = (na * dist[lo] + nb * dist[hi]) / (na + nb)
+        dist[lo], dist[:, lo] = merged, merged
+        dist[hi], dist[:, hi] = np.inf, np.inf
+        dist[lo, lo] = np.inf
+        a, b = sorted((int(ids[lo]), int(ids[hi])))
+        trace.append((a, b, d, int(na + nb)))
+        ids[lo], sizes[lo] = n + step, na + nb
     return trace
 
 

@@ -82,14 +82,10 @@ def _gram_hadamard(factors, skip):
     return g
 
 
-def _solve_mode(t, factors, mode, warn_degenerate=True):
+def _solve_mode(t, factors, mode):
     """Weight-absorbed least-squares update of one factor, others held fixed."""
     kr = khatri_rao_all(factors, mode)
     g = _gram_hadamard(factors, mode)
-    rank = g.shape[0]
-    if warn_degenerate and np.linalg.matrix_rank(g, tol=PINV_RCOND * max(np.linalg.norm(g, 2), 1e-300)) < rank:
-        warnings.warn("Gram Hadamard product is singular; returning minimum-norm solution",
-                      DegenerateSolveWarning, stacklevel=3)
     return unfold(t, mode) @ kr @ np.linalg.pinv(g, rcond=PINV_RCOND)
 
 
@@ -104,28 +100,45 @@ def _sorted_model(weights, factors):
     return CpModel(weights[order], [f[:, order] for f in factors])
 
 
-def cp_fit(t, cfg: AlsConfig):
+def cp_fit(t, cfg: AlsConfig, observed=None):
     """Fit a rank-``cfg.rank`` CP model to ``t`` by alternating least squares.
 
     Returns ``(model, history)`` where ``history`` holds the relative
     reconstruction error after each sweep.  Stops when the error change
     between sweeps drops below ``cfg.tol`` or after ``cfg.max_iters`` sweeps.
+
+    With an ``observed`` mask, only those cells are fitted (EM-style masked
+    ALS, Tomasi & Bro 2005): the other cells start at the observed mean and
+    are re-imputed from the reconstruction after every sweep, and the error
+    is measured on the observed cells alone.
     """
     t = as_tensor(t, min_modes=2)
     _check_rank_feasible(t.shape, cfg.rank)
+    if observed is None:
+        work = t
+        norm_t = np.linalg.norm(t)
+    else:
+        observed = as_mask(observed, t.shape)
+        work = np.where(observed, t, float(t[observed].mean()))
+        norm_t = np.linalg.norm(t[observed])
     rng = np.random.default_rng(cfg.seed)
     factors = [rng.uniform(-1.0, 1.0, size=(n, cfg.rank)) for n in t.shape]
     weights = np.ones(cfg.rank)
-    norm_t = np.linalg.norm(t)
 
     history = []
     prev = None
     for _ in range(cfg.max_iters):
         for mode in range(t.ndim):
-            raw = _solve_mode(t, factors, mode, warn_degenerate=False)
+            raw = _solve_mode(work, factors, mode)
             factors[mode], weights = _normalize_columns(raw)
         model = CpModel(weights, factors)
-        err = 0.0 if norm_t == 0 else float(np.linalg.norm(t - cp_reconstruct(model)) / norm_t)
+        if observed is None:
+            err = np.linalg.norm(t - cp_reconstruct(model))
+        else:
+            recon = cp_reconstruct(model)
+            work = np.where(observed, t, recon)
+            err = np.linalg.norm((t - recon)[observed])
+        err = 0.0 if norm_t == 0 else float(err / norm_t)
         history.append(err)
         if prev is not None and abs(prev - err) < cfg.tol:
             break
@@ -148,31 +161,11 @@ def cp_solve_mode(t, model: CpModel, mode: int) -> np.ndarray:
     for k, f in enumerate(model.factors):
         if k != mode and f.shape[0] != t.shape[k]:
             raise ValueError(f"factor {k} has {f.shape[0]} rows, tensor extent is {t.shape[k]}")
+    g = _gram_hadamard(model.factors, mode)
+    if np.linalg.matrix_rank(g, tol=PINV_RCOND * max(np.linalg.norm(g, 2), 1e-300)) < g.shape[0]:
+        warnings.warn("Gram Hadamard product is singular; returning minimum-norm solution",
+                      DegenerateSolveWarning, stacklevel=2)
     return _solve_mode(t, model.factors, mode)
-
-
-def _masked_fit(t, observed, cfg: AlsConfig):
-    """EM-style masked ALS: missing cells are imputed with the running reconstruction."""
-    observed = as_mask(observed, t.shape)
-    fill = float(t[observed].mean())
-    work = np.where(observed, t, fill)
-    rng = np.random.default_rng(cfg.seed)
-    factors = [rng.uniform(-1.0, 1.0, size=(n, cfg.rank)) for n in t.shape]
-    weights = np.ones(cfg.rank)
-    norm_obs = np.linalg.norm(t[observed])
-
-    prev = None
-    for _ in range(cfg.max_iters):
-        for mode in range(t.ndim):
-            raw = _solve_mode(work, factors, mode, warn_degenerate=False)
-            factors[mode], weights = _normalize_columns(raw)
-        recon = cp_reconstruct(CpModel(weights, factors))
-        work = np.where(observed, t, recon)
-        err = 0.0 if norm_obs == 0 else float(np.linalg.norm((t - recon)[observed]) / norm_obs)
-        if prev is not None and abs(prev - err) < cfg.tol:
-            break
-        prev = err
-    return _sorted_model(weights, factors)
 
 
 def cp_rank_select(t, candidate_ranks, holdout_fraction: float, cfg: AlsConfig) -> int:
@@ -200,7 +193,7 @@ def cp_rank_select(t, candidate_ranks, holdout_fraction: float, cfg: AlsConfig) 
 
     best_rank, best_res = None, np.inf
     for rank in candidates:
-        model = _masked_fit(t, observed, replace(cfg, rank=rank))
+        model, _ = cp_fit(t, replace(cfg, rank=rank), observed)
         res = relative_residual(cp_reconstruct(model), t, holdout)
         if res < best_res:
             best_rank, best_res = rank, res

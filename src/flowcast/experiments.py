@@ -21,9 +21,10 @@ from .clustering import agglomerate, choose_cluster_count, embed_stations
 from .cp import cp_fit
 from .io import ingest
 from .lrtc import LrtcHyperParams, short_term_predict
-from .pipeline import ForecastPlan, lean_update, rolling_update_evaluation, two_step_forecast
+from .pipeline import (ForecastPlan, forecast_from_model, lean_update,
+                       rolling_update_evaluation, two_step_forecast)
 from .synthetic import SyntheticSpec, generate_synthetic
-from .tensor_ops import relative_residual
+from .tensor_ops import residual_or_nan
 
 
 @dataclass
@@ -129,8 +130,8 @@ def run_longterm_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     train = tensor[:, :cfg.split_day, :]
     truth = tensor[:, cfg.split_day:, :]
 
-    prediction = two_step_forecast(train, cfg.plan)
     model, _ = cp_fit(train, cfg.plan.als)
+    prediction = forecast_from_model(model, cfg.plan)
     extended = np.column_stack([
         _ar_forecast(model.factors[1][:, r], cfg.n_baseline_lags, horizon)
         for r in range(model.rank)
@@ -142,11 +143,12 @@ def run_longterm_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     rows = []
     for l, sid in enumerate(station_ids):
-        res_arma = relative_residual(prediction.tensor[l], truth[l])
-        res_ar = relative_residual(baseline[l], truth[l])
+        res_arma = residual_or_nan(prediction.tensor[l], truth[l])
+        res_ar = residual_or_nan(baseline[l], truth[l])
         rows.append((sid, res_arma, res_ar, _improvement(res_ar, res_arma)))
-    mean_arma = float(np.mean([r[1] for r in rows]))
-    mean_ar = float(np.mean([r[2] for r in rows]))
+    scored = [r for r in rows if not np.isnan(r[1])]
+    mean_arma = float(np.mean([r[1] for r in scored]))
+    mean_ar = float(np.mean([r[2] for r in scored]))
     summary = {
         "mean_res_arma2d": mean_arma,
         "mean_res_ar1d": mean_ar,
@@ -197,13 +199,14 @@ def update_report(tensor, split_day, rank, arma_orders, observed_fraction,
         for start, res_long, res_upd in blocks
     ]
     early_cut = n_obs + (n_slots - n_obs) // 2
-    early = [r for r in rows if r[0] < early_cut]
+    scored = [r for r in rows if not np.isnan(r[2])]
+    early = [r for r in scored if r[0] < early_cut]
     summary = {
         "observed_slots": n_obs,
         "n_blocks": len(rows),
-        "mean_res_longterm": float(np.mean([r[2] for r in rows])),
-        "mean_res_updated": float(np.mean([r[3] for r in rows])),
-        "improved_fraction": float(np.mean([r[4] > 0 for r in rows])),
+        "mean_res_longterm": float(np.mean([r[2] for r in scored])),
+        "mean_res_updated": float(np.mean([r[3] for r in scored])),
+        "improved_fraction": float(np.mean([r[4] > 0 for r in scored])),
         "early_improved_fraction": float(np.mean([r[4] > 0 for r in early])),
     }
     return ExperimentReport(
@@ -226,16 +229,26 @@ def run_shortterm_experiment(cfg: ExperimentConfig, use_clustering: bool) -> Exp
                             suffix_start=cfg.suffix_start)
 
 
+def final_day_suffix(shape, suffix_start=None):
+    """First masked slot and the mask of the final day's slots from it on.
+
+    The default start is 30% into the day.
+    """
+    n_slots = shape[2]
+    start = suffix_start if suffix_start is not None else int(np.ceil(0.3 * n_slots))
+    if not 0 < start < n_slots:
+        raise ValueError("suffix start must lie strictly inside the day")
+    future = np.zeros(shape, dtype=bool)
+    future[:, -1, start:] = True
+    return start, future
+
+
 def shortterm_report(tensor, station_ids, rank, arma_orders, lrtc, use_clustering,
                      n_clusters=None, variance_retained=0.9,
                      suffix_start=None) -> ExperimentReport:
     tensor = np.asarray(tensor, dtype=np.float64)
     n_loc, n_days, n_slots = tensor.shape
-    start = suffix_start if suffix_start is not None else int(np.ceil(0.3 * n_slots))
-    if not 0 < start < n_slots:
-        raise ValueError("suffix start must lie strictly inside the day")
-    future = np.zeros(tensor.shape, dtype=bool)
-    future[:, -1, start:] = True
+    start, future = final_day_suffix(tensor.shape, suffix_start)
     history = tensor[:, :n_days - 1, :]
 
     plan = ForecastPlan(1, rank=rank, arma_orders=arma_orders)
@@ -244,8 +257,8 @@ def shortterm_report(tensor, station_ids, rank, arma_orders, lrtc, use_clusterin
     lean = lean_update(prediction, tensor[:, -1, :], observed, prediction.source_model)
 
     if use_clustering:
-        model, _ = cp_fit(history, plan.als)
-        embedding = embed_stations(model, variance_retained, station_ids=station_ids)
+        embedding = embed_stations(prediction.source_model, variance_retained,
+                                   station_ids=station_ids)
         k = n_clusters if n_clusters is not None else choose_cluster_count(embedding)
         assign = agglomerate(embedding, k)
         labels = assign.labels
@@ -265,11 +278,12 @@ def shortterm_report(tensor, station_ids, rank, arma_orders, lrtc, use_clusterin
 
     rows = []
     for l, sid in enumerate(station_ids):
-        res_lrtc = relative_residual(completed[l, -1], tensor[l, -1], future[l, -1])
-        res_lean = relative_residual(lean.tensor[l, 0], tensor[l, -1], future[l, -1])
+        res_lrtc = residual_or_nan(completed[l, -1], tensor[l, -1], future[l, -1])
+        res_lean = residual_or_nan(lean.tensor[l, 0], tensor[l, -1], future[l, -1])
         rows.append((sid, int(labels[l]), res_lrtc, res_lean, _improvement(res_lean, res_lrtc)))
-    mean_lrtc = float(np.mean([r[2] for r in rows]))
-    mean_lean = float(np.mean([r[3] for r in rows]))
+    scored = [r for r in rows if not np.isnan(r[2])]
+    mean_lrtc = float(np.mean([r[2] for r in scored]))
+    mean_lean = float(np.mean([r[3] for r in scored]))
     summary = {
         "mean_res_lrtc": mean_lrtc,
         "mean_res_lean_update": mean_lean,

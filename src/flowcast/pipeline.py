@@ -1,8 +1,9 @@
 """Long-term tensor forecasting and lean intra-day updating.
 
-``two_step_forecast`` runs the two-step procedure: fit a CP model, extend
-each temporal factor column with a 2D-ARMA forecast on its day-by-week
-field, and reconstruct the future day slices from the extended factor.
+``two_step_forecast`` runs the two-step procedure: ``cp_fit`` fits a CP
+model, then ``forecast_from_model`` extends each temporal factor column with
+a 2D-ARMA forecast on its day-by-week field and reconstructs the future day
+slices from the extended factor.
 
 ``lean_update`` folds a partially observed new day back into the location
 factor without refitting the whole decomposition: the observed prefix is
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arma2d import DAYS_PER_WEEK, arma2d_fit, arma2d_forecast, reshape_to_field
-from .cp import PINV_RCOND, AlsConfig, CpModel, cp_fit
-from .tensor_ops import as_tensor, cp_reconstruct, khatri_rao_all, relative_residual, unfold
+from .cp import AlsConfig, CpModel, _solve_mode, cp_fit
+from .tensor_ops import as_tensor, cp_reconstruct, residual_or_nan
 
 PROVENANCE_TAGS = ("long_term", "updated")
 
@@ -69,18 +70,28 @@ class DayPrediction:
 def two_step_forecast(t, plan: ForecastPlan) -> DayPrediction:
     """Forecast the next ``plan.horizon_days`` day slices of ``t``.
 
+    Fits a CP model to ``t`` and hands it to :func:`forecast_from_model`.
+    """
+    t = as_tensor(t, min_modes=3)
+    if t.ndim != 3:
+        raise ValueError("expected a 3-way tensor (locations x days x slots)")
+    model, _ = cp_fit(t, plan.als)
+    return forecast_from_model(model, plan)
+
+
+def forecast_from_model(model: CpModel, plan: ForecastPlan) -> DayPrediction:
+    """Forecast the ``plan.horizon_days`` days that follow a fitted CP model.
+
     Each temporal factor column is laid out as a day-of-week by week field,
     modelled as a 2D ARMA process, and extended far enough to cover the
     horizon; the extended columns replace the temporal factor in the
     reconstruction.  Negative reconstructed counts are clamped to 0.
     """
-    t = as_tensor(t, min_modes=3)
-    if t.ndim != 3:
-        raise ValueError("expected a 3-way tensor (locations x days x slots)")
-    n_days = t.shape[1]
-    tau = plan.horizon_days
-    model, _ = cp_fit(t, plan.als)
+    if len(model.factors) != 3:
+        raise ValueError("expected a 3-way model (locations x days x slots)")
     u_t = model.factors[1]
+    n_days = u_t.shape[0]
+    tau = plan.horizon_days
 
     weeks_have = math.ceil(n_days / DAYS_PER_WEEK)
     weeks_need = math.ceil((n_days + tau) / DAYS_PER_WEEK)
@@ -105,10 +116,7 @@ def update_location_factor(day, temporal_row, u_p) -> np.ndarray:
     """
     day = np.asarray(day, dtype=np.float64)
     row = np.asarray(temporal_row, dtype=np.float64).reshape(1, -1)
-    factors = [np.empty((day.shape[0], row.shape[1])), row, u_p]
-    kr = khatri_rao_all(factors, skip=0)
-    g = (row.T @ row) * (u_p.T @ u_p)
-    return unfold(day[:, None, :], 0) @ kr @ np.linalg.pinv(g, rcond=PINV_RCOND)
+    return _solve_mode(day[:, None, :], [None, row, u_p], 0)
 
 
 def _as_day_slice(values, n_locations, n_slots, name):
@@ -165,7 +173,7 @@ def rolling_update_evaluation(truth, long_prediction: DayPrediction,
 
     Returns ``(block_start, res_long, res_updated)`` triples for consecutive
     ``window``-slot blocks from ``start_slot`` on; a shorter trailing block
-    is scored on its own.
+    is scored on its own, and a block whose truth is all zero scores ``nan``.
     """
     if long_prediction.horizon_days != 1 or updated_prediction.horizon_days != 1:
         raise ValueError("evaluation expects single-day predictions")
@@ -181,7 +189,7 @@ def rolling_update_evaluation(truth, long_prediction: DayPrediction,
         block = slice(s, min(s + window, n_slots))
         rows.append((
             s,
-            relative_residual(long_prediction.tensor[:, 0, block], day_true[:, block]),
-            relative_residual(updated_prediction.tensor[:, 0, block], day_true[:, block]),
+            residual_or_nan(long_prediction.tensor[:, 0, block], day_true[:, block]),
+            residual_or_nan(updated_prediction.tensor[:, 0, block], day_true[:, block]),
         ))
     return rows

@@ -136,3 +136,16 @@ def relative_residual(estimate: np.ndarray, truth: np.ndarray, mask=None) -> flo
     if denom == 0.0:
         raise ValueError("truth is all zero on the mask; relative residual undefined")
     return float(np.linalg.norm(diff) / denom)
+
+
+def residual_or_nan(estimate: np.ndarray, truth: np.ndarray, mask=None) -> float:
+    """:func:`relative_residual`, but ``nan`` where the truth is all zero on the mask.
+
+    Reports score a station or block with no flow this way (a station closed
+    all day, say) and leave it out of their means and fractions.
+    """
+    truth = np.asarray(truth, dtype=np.float64)
+    ref = truth if mask is None else truth[as_mask(mask, truth.shape)]
+    if np.linalg.norm(ref) == 0.0:
+        return float("nan")
+    return relative_residual(estimate, truth, mask)

@@ -210,6 +210,16 @@ def test_forecast_hand_enumerated_ma():
     np.testing.assert_allclose(g.values[0, 3:], [0.8 * -3.24, 0.0])
 
 
+def test_forecast_hand_enumerated_arma_over_an_interior_gap():
+    # v[w] = 0.5 v[w-1] + e[w] + 0.8 e[w-1]; week 1 is absent and the mean is 0
+    m = Arma2dModel(np.array([[0.0, -0.5]]), np.array([[1.0, 0.8]]), 1.0, (0, 1, 0, 1))
+    f = Field2D(np.array([[1.0, 0.0, 2.0, -3.0]]), np.array([[True, False, True, True]]))
+    # e0 = 1; gap filled with 0.5*1 + 0.8*1 = 1.3; the next innovations use
+    # the filled value: e2 = 2 - 0.5*1.3 = 1.35, e3 = -3 - (0.5*2 + 0.8*1.35) = -5.08
+    g = arma2d_forecast(m, f, 1)
+    np.testing.assert_allclose(g.values[0], [1.0, 1.3, 2.0, -3.0, 0.5 * -3.0 + 0.8 * -5.08])
+
+
 def test_forecast_fills_absent_cells_and_keeps_observations():
     u = np.arange(16.0)
     f = reshape_to_field(u)

@@ -1,10 +1,12 @@
 """Tests for alternating-least-squares CP fitting and rank selection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from flowcast.cp import AlsConfig, CpModel, cp_fit, cp_rank_select, cp_solve_mode
-from flowcast.tensor_ops import cp_reconstruct, relative_residual
+from flowcast.tensor_ops import DegenerateSolveWarning, cp_reconstruct, relative_residual
 
 
 def random_model(rng, shape, rank, weight_range=(0.5, 2.0)):
@@ -45,6 +47,11 @@ def test_exact_rank2_recovery():
     model, history = cp_fit(t, AlsConfig(rank=2, seed=1))
     assert history[-1] < 1e-8
     assert relative_residual(cp_reconstruct(model), t) < 1e-8
+    # an all-true mask takes the masked branch and changes no bit of the fit
+    masked, masked_history = cp_fit(t, AlsConfig(rank=2, seed=1), np.ones(t.shape, dtype=bool))
+    assert masked_history == history
+    for got, want in zip([masked.weights, *masked.factors], [model.weights, *model.factors]):
+        assert np.array_equal(got, want)
 
 
 def test_all_zero_tensor():
@@ -121,6 +128,21 @@ def test_solve_mode_selection_identity():
     model = CpModel(np.ones(1), factors)
     solved = cp_solve_mode(t, model, 0)
     np.testing.assert_allclose(solved[:, 0], t[:, 0, 0], atol=1e-12)
+
+
+def test_singular_gram_warns_in_solve_mode_but_not_in_fit():
+    rng = np.random.default_rng(21)
+    t = rng.normal(size=(4, 3, 5))
+    # repeated columns in both fixed factors make the mode-0 Gram singular
+    repeated = [np.repeat(rng.normal(size=(n, 1)), 2, axis=1) for n in (3, 5)]
+    model = CpModel(np.ones(2), [rng.normal(size=(4, 2)), *repeated])
+    with pytest.warns(DegenerateSolveWarning) as record:
+        cp_solve_mode(t, model, 0)
+    assert record[0].filename == __file__
+    # ALS on a zero tensor zeroes its factors, so every later Gram is singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateSolveWarning)
+        cp_fit(np.zeros((3, 3, 3)), AlsConfig(rank=2, max_iters=5))
 
 
 def test_solve_mode_shape_mismatch():

@@ -14,6 +14,8 @@ from flowcast.experiments import (
     run_longterm_experiment,
     run_shortterm_experiment,
     run_update_experiment,
+    shortterm_report,
+    update_report,
     write_report,
 )
 from flowcast.io import export
@@ -124,6 +126,21 @@ class TestLongterm:
         assert first.summary == second.summary
 
 
+    def test_station_with_zero_truth_is_left_unscored(self, tmp_path):
+        tensor, _ = generate_synthetic(SyntheticSpec(seed=0))
+        tensor[3, 49:, :] = 0.0
+        path = tmp_path / "closed.csv"
+        export(path, tensor, [f"s{l:02d}" for l in range(tensor.shape[0])])
+        cfg = ExperimentConfig(data_path=str(path), extents=(56, 48), split_day=49,
+                               plan=ForecastPlan(horizon_days=7, rank=6,
+                                                 arma_orders=(1, 2, 0, 0)))
+        report = run_longterm_experiment(cfg)
+        assert all(np.isnan(v) for v in report.rows[3][1:])
+        scored = report.rows[:3] + report.rows[4:]
+        assert report.summary["mean_res_arma2d"] == np.mean([r[1] for r in scored])
+        assert report.summary["mean_res_ar1d"] == np.mean([r[2] for r in scored])
+
+
 def perturbed_day_config(tmp_path, seed):
     tensor, _ = generate_synthetic(SyntheticSpec(seed=seed))
     rng = np.random.default_rng(1000 + seed)
@@ -168,6 +185,19 @@ class TestUpdate:
                 run_update_experiment(cfg, bad)
 
 
+    def test_zero_blocks_are_left_unscored(self):
+        tensor, _ = generate_synthetic(SyntheticSpec(seed=0))
+        tensor[:, 49, 40:] = 0.0
+        report = update_report(tensor, 49, 6, (1, 2, 0, 0), 0.3)
+        assert [row[0] for row in report.rows] == [15, 20, 25, 30, 35, 40, 45]
+        assert all(np.isnan(v) for row in report.rows[5:] for v in row[2:])
+        scored = report.rows[:5]
+        assert report.summary["n_blocks"] == 7
+        assert report.summary["mean_res_longterm"] == np.mean([r[2] for r in scored])
+        assert report.summary["mean_res_updated"] == np.mean([r[3] for r in scored])
+        assert report.summary["improved_fraction"] == np.mean([r[4] > 0 for r in scored])
+
+
 class TestShortterm:
     def test_separated_populations_favor_per_cluster_completion(self):
         cfg = weekly_cfg(2, n_clusters=2,
@@ -195,6 +225,18 @@ class TestShortterm:
         for _, _, res_lrtc, res_lean, improvement in report.rows:
             want = 0.0 if res_lean == 0 else (res_lean - res_lrtc) / res_lean
             assert improvement == pytest.approx(want)
+
+    def test_station_closed_today_is_left_unscored(self):
+        tensor, _ = generate_synthetic(SyntheticSpec(seed=0))
+        tensor[3, -1, :] = 0.0
+        ids = [f"s{l:02d}" for l in range(tensor.shape[0])]
+        report = shortterm_report(tensor, ids, 6, (1, 2, 0, 0),
+                                  LrtcHyperParams(max_rank=4, max_iters=20),
+                                  use_clustering=False)
+        assert all(np.isnan(v) for v in report.rows[3][2:])
+        scored = report.rows[:3] + report.rows[4:]
+        assert report.summary["mean_res_lrtc"] == np.mean([r[2] for r in scored])
+        assert report.summary["mean_res_lean_update"] == np.mean([r[3] for r in scored])
 
     def test_suffix_start_bounds(self):
         with pytest.raises(ValueError, match="suffix"):
