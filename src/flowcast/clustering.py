@@ -10,6 +10,7 @@ Completion downstream runs per cluster on the split tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,11 @@ class StationEmbedding:
     @property
     def n_stations(self) -> int:
         return self.coords.shape[0]
+
+    @cached_property
+    def upgma_trace(self) -> tuple:
+        """Full UPGMA merge history, built once and shared by every cut and count."""
+        return tuple(_upgma_trace(self.coords))
 
 
 @dataclass
@@ -146,8 +152,8 @@ def agglomerate(e: StationEmbedding, k: int) -> ClusterAssignment:
     n = e.n_stations
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}]")
-    trace = _upgma_trace(e.coords)
-    return ClusterAssignment(_labels_from_trace(n, trace, k), k, trace)
+    trace = e.upgma_trace
+    return ClusterAssignment(_labels_from_trace(n, trace, k), k, list(trace))
 
 
 DOMINANCE_RATIO = 4.0
@@ -161,7 +167,7 @@ def choose_cluster_count(e: StationEmbedding) -> int:
     reach ``DOMINANCE_RATIO``; otherwise the embedding is treated as one
     homogeneous population.
     """
-    trace = _upgma_trace(e.coords)
+    trace = e.upgma_trace
     if len(trace) < 2:
         return 1
     d = np.array([row[2] for row in trace])

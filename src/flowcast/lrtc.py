@@ -18,11 +18,12 @@ rank determination).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .tensor_ops import as_mask
+from .tensor_ops import as_mask, khatri_rao_all, unfold
 
 PRUNE_RATIO = 100.0
 
@@ -88,34 +89,38 @@ def _second_moments(means, covs):
     return [m[:, :, None] * m[:, None, :] + v for m, v in zip(means, covs)]
 
 
-def _gathered_product(arrs, idx, skip=None):
-    out = None
-    for k, a in enumerate(arrs):
-        if k == skip:
-            continue
-        g = a[idx[k]]
-        out = g.copy() if out is None else out * g
-    return out
+def _gathered_product(arrs, idx):
+    return reduce(np.multiply, [a[i] for a, i in zip(arrs, idx)])
 
 
-def _expected_error(y_obs, idx, means, moments):
-    """E||y - reconstruction||^2 over the observed cells."""
-    xhat = _gathered_product(means, idx).sum(axis=1)
-    second = _gathered_product(moments, idx).sum(axis=(1, 2))
-    err = float(np.sum(y_obs**2) - 2.0 * np.sum(y_obs * xhat) + np.sum(second))
-    return max(err, 0.0)
+def _masked_unfoldings(y, mask):
+    """(unfold(mask, k), unfold(y * mask, k)) per mode k; a missing cell may hold nan."""
+    masked_y = np.where(mask, y, 0.0)
+    return [(unfold(mask.astype(np.float64), k), unfold(masked_y, k)) for k in range(y.ndim)]
 
 
-def _elbo(hp, y_obs, idx, means, covs, moments, c_shape, d_rate, a_shape, b_rate):
-    n = y_obs.size
+def _mode_statistics(unfolded, means, moments, k):
+    """Observed-cell sums of the other modes' second moments (``s``) and of y
+    times their means (``proj``), per slice of mode ``k``, as two matmuls."""
+    mask_k, masked_y_k = unfolded[k]
+    flat = [v.reshape(v.shape[0], -1) for v in moments]
+    s = (mask_k @ khatri_rao_all(flat, skip=k)).reshape(moments[k].shape)
+    return s, masked_y_k @ khatri_rao_all(means, skip=k)
+
+
+def _error_from_statistics(sum_y2, s, proj, mean, moment):
+    """E||y - reconstruction||^2 over the observed cells, from one mode's statistics."""
+    return max(float(sum_y2 - 2.0 * np.sum(proj * mean) + np.sum(s * moment)), 0.0)
+
+
+def _elbo(hp, n, err, covs, c_shape, d_rate, a_shape, b_rate):
     rank = d_rate.size
     e_tau = a_shape / b_rate
     eln_tau = digamma(a_shape) - np.log(b_rate)
     e_lam = c_shape / d_rate
     eln_lam = digamma(c_shape) - np.log(d_rate)
-    n_rows = sum(m.shape[0] for m in means)
+    n_rows = sum(v.shape[0] for v in covs)
 
-    err = _expected_error(y_obs, idx, means, moments)
     like = 0.5 * n * (eln_tau - np.log(2 * np.pi)) - 0.5 * e_tau * err
     # factor prior; sum_k sum_i E[u^2] per component is 2 (d_rate - d0)
     prior_u = (0.5 * n_rows * (eln_lam.sum() - rank * np.log(2 * np.pi))
@@ -124,10 +129,8 @@ def _elbo(hp, y_obs, idx, means, covs, moments, c_shape, d_rate, a_shape, b_rate
                        + (hp.c0 - 1.0) * eln_lam - hp.d0 * e_lam)
     prior_tau = (hp.a0 * np.log(hp.b0) - gammaln(hp.a0)
                  + (hp.a0 - 1.0) * eln_tau - hp.b0 * e_tau)
-    ent_u = 0.0
-    for v in covs:
-        _, logdet = np.linalg.slogdet(v)
-        ent_u += 0.5 * (v.shape[0] * v.shape[1] * (1.0 + np.log(2 * np.pi)) + logdet.sum())
+    ent_u = sum(0.5 * (v.shape[0] * v.shape[1] * (1.0 + np.log(2 * np.pi))
+                       + np.linalg.slogdet(v)[1].sum()) for v in covs)
     ent_lam = np.sum(c_shape - np.log(d_rate) + gammaln(c_shape)
                      + (1.0 - c_shape) * digamma(c_shape))
     ent_tau = a_shape - np.log(b_rate) + gammaln(a_shape) + (1.0 - a_shape) * digamma(a_shape)
@@ -145,16 +148,17 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
     if not np.all(np.isfinite(y[mask])):
         raise ValueError("observed values must be finite")
 
-    idx = np.nonzero(mask)
     y_obs = y[mask]
     n = y_obs.size
     rank = hp.max_rank
-    n_modes = y.ndim
     extents = y.shape
+    unfolded = _masked_unfoldings(y, mask)
+    sum_y2 = float(np.sum(y_obs**2))
 
     rng = np.random.default_rng(hp.seed)
-    std = float(y_obs.std())
-    scale = (max(std, 1e-12) / np.sqrt(rank)) ** (1.0 / n_modes)
+    # a constant block has zero std; its RMS keeps the initial factors off zero
+    std = float(y_obs.std()) or float(np.sqrt(np.mean(y_obs**2)))
+    scale = (max(std, 1e-12) / np.sqrt(rank)) ** (1.0 / y.ndim)
     means = [rng.normal(0.0, scale, size=(i, rank)) for i in extents]
     covs = [np.tile(scale**2 * np.eye(rank), (i, 1, 1)) for i in extents]
     moments = _second_moments(means, covs)
@@ -169,28 +173,23 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
     elbo_trace = []
     prev = None
     for _ in range(hp.max_iters):
-        for k in range(n_modes):
-            w = _gathered_product(means, idx, skip=k)
-            w2 = _gathered_product(moments, idx, skip=k)
-            s = np.zeros((extents[k], rank, rank))
-            np.add.at(s, idx[k], w2)
-            proj = np.zeros((extents[k], rank))
-            np.add.at(proj, idx[k], y_obs[:, None] * w)
+        for k in range(y.ndim):
+            s, proj = _mode_statistics(unfolded, means, moments, k)
             prec = np.diag(e_lam)[None, :, :] + e_tau * s
             v = np.linalg.inv(prec)
             covs[k] = 0.5 * (v + v.swapaxes(1, 2))
             means[k] = e_tau * np.einsum("irs,is->ir", covs[k], proj)
             moments[k] = means[k][:, :, None] * means[k][:, None, :] + covs[k]
 
-        d_rate = hp.d0 + 0.5 * sum(
-            (m**2 + np.diagonal(v, axis1=1, axis2=2)).sum(axis=0)
-            for m, v in zip(means, covs))
+        d_rate = hp.d0 + 0.5 * sum((m**2 + np.diagonal(v, axis1=1, axis2=2)).sum(axis=0)
+                                   for m, v in zip(means, covs))
         e_lam = c_shape / d_rate
 
-        b_rate = hp.b0 + 0.5 * _expected_error(y_obs, idx, means, moments)
+        # the last mode's statistics already hold every other mode's update
+        err = _error_from_statistics(sum_y2, s, proj, means[-1], moments[-1])
+        b_rate = hp.b0 + 0.5 * err
         e_tau = a_shape / b_rate
-        elbo = _elbo(hp, y_obs, idx, means, covs, moments,
-                     c_shape, d_rate, a_shape, b_rate)
+        elbo = _elbo(hp, n, err, covs, c_shape, d_rate, a_shape, b_rate)
 
         pruned = False
         keep = e_lam <= PRUNE_RATIO * e_lam.min()
@@ -198,9 +197,10 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
             cut_means = [m[:, keep] for m in means]
             cut_covs = [v[:, keep][:, :, keep] for v in covs]
             cut_moments = _second_moments(cut_means, cut_covs)
-            cut_b = hp.b0 + 0.5 * _expected_error(y_obs, idx, cut_means, cut_moments)
-            cut_elbo = _elbo(hp, y_obs, idx, cut_means, cut_covs, cut_moments,
-                             c_shape[keep], d_rate[keep], a_shape, cut_b)
+            cut_err = _error_from_statistics(sum_y2, s[:, keep][:, :, keep], proj[:, keep],
+                                             cut_means[-1], cut_moments[-1])
+            cut_b = hp.b0 + 0.5 * cut_err
+            cut_elbo = _elbo(hp, n, cut_err, cut_covs, c_shape[keep], d_rate[keep], a_shape, cut_b)
             if cut_elbo >= elbo:
                 pruned = True
                 rank = int(keep.sum())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.cluster.hierarchy as sch
 
+from flowcast import clustering
 from flowcast.clustering import (
     ClusterAssignment,
     StationEmbedding,
@@ -255,6 +256,32 @@ class TestChooseClusterCount:
     def test_identical_stations_are_one_population(self):
         e = StationEmbedding(list(range(5)), np.zeros((5, 2)))
         assert choose_cluster_count(e) == 1
+
+
+class TestSharedTrace:
+    def test_count_then_cut_builds_the_trace_once(self, monkeypatch):
+        e = embed_stations(two_group_model(seed=4))
+        want = clustering._upgma_trace(e.coords)
+        calls = []
+
+        def counted(coords):
+            calls.append(1)
+            return want
+
+        monkeypatch.setattr(clustering, "_upgma_trace", counted)
+        k = choose_cluster_count(e)
+        assign = agglomerate(e, k)
+        assert len(calls) == 1
+        assert k == 2
+        assert assign.linkage_trace == want
+        assert np.array_equal(assign.labels, clustering._labels_from_trace(12, want, 2))
+
+    def test_cuts_do_not_share_a_mutable_trace(self):
+        rng = np.random.default_rng(9)
+        e = StationEmbedding(list(range(8)), rng.normal(size=(8, 2)))
+        first = agglomerate(e, 3)
+        first.linkage_trace.clear()
+        assert agglomerate(e, 3).linkage_trace == clustering._upgma_trace(e.coords)
 
 
 class TestSplit:

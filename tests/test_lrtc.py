@@ -5,9 +5,12 @@ measured on cells the fit never saw.  The ELBO trace is asserted to be
 non-decreasing, which is the coordinate-ascent contract.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from flowcast import lrtc
 from flowcast.cp import CpModel
 from flowcast.lrtc import (
     CompletionResult,
@@ -129,6 +132,83 @@ def test_fit_rejects_bad_input():
     mask = np.ones_like(y, dtype=bool)
     mask[0, 0, 0] = False
     lrtc_fit(y_bad, mask, LrtcHyperParams(max_rank=2, max_iters=5))
+
+
+@pytest.mark.parametrize("level", [3.0, 250.0])
+def test_constant_block_is_completed_with_its_level(level):
+    # zero spread must not shrink the initial factors to nothing
+    y = np.full((4, 5, 6), level)
+    mask = np.random.default_rng(0).random(y.shape) < 0.7
+    post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=4, seed=0))
+    result = lrtc_predict(post, mask, np.where(mask, y, np.nan))
+    np.testing.assert_allclose(result.imputed[~mask], level, rtol=1e-6)
+    assert result.effective_rank == 1
+
+
+# --- sufficient statistics ------------------------------------------------------
+
+
+def cellwise_statistics(y, mask, means, moments, k):
+    """Mode-k sums and the expected error, cell by cell over the observed cells."""
+    idx = np.nonzero(mask)
+    y_obs = y[idx]
+    rows = np.eye(y.shape[k])[idx[k]]
+    w = np.ones((y_obs.size, means[0].shape[1]))
+    w2 = np.ones((y_obs.size,) + moments[0].shape[1:])
+    for j in range(y.ndim):
+        if j != k:
+            w = w * means[j][idx[j]]
+            w2 = w2 * moments[j][idx[j]]
+    s = np.einsum("ni,nrs->irs", rows, w2)
+    proj = np.einsum("ni,n,nr->ir", rows, y_obs, w)
+    xhat = np.einsum("nr,nr->n", w, means[k][idx[k]])
+    second = np.einsum("nrs,nrs->n", w2, moments[k][idx[k]])
+    err = np.sum(y_obs**2 - 2.0 * y_obs * xhat + second)
+    return s, proj, err
+
+
+@pytest.mark.parametrize("shape", [(5, 7, 6), (4, 3, 5, 6)])
+def test_dense_statistics_match_cellwise_sums(shape):
+    rng = np.random.default_rng(len(shape))
+    rank = 3
+    y = rng.normal(size=shape) + 1.0
+    mask = rng.random(shape) < 0.6
+    mask[1] = False  # one station never observed
+    y[1].flat[0] = np.nan  # a nan behind a missing cell
+    means = [rng.normal(size=(i, rank)) for i in shape]
+    covs = []
+    for i in shape:
+        a = rng.normal(size=(i, rank, rank))
+        covs.append(0.1 * a @ a.swapaxes(1, 2))
+    moments = lrtc._second_moments(means, covs)
+    unfolded = lrtc._masked_unfoldings(y, mask)
+    sum_y2 = np.sum(y[mask] ** 2)
+    for k in range(len(shape)):
+        s, proj = lrtc._mode_statistics(unfolded, means, moments, k)
+        want_s, want_proj, want_err = cellwise_statistics(y, mask, means, moments, k)
+        np.testing.assert_allclose(s, want_s, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(proj, want_proj, rtol=1e-12, atol=1e-12)
+        if k == 0:
+            np.testing.assert_array_equal(s[1], 0.0)
+            np.testing.assert_array_equal(proj[1], 0.0)
+        err = lrtc._error_from_statistics(sum_y2, s, proj, means[k], moments[k])
+        assert err == pytest.approx(want_err, rel=1e-12)
+
+
+def test_fit_memory_stays_off_the_observed_cell_count():
+    # per-cell gathers would build n_obs x R x R arrays of about 8 MB each here
+    rng = np.random.default_rng(0)
+    factors = [rng.uniform(0.5, 1.5, size=(n, 3)) for n in (12, 56, 48)]
+    y = cp_reconstruct(CpModel(np.ones(3), factors))
+    mask = np.ones(y.shape, dtype=bool)
+    mask[:, -1, 15:] = False
+    tracemalloc.start()
+    try:
+        lrtc_fit(y, mask, LrtcHyperParams(max_rank=8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # --- prediction --------------------------------------------------------------
