@@ -17,6 +17,7 @@ from .tensor_ops import (
     as_mask,
     as_tensor,
     cp_reconstruct,
+    fold,
     khatri_rao_all,
     relative_residual,
     unfold,
@@ -82,11 +83,15 @@ def _gram_hadamard(factors, skip):
     return g
 
 
-def _solve_mode(t, factors, mode):
-    """Weight-absorbed least-squares update of one factor, others held fixed."""
+def _solve_mode(t_unf, factors, mode):
+    """Weight-absorbed least-squares update of one factor, others held fixed.
+
+    Takes the mode-``mode`` unfolding and also returns the Khatri-Rao matrix
+    of the other factors, so that ``factor @ kr.T`` is the model's unfolding.
+    """
     kr = khatri_rao_all(factors, mode)
     g = _gram_hadamard(factors, mode)
-    return unfold(t, mode) @ kr @ np.linalg.pinv(g, rcond=PINV_RCOND)
+    return t_unf @ kr @ np.linalg.pinv(g, rcond=PINV_RCOND), kr
 
 
 def _normalize_columns(a):
@@ -107,19 +112,30 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     reconstruction error after each sweep.  Stops when the error change
     between sweeps drops below ``cfg.tol`` or after ``cfg.max_iters`` sweeps.
 
+    The unfoldings of ``t`` are built once per fit, and each sweep's error
+    comes from the last mode's solve: its factor times the Khatri-Rao matrix
+    that solve built is the model in that mode's unfolded layout.  (The Gram
+    identity would be cheaper, but it cancels to about sqrt(eps).)
+
     With an ``observed`` mask, only those cells are fitted (EM-style masked
     ALS, Tomasi & Bro 2005): the other cells start at the observed mean and
     are re-imputed from the reconstruction after every sweep, and the error
-    is measured on the observed cells alone.
+    is measured on the observed cells alone.  An all-true mask is no mask.
     """
     t = as_tensor(t, min_modes=2)
     _check_rank_feasible(t.shape, cfg.rank)
+    last = t.ndim - 1
+    if observed is not None:
+        observed = as_mask(observed, t.shape)
+        if observed.all():
+            observed = None
     if observed is None:
-        work = t
+        unfoldings = [unfold(t, k) for k in range(t.ndim)]
+        t_last = unfoldings[last]
         norm_t = np.linalg.norm(t)
     else:
-        observed = as_mask(observed, t.shape)
         work = np.where(observed, t, float(t[observed].mean()))
+        t_last, seen_last = unfold(t, last), unfold(observed, last)
         norm_t = np.linalg.norm(t[observed])
     rng = np.random.default_rng(cfg.seed)
     factors = [rng.uniform(-1.0, 1.0, size=(n, cfg.rank)) for n in t.shape]
@@ -128,16 +144,17 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     history = []
     prev = None
     for _ in range(cfg.max_iters):
+        if observed is not None:
+            unfoldings = [unfold(work, k) for k in range(t.ndim)]
         for mode in range(t.ndim):
-            raw = _solve_mode(work, factors, mode)
+            raw, kr = _solve_mode(unfoldings[mode], factors, mode)
             factors[mode], weights = _normalize_columns(raw)
-        model = CpModel(weights, factors)
+        recon = (factors[last] * weights) @ kr.T
         if observed is None:
-            err = np.linalg.norm(t - cp_reconstruct(model))
+            err = np.linalg.norm(t_last - recon)
         else:
-            recon = cp_reconstruct(model)
-            work = np.where(observed, t, recon)
-            err = np.linalg.norm((t - recon)[observed])
+            work = fold(np.where(seen_last, t_last, recon), last, t.shape)
+            err = np.linalg.norm((t_last - recon)[seen_last])
         err = 0.0 if norm_t == 0 else float(err / norm_t)
         history.append(err)
         if prev is not None and abs(prev - err) < cfg.tol:
@@ -165,7 +182,7 @@ def cp_solve_mode(t, model: CpModel, mode: int) -> np.ndarray:
     if np.linalg.matrix_rank(g, tol=PINV_RCOND * max(np.linalg.norm(g, 2), 1e-300)) < g.shape[0]:
         warnings.warn("Gram Hadamard product is singular; returning minimum-norm solution",
                       DegenerateSolveWarning, stacklevel=2)
-    return _solve_mode(t, model.factors, mode)
+    return _solve_mode(unfold(t, mode), model.factors, mode)[0]
 
 
 def cp_rank_select(t, candidate_ranks, holdout_fraction: float, cfg: AlsConfig) -> int:

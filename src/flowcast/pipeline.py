@@ -103,9 +103,8 @@ def forecast_from_model(model: CpModel, plan: ForecastPlan) -> DayPrediction:
         g = arma2d_forecast(arma, f, h)
         extended[:, r] = g.values.T.ravel()[: n_days + tau]
 
-    full = cp_reconstruct(CpModel(model.weights, [model.factors[0], extended, model.factors[2]]))
     source = CpModel(model.weights, [model.factors[0], extended[n_days:], model.factors[2]])
-    return DayPrediction(np.maximum(full[:, n_days:, :], 0.0), source, "long_term")
+    return DayPrediction(np.maximum(cp_reconstruct(source), 0.0), source, "long_term")
 
 
 def update_location_factor(day, temporal_row, u_p) -> np.ndarray:
@@ -116,7 +115,7 @@ def update_location_factor(day, temporal_row, u_p) -> np.ndarray:
     """
     day = np.asarray(day, dtype=np.float64)
     row = np.asarray(temporal_row, dtype=np.float64).reshape(1, -1)
-    return _solve_mode(day[:, None, :], [None, row, u_p], 0)
+    return _solve_mode(day, [None, row, u_p], 0)[0]
 
 
 def _as_day_slice(values, n_locations, n_slots, name):

@@ -54,6 +54,36 @@ def test_exact_rank2_recovery():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("shape", [(6, 5, 4), (5, 4, 3, 4)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_history_ends_at_the_returned_models_residual(shape, masked):
+    rng = np.random.default_rng(22)
+    t = rng.uniform(0.0, 1.0, size=shape)
+    mask = rng.uniform(size=shape) > 0.3 if masked else None
+    model, history = cp_fit(t, AlsConfig(rank=3, max_iters=30, seed=8), mask)
+    assert abs(history[-1] - relative_residual(cp_reconstruct(model), t, mask)) < 1e-12
+
+
+def test_exact_recovery_error_reaches_below_sqrt_eps_without_rising():
+    # an error from ||X||^2 - 2<X, M> + ||M||^2 cancels to about 1e-8 here and stops early
+    rng = np.random.default_rng(10)
+    t = cp_reconstruct(random_model(rng, (8, 9, 7), 2))
+    model, history = cp_fit(t, AlsConfig(rank=2, tol=1e-12, seed=1))
+    assert history[-1] < 1e-10
+    assert abs(history[-1] - relative_residual(cp_reconstruct(model), t)) < 1e-12
+    assert np.all(np.diff(history) <= 1e-12)
+
+
+def test_fit_never_forms_the_dense_reconstruction(monkeypatch):
+    def refuse(model):
+        raise AssertionError("cp_fit called cp_reconstruct")
+
+    monkeypatch.setattr("flowcast.cp.cp_reconstruct", refuse)
+    t = np.random.default_rng(23).uniform(size=(5, 6, 4))
+    model, history = cp_fit(t, AlsConfig(rank=2, max_iters=10))
+    assert len(history) == 10 and model.rank == 2
+
+
 def test_all_zero_tensor():
     model, history = cp_fit(np.zeros((3, 3, 3)), AlsConfig(rank=2, max_iters=5))
     assert all(h == 0.0 for h in history)
