@@ -7,13 +7,14 @@ shape and week-over-week drift are captured with few coefficients; the
 baseline is an 8-lag AR(1D) fit per factor on the plain day axis.
 """
 
-from flowcast import ExperimentConfig, ForecastPlan, run_longterm_experiment
+from flowcast import ExperimentConfig, ForecastPlan, load_input, longterm_report
 
 cfg = ExperimentConfig(
     seed=0,
     plan=ForecastPlan(horizon_days=7, rank=6, arma_orders=(1, 2, 0, 0)),
 )
-report = run_longterm_experiment(cfg)
+tensor, station_ids = load_input(cfg)
+report = longterm_report(tensor, station_ids, cfg)
 
 print("station   2D-ARMA RES   1D-AR RES   improvement")
 for station, res_arma, res_ar, imp in report.rows:

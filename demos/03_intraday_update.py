@@ -9,14 +9,16 @@ blocks so the decay of the update's advantage over the day is visible.
 
 import numpy as np
 
-from flowcast import SyntheticSpec, generate_synthetic, update_report
+from flowcast import (ExperimentConfig, ForecastPlan, SyntheticSpec,
+                      generate_synthetic, update_report)
 
 tensor, _ = generate_synthetic(SyntheticSpec(seed=7))
 rng = np.random.default_rng(1007)
 tensor[:, 49, :] *= rng.uniform(0.6, 1.4, tensor.shape[0])[:, None]
 
-report = update_report(tensor, split_day=49, rank=6, arma_orders=(1, 2, 0, 0),
-                       observed_fraction=0.3)
+cfg = ExperimentConfig(split_day=49,
+                       plan=ForecastPlan(1, rank=6, arma_orders=(1, 2, 0, 0)))
+report = update_report(tensor, cfg, observed_fraction=0.3)
 
 print("block   slots   long-term RES   updated RES   improvement")
 for start, length, res_long, res_upd, imp in report.rows:

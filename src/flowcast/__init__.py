@@ -14,9 +14,8 @@ from .clustering import (ClusterAssignment, StationEmbedding, agglomerate,
                          split_tensor_by_cluster)
 from .cp import AlsConfig, CpModel, cp_fit, cp_rank_select, cp_solve_mode
 from .experiments import (ExperimentConfig, ExperimentReport, load_input,
-                          run_longterm_experiment, run_shortterm_experiment,
-                          run_update_experiment, shortterm_report,
-                          update_report, write_report)
+                          longterm_report, shortterm_report, update_report,
+                          write_report)
 from .io import FlowRecord, LoadReport, export, ingest
 from .lrtc import (CompletionResult, LrtcHyperParams, LrtcPosterior, lrtc_fit,
                    lrtc_predict, short_term_predict)
@@ -67,15 +66,13 @@ __all__ = [
     "khatri_rao_all",
     "lean_update",
     "load_input",
+    "longterm_report",
     "lrtc_fit",
     "lrtc_predict",
     "planted_labels",
     "relative_residual",
     "reshape_to_field",
     "rolling_update_evaluation",
-    "run_longterm_experiment",
-    "run_shortterm_experiment",
-    "run_update_experiment",
     "short_term_predict",
     "shortterm_report",
     "simulate_field",

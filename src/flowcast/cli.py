@@ -24,9 +24,9 @@ import numpy as np
 
 from .cp import AlsConfig, cp_fit
 from .clustering import agglomerate, choose_cluster_count, embed_stations
-from .experiments import (ExperimentConfig, final_day_suffix, run_longterm_experiment,
-                          run_shortterm_experiment, run_update_experiment,
-                          update_report, write_report)
+from .experiments import (ExperimentConfig, final_day_suffix, load_input,
+                          longterm_report, shortterm_report, update_report,
+                          write_report)
 from .io import ingest
 from .lrtc import LrtcHyperParams, short_term_predict
 from .pipeline import ForecastPlan, two_step_forecast
@@ -204,7 +204,8 @@ def _cmd_forecast(args):
 def _cmd_update(args):
     tensor, _ = _load_tensor(args.tensor)
     day = args.day_index if args.day_index is not None else tensor.shape[1] - 1
-    report = update_report(tensor, day, args.rank, _int_tuple(args.arma_orders),
+    plan = ForecastPlan(1, rank=args.rank, arma_orders=_int_tuple(args.arma_orders))
+    report = update_report(tensor, ExperimentConfig(split_day=day, plan=plan),
                            args.observed_fraction, window=args.window)
     paths = write_report(report, args.output_dir)
     s = report.summary
@@ -253,13 +254,13 @@ def _cmd_cluster(args):
 
 def _cmd_evaluate(args):
     cfg = build_experiment_config(_collect_settings(args))
+    tensor, station_ids = load_input(cfg)
     if args.experiment == "longterm":
-        report = run_longterm_experiment(cfg)
+        report = longterm_report(tensor, station_ids, cfg)
     elif args.experiment == "update":
-        report = run_update_experiment(cfg, args.observed_fraction,
-                                       window=args.window)
+        report = update_report(tensor, cfg, args.observed_fraction, window=args.window)
     else:
-        report = run_shortterm_experiment(cfg, use_clustering=args.use_clustering)
+        report = shortterm_report(tensor, station_ids, cfg, args.use_clustering)
     out_dir = cfg.output_dir if cfg.output_dir is not None else "."
     paths = write_report(report, out_dir)
     print(_summary_line(report))

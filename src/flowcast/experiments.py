@@ -1,6 +1,7 @@
 """Experiment orchestration: long-term, update, and short-term comparisons.
 
-Each runner loads one scenario (a CSV of flow records or a seeded synthetic),
+Each report takes a scenario tensor (from :func:`load_input`: a CSV of flow
+records or a seeded synthetic) and the whole :class:`ExperimentConfig`,
 applies the forecasting artifact and a reference method to the same held-out
 cells, and emits a per-station or per-block table plus a machine-readable
 summary.  All randomness flows from the config, so a fixed seed reproduces
@@ -34,6 +35,10 @@ class ExperimentConfig:
     With ``data_path`` set, records are ingested under the declared
     ``extents`` (days, slots); otherwise the synthetic spec is used with
     ``seed`` overriding its seed so one flag controls the scenario.
+
+    ``plan.horizon_days`` applies to the long-term report only; the update
+    and short-term reports forecast one day with the plan's rank, ARMA
+    orders and ALS settings.
     """
 
     data_path: str | None = None
@@ -113,14 +118,14 @@ def _ar_forecast(series, n_lags, horizon):
     return mean + np.array(out)
 
 
-def run_longterm_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+def longterm_report(tensor, station_ids, cfg: ExperimentConfig) -> ExperimentReport:
     """Two-step 2D-ARMA forecast vs a per-rank scalar AR on the same CP fit.
 
     The baseline gets the identical factorization and lag-count parity
     (``n_baseline_lags`` daily lags), so the comparison isolates the value
     of modelling the day-of-week by week structure.
     """
-    tensor, station_ids = load_input(cfg)
+    tensor = np.asarray(tensor, dtype=np.float64)
     n_days = tensor.shape[1]
     _check_split(cfg.split_day, n_days)
     horizon = n_days - cfg.split_day
@@ -160,38 +165,39 @@ def run_longterm_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "longterm", ["station", "res_arma2d", "res_ar1d", "improvement"], rows, summary)
 
 
-def run_update_experiment(cfg: ExperimentConfig, observed_fraction: float,
-                          window: int = 5) -> ExperimentReport:
+def _forecast_and_update(tensor, cfg: ExperimentConfig, day, n_obs):
+    """Forecast ``day`` from the days before it, then lean-update it from its
+    first ``n_obs`` slots.  Returns ``(prediction, updated)``."""
+    plan = dataclasses.replace(cfg.plan, horizon_days=1)
+    prediction = two_step_forecast(tensor[:, :day, :], plan)
+    observed = np.arange(tensor.shape[2]) < n_obs
+    updated = lean_update(prediction, tensor[:, day, :], observed, prediction.source_model)
+    return prediction, updated
+
+
+def update_report(tensor, cfg: ExperimentConfig, observed_fraction: float,
+                  window: int = 5) -> ExperimentReport:
     """Lean update of the first held-out day from a partial-day prefix.
 
-    The day is forecast from the training days alone, the leading
+    Day ``cfg.split_day`` is forecast from the days before it, the leading
     ``observed_fraction`` of its slots is then revealed, and both the
     original and the updated prediction are scored on consecutive
     ``window``-slot blocks of the remainder (trailing partial block kept
     separate).
     """
-    tensor, _ = load_input(cfg)
-    return update_report(tensor, cfg.split_day, cfg.plan.rank, cfg.plan.arma_orders,
-                         observed_fraction, window)
-
-
-def update_report(tensor, split_day, rank, arma_orders, observed_fraction,
-                  window=5) -> ExperimentReport:
     if not 0.0 < observed_fraction < 1.0:
         raise ValueError("observed_fraction must lie strictly in (0, 1)")
     tensor = np.asarray(tensor, dtype=np.float64)
     n_slots = tensor.shape[2]
-    _check_split(split_day, tensor.shape[1])
-    train = tensor[:, :split_day, :]
-    truth_day = tensor[:, split_day, :]
-
-    plan = ForecastPlan(1, rank=rank, arma_orders=arma_orders)
-    prediction = two_step_forecast(train, plan)
+    _check_split(cfg.split_day, tensor.shape[1])
     n_obs = min(int(np.ceil(observed_fraction * n_slots)), n_slots - 1)
-    observed = np.arange(n_slots) < n_obs
-    updated = lean_update(prediction, truth_day, observed, prediction.source_model)
+    if not 1 <= window <= n_slots - n_obs:
+        raise ValueError(
+            f"window {window} must lie in [1, {n_slots - n_obs}]: observed_fraction "
+            f"{observed_fraction} leaves {n_slots - n_obs} of {n_slots} slots to score")
 
-    blocks = rolling_update_evaluation(truth_day, prediction, updated,
+    prediction, updated = _forecast_and_update(tensor, cfg, cfg.split_day, n_obs)
+    blocks = rolling_update_evaluation(tensor[:, cfg.split_day, :], prediction, updated,
                                        start_slot=n_obs, window=window)
     rows = [
         (start, min(start + window, n_slots) - start, res_long, res_upd,
@@ -215,20 +221,6 @@ def update_report(tensor, split_day, rank, arma_orders, observed_fraction,
         rows, summary)
 
 
-def run_shortterm_experiment(cfg: ExperimentConfig, use_clustering: bool) -> ExperimentReport:
-    """Completion of a masked final-day suffix, jointly or per cluster.
-
-    The suffix from ``suffix_start`` (default: 30% into the day) of the last
-    day is treated as missing and imputed by the completion model; the lean
-    update of the same day serves as the reference on the same cells.
-    """
-    tensor, station_ids = load_input(cfg)
-    return shortterm_report(tensor, station_ids, cfg.plan.rank, cfg.plan.arma_orders,
-                            cfg.lrtc, use_clustering, n_clusters=cfg.n_clusters,
-                            variance_retained=cfg.variance_retained,
-                            suffix_start=cfg.suffix_start)
-
-
 def final_day_suffix(shape, suffix_start=None):
     """First masked slot and the mask of the final day's slots from it on.
 
@@ -243,38 +235,34 @@ def final_day_suffix(shape, suffix_start=None):
     return start, future
 
 
-def shortterm_report(tensor, station_ids, rank, arma_orders, lrtc, use_clustering,
-                     n_clusters=None, variance_retained=0.9,
-                     suffix_start=None) -> ExperimentReport:
-    tensor = np.asarray(tensor, dtype=np.float64)
-    n_loc, n_days, n_slots = tensor.shape
-    start, future = final_day_suffix(tensor.shape, suffix_start)
-    history = tensor[:, :n_days - 1, :]
+def shortterm_report(tensor, station_ids, cfg: ExperimentConfig,
+                     use_clustering: bool) -> ExperimentReport:
+    """Completion of a masked final-day suffix, jointly or per cluster.
 
-    plan = ForecastPlan(1, rank=rank, arma_orders=arma_orders)
-    prediction = two_step_forecast(history, plan)
-    observed = np.arange(n_slots) < start
-    lean = lean_update(prediction, tensor[:, -1, :], observed, prediction.source_model)
+    The suffix from ``cfg.suffix_start`` (default: 30% into the day) of the
+    last day is treated as missing and imputed by the completion model; the
+    lean update of the same day serves as the reference on the same cells.
+    The joint run is the single cluster holding every station.
+    """
+    tensor = np.asarray(tensor, dtype=np.float64)
+    n_loc, n_days, _ = tensor.shape
+    start, future = final_day_suffix(tensor.shape, cfg.suffix_start)
+    prediction, lean = _forecast_and_update(tensor, cfg, n_days - 1, start)
 
     if use_clustering:
-        embedding = embed_stations(prediction.source_model, variance_retained,
+        embedding = embed_stations(prediction.source_model, cfg.variance_retained,
                                    station_ids=station_ids)
-        k = n_clusters if n_clusters is not None else choose_cluster_count(embedding)
-        assign = agglomerate(embedding, k)
-        labels = assign.labels
-        completed = np.empty_like(tensor)
-        effective_ranks = []
-        for c in range(k):
-            members = labels == c
-            part = short_term_predict(tensor[members], future[members], lrtc)
-            completed[members] = part.imputed
-            effective_ranks.append(part.effective_rank)
+        k = cfg.n_clusters if cfg.n_clusters is not None else choose_cluster_count(embedding)
+        labels = agglomerate(embedding, k).labels
     else:
-        k = 1
-        labels = np.zeros(n_loc, dtype=np.int64)
-        part = short_term_predict(tensor, future, lrtc)
-        completed = part.imputed
-        effective_ranks = [part.effective_rank]
+        k, labels = 1, np.zeros(n_loc, dtype=np.int64)
+    completed = np.empty_like(tensor)
+    effective_ranks = []
+    for c in range(k):
+        members = labels == c
+        part = short_term_predict(tensor[members], future[members], cfg.lrtc)
+        completed[members] = part.imputed
+        effective_ranks.append(part.effective_rank)
 
     rows = []
     for l, sid in enumerate(station_ids):

@@ -14,7 +14,7 @@ import pytest
 from flowcast.arma2d import Arma2dModel, arma2d_fit, simulate_field
 from flowcast.clustering import agglomerate, embed_stations
 from flowcast.cp import AlsConfig, CpModel, cp_fit, cp_solve_mode
-from flowcast.experiments import (ExperimentConfig, run_longterm_experiment,
+from flowcast.experiments import (ExperimentConfig, load_input, longterm_report,
                                   update_report)
 from flowcast.io import export, ingest
 from flowcast.lrtc import LrtcHyperParams, lrtc_fit, lrtc_predict, short_term_predict
@@ -94,7 +94,7 @@ def test_criterion_4_longterm_beats_ar_baseline():
     for seed in (0, 1, 2):
         cfg = ExperimentConfig(seed=seed,
                                plan=ForecastPlan(7, rank=6, arma_orders=(1, 2, 0, 0)))
-        report = run_longterm_experiment(cfg)
+        report = longterm_report(*load_input(cfg), cfg)
         improvements.append(report.summary["relative_improvement"])
     assert all(imp >= 0.10 for imp in improvements)
     detail = "/".join(f"{imp:.0%}" for imp in improvements)
@@ -107,7 +107,9 @@ def test_criterion_5_update_improves_early_blocks():
     tensor, _ = generate_synthetic(SyntheticSpec(seed=7))
     rng = np.random.default_rng(1007)
     tensor[:, 49, :] *= rng.uniform(0.6, 1.4, tensor.shape[0])[:, None]
-    report = update_report(tensor, 49, 6, (1, 2, 0, 0), observed_fraction=0.3)
+    report = update_report(
+        tensor, ExperimentConfig(plan=ForecastPlan(1, rank=6, arma_orders=(1, 2, 0, 0))),
+        observed_fraction=0.3)
     early = report.summary["early_improved_fraction"]
     assert early >= 0.60
     finish(5, "30%-prefix update improves early blocks",

@@ -10,7 +10,7 @@ import pytest
 
 from flowcast.cli import build_experiment_config, load_config, main
 from flowcast.cp import CpModel
-from flowcast.experiments import ExperimentConfig
+from flowcast.experiments import ExperimentConfig, update_report, write_report
 from flowcast.io import export
 from flowcast.lrtc import LrtcHyperParams, short_term_predict
 from flowcast.pipeline import ForecastPlan, two_step_forecast
@@ -219,6 +219,17 @@ class TestUpdate:
         assert summary["observed_slots"] == 4
         assert summary["n_blocks"] == 2
 
+    def test_matches_library_update(self, tmp_path, base_archive, base_tensor):
+        assert run_cli("update", "--tensor", base_archive, "--day-index", 21,
+                       "--observed-fraction", 0.3, "--rank", 2,
+                       "--arma-orders", "1,2,0,0", "--output-dir", tmp_path / "cli") == 0
+        cfg = ExperimentConfig(split_day=21,
+                               plan=ForecastPlan(1, rank=2, arma_orders=(1, 2, 0, 0)))
+        write_report(update_report(base_tensor, cfg, 0.3), tmp_path / "lib")
+        for name in ("update_table.csv", "update_summary.json"):
+            assert ((tmp_path / "cli" / name).read_bytes()
+                    == (tmp_path / "lib" / name).read_bytes())
+
     def test_defaults_to_last_day(self, tmp_path, base_archive, capsys):
         assert run_cli("update", "--tensor", base_archive,
                        "--observed-fraction", 0.3, "--rank", 2,
@@ -232,6 +243,14 @@ class TestUpdate:
                      "--output-dir", tmp_path / "rep")
         assert rc == 1
         assert "observed_fraction" in capsys.readouterr().err
+
+    def test_remainder_shorter_than_window_fails(self, tmp_path, base_archive, capsys):
+        # 95% of 12 slots leaves one slot to score, short of the 5-slot window
+        rc = run_cli("update", "--tensor", base_archive,
+                     "--observed-fraction", 0.95, "--rank", 2,
+                     "--output-dir", tmp_path / "rep")
+        assert rc == 1
+        assert "observed_fraction 0.95 leaves 1 of 12 slots" in capsys.readouterr().err
 
 
 class TestComplete:

@@ -11,18 +11,18 @@ from flowcast.experiments import (
     ExperimentReport,
     _ar_forecast,
     load_input,
-    run_longterm_experiment,
-    run_shortterm_experiment,
-    run_update_experiment,
+    longterm_report,
     shortterm_report,
     update_report,
     write_report,
 )
+from flowcast.cp import AlsConfig
 from flowcast.io import export
 from flowcast.lrtc import LrtcHyperParams
-from flowcast.pipeline import ForecastPlan
+from flowcast.pipeline import (ForecastPlan, lean_update, rolling_update_evaluation,
+                               two_step_forecast)
 from flowcast.synthetic import SyntheticSpec, generate_synthetic
-from flowcast.tensor_ops import DegenerateSolveWarning
+from flowcast.tensor_ops import DegenerateSolveWarning, residual_or_nan
 
 pytestmark = pytest.mark.filterwarnings("ignore::flowcast.tensor_ops.DegenerateSolveWarning")
 
@@ -33,6 +33,24 @@ def weekly_cfg(seed, **kwargs):
         plan=ForecastPlan(horizon_days=7, rank=6, arma_orders=(1, 2, 0, 0)),
         **kwargs,
     )
+
+
+def short_als_cfg(**kwargs):
+    # three ALS sweeps stop far from the 500-sweep default fit, so a report
+    # that ignored plan.als would score a visibly different forecast
+    als = AlsConfig(rank=6, max_iters=3)
+    return ExperimentConfig(
+        plan=ForecastPlan(horizon_days=7, rank=6, arma_orders=(1, 2, 0, 0), als=als),
+        **kwargs)
+
+
+def one_day_prediction(history, cfg, truth_day, n_obs):
+    plan = ForecastPlan(1, rank=cfg.plan.rank, arma_orders=cfg.plan.arma_orders,
+                        als=cfg.plan.als)
+    prediction = two_step_forecast(history, plan)
+    observed = np.arange(truth_day.shape[1]) < n_obs
+    updated = lean_update(prediction, truth_day, observed, prediction.source_model)
+    return prediction, updated
 
 
 class TestConfig:
@@ -91,7 +109,8 @@ class TestArBaseline:
 class TestLongterm:
     def test_weekly_structure_favors_the_2d_model(self):
         for seed in (0, 3):
-            report = run_longterm_experiment(weekly_cfg(seed))
+            cfg = weekly_cfg(seed)
+            report = longterm_report(*load_input(cfg), cfg)
             assert report.summary["relative_improvement"] >= 0.10
             assert report.summary["mean_res_arma2d"] < report.summary["mean_res_ar1d"]
 
@@ -104,24 +123,27 @@ class TestLongterm:
                 synth=SyntheticSpec(extents=(12, 112, 24), rank=2, weekly_strength=0.0,
                                     daily_strength=0.5),
                 plan=ForecastPlan(horizon_days=7, rank=2, arma_orders=(1, 2, 0, 0)))
-            imp = run_longterm_experiment(cfg).summary["relative_improvement"]
+            imp = longterm_report(*load_input(cfg), cfg).summary["relative_improvement"]
             assert abs(imp) <= 0.05
             imps.append(imp)
         assert abs(np.mean(imps)) <= 0.03
 
     def test_report_shape_and_plan_consistency(self):
-        report = run_longterm_experiment(weekly_cfg(0))
+        cfg = weekly_cfg(0)
+        report = longterm_report(*load_input(cfg), cfg)
         assert report.name == "longterm"
         assert len(report.rows) == 12
         assert report.columns[0] == "station"
         assert report.summary["n_stations"] == 12
         assert report.summary["horizon_days"] == 7
         with pytest.raises(ValueError, match="horizon"):
-            run_longterm_experiment(weekly_cfg(0, split_day=50))
+            cfg = weekly_cfg(0, split_day=50)
+            longterm_report(*load_input(cfg), cfg)
 
     def test_reports_are_deterministic(self):
-        first = run_longterm_experiment(weekly_cfg(1))
-        second = run_longterm_experiment(weekly_cfg(1))
+        cfg = weekly_cfg(1)
+        first = longterm_report(*load_input(cfg), cfg)
+        second = longterm_report(*load_input(cfg), cfg)
         assert first.rows == second.rows
         assert first.summary == second.summary
 
@@ -134,7 +156,7 @@ class TestLongterm:
         cfg = ExperimentConfig(data_path=str(path), extents=(56, 48), split_day=49,
                                plan=ForecastPlan(horizon_days=7, rank=6,
                                                  arma_orders=(1, 2, 0, 0)))
-        report = run_longterm_experiment(cfg)
+        report = longterm_report(*load_input(cfg), cfg)
         assert all(np.isnan(v) for v in report.rows[3][1:])
         scored = report.rows[:3] + report.rows[4:]
         assert report.summary["mean_res_arma2d"] == np.mean([r[1] for r in scored])
@@ -153,12 +175,14 @@ def perturbed_day_config(tmp_path, seed):
 
 class TestUpdate:
     def test_perturbed_day_majority_improves_early_blocks(self, tmp_path):
-        report = run_update_experiment(perturbed_day_config(tmp_path, 7), 0.3)
+        cfg = perturbed_day_config(tmp_path, 7)
+        report = update_report(load_input(cfg)[0], cfg, 0.3)
         assert report.summary["early_improved_fraction"] >= 0.75
         assert report.summary["mean_res_updated"] < report.summary["mean_res_longterm"]
 
     def test_block_layout_on_a_48_slot_day(self, tmp_path):
-        report = run_update_experiment(perturbed_day_config(tmp_path, 7), 0.3)
+        cfg = perturbed_day_config(tmp_path, 7)
+        report = update_report(load_input(cfg)[0], cfg, 0.3)
         assert report.summary["observed_slots"] == 15
         starts = [row[0] for row in report.rows]
         assert starts == [15, 20, 25, 30, 35, 40, 45]
@@ -172,7 +196,7 @@ class TestUpdate:
             seed=0, split_day=49,
             synth=SyntheticSpec(extents=(3, 50, 247), rank=2, n_clusters=1),
             plan=ForecastPlan(horizon_days=1, rank=2, arma_orders=(1, 2, 0, 0)))
-        report = run_update_experiment(cfg, 0.3)
+        report = update_report(load_input(cfg)[0], cfg, 0.3)
         assert report.summary["observed_slots"] == 75
         assert report.summary["n_blocks"] == 35
         assert sum(1 for row in report.rows if row[1] == 5) == 34
@@ -180,15 +204,39 @@ class TestUpdate:
 
     def test_degenerate_fractions_are_rejected(self):
         cfg = weekly_cfg(0)
+        tensor, _ = load_input(cfg)
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                run_update_experiment(cfg, bad)
+                update_report(tensor, cfg, bad)
 
+
+    def test_short_remainder_is_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("cp_fit ran before the window check")
+
+        monkeypatch.setattr("flowcast.pipeline.cp_fit", no_fit)
+        tensor, _ = generate_synthetic(SyntheticSpec(seed=0))
+        # 95% of 48 slots rounds up to 46 observed, leaving 2 for a 5-slot window
+        with pytest.raises(ValueError, match=r"window 5 .*observed_fraction 0\.95 leaves 2 "):
+            update_report(tensor, weekly_cfg(0), 0.95)
+        with pytest.raises(ValueError, match="window 0"):
+            update_report(tensor, weekly_cfg(0), 0.3, window=0)
+
+    def test_plan_als_settings_reach_the_forecast(self):
+        cfg = short_als_cfg()
+        tensor, _ = load_input(cfg)
+        report = update_report(tensor, cfg, 0.3)
+        prediction, updated = one_day_prediction(tensor[:, :49], cfg, tensor[:, 49], 15)
+        blocks = rolling_update_evaluation(tensor[:, 49], prediction, updated, 15, 5)
+        want = np.mean([res_long for _, res_long, _ in blocks])
+        assert report.summary["mean_res_longterm"] == want
+        default = update_report(tensor, weekly_cfg(0), 0.3)
+        assert default.summary["mean_res_longterm"] != want
 
     def test_zero_blocks_are_left_unscored(self):
         tensor, _ = generate_synthetic(SyntheticSpec(seed=0))
         tensor[:, 49, 40:] = 0.0
-        report = update_report(tensor, 49, 6, (1, 2, 0, 0), 0.3)
+        report = update_report(tensor, weekly_cfg(0), 0.3)
         assert [row[0] for row in report.rows] == [15, 20, 25, 30, 35, 40, 45]
         assert all(np.isnan(v) for row in report.rows[5:] for v in row[2:])
         scored = report.rows[:5]
@@ -203,8 +251,8 @@ class TestShortterm:
         cfg = weekly_cfg(2, n_clusters=2,
                          synth=SyntheticSpec(separation=50.0),
                          lrtc=LrtcHyperParams(max_rank=4))
-        clustered = run_shortterm_experiment(cfg, use_clustering=True)
-        joint = run_shortterm_experiment(cfg, use_clustering=False)
+        clustered = shortterm_report(*load_input(cfg), cfg, use_clustering=True)
+        joint = shortterm_report(*load_input(cfg), cfg, use_clustering=False)
         assert clustered.summary["mean_res_lrtc"] < joint.summary["mean_res_lrtc"]
         assert clustered.summary["n_clusters"] == 2
         labels = [row[1] for row in clustered.rows]
@@ -213,14 +261,14 @@ class TestShortterm:
 
     def test_homogeneous_population_collapses_to_the_joint_run(self):
         cfg = weekly_cfg(0, synth=SyntheticSpec(n_clusters=1, separation=0.0))
-        clustered = run_shortterm_experiment(cfg, use_clustering=True)
-        joint = run_shortterm_experiment(cfg, use_clustering=False)
+        clustered = shortterm_report(*load_input(cfg), cfg, use_clustering=True)
+        joint = shortterm_report(*load_input(cfg), cfg, use_clustering=False)
         assert clustered.summary["n_clusters"] == 1
         assert clustered.summary["mean_res_lrtc"] == joint.summary["mean_res_lrtc"]
 
     def test_improvement_column_carries_sign(self):
         cfg = weekly_cfg(0)
-        report = run_shortterm_experiment(cfg, use_clustering=False)
+        report = shortterm_report(*load_input(cfg), cfg, use_clustering=False)
         assert report.columns[-1] == "improvement"
         for _, _, res_lrtc, res_lean, improvement in report.rows:
             want = 0.0 if res_lean == 0 else (res_lean - res_lrtc) / res_lean
@@ -230,19 +278,33 @@ class TestShortterm:
         tensor, _ = generate_synthetic(SyntheticSpec(seed=0))
         tensor[3, -1, :] = 0.0
         ids = [f"s{l:02d}" for l in range(tensor.shape[0])]
-        report = shortterm_report(tensor, ids, 6, (1, 2, 0, 0),
-                                  LrtcHyperParams(max_rank=4, max_iters=20),
-                                  use_clustering=False)
+        report = shortterm_report(
+            tensor, ids, weekly_cfg(0, lrtc=LrtcHyperParams(max_rank=4, max_iters=20)),
+            use_clustering=False)
         assert all(np.isnan(v) for v in report.rows[3][2:])
         scored = report.rows[:3] + report.rows[4:]
         assert report.summary["mean_res_lrtc"] == np.mean([r[2] for r in scored])
         assert report.summary["mean_res_lean_update"] == np.mean([r[3] for r in scored])
 
+    def test_plan_als_settings_reach_the_reference_update(self):
+        lrtc = LrtcHyperParams(max_rank=4, max_iters=20)
+        cfg = short_als_cfg(lrtc=lrtc)
+        tensor, ids = load_input(cfg)
+        report = shortterm_report(tensor, ids, cfg, use_clustering=False)
+        _, lean = one_day_prediction(tensor[:, :-1], cfg, tensor[:, -1], 15)
+        want = np.mean([residual_or_nan(lean.tensor[l, 0], tensor[l, -1],
+                                        np.arange(48) >= 15)
+                        for l in range(len(ids))])
+        assert report.summary["mean_res_lean_update"] == want
+        default = shortterm_report(tensor, ids, weekly_cfg(0, lrtc=lrtc), use_clustering=False)
+        assert default.summary["mean_res_lean_update"] != want
+
     def test_suffix_start_bounds(self):
+        tensor, ids = load_input(weekly_cfg(0))
         with pytest.raises(ValueError, match="suffix"):
-            run_shortterm_experiment(weekly_cfg(0, suffix_start=48), use_clustering=False)
+            shortterm_report(tensor, ids, weekly_cfg(0, suffix_start=48), use_clustering=False)
         with pytest.raises(ValueError, match="suffix"):
-            run_shortterm_experiment(weekly_cfg(0, suffix_start=0), use_clustering=False)
+            shortterm_report(tensor, ids, weekly_cfg(0, suffix_start=0), use_clustering=False)
 
 
 class TestWriteReport:
@@ -263,7 +325,8 @@ class TestWriteReport:
         assert summary["mean_res"] == 0.3117
 
     def test_fixed_seed_writes_identical_bytes(self, tmp_path):
+        cfg = weekly_cfg(4)
         for sub in ("a", "b"):
-            write_report(run_longterm_experiment(weekly_cfg(4)), tmp_path / sub)
+            write_report(longterm_report(*load_input(cfg), cfg), tmp_path / sub)
         for name in ("longterm_table.csv", "longterm_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
