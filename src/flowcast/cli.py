@@ -203,7 +203,11 @@ def _cmd_forecast(args):
 
 def _cmd_update(args):
     tensor, _ = _load_tensor(args.tensor)
-    day = args.day_index if args.day_index is not None else tensor.shape[1] - 1
+    n_days = tensor.shape[1]
+    day = args.day_index if args.day_index is not None else n_days - 1
+    if not 1 <= day < n_days:
+        raise ValueError(f"--day-index {day} must lie in [1, {n_days}): "
+                         "the update needs at least one day before it")
     plan = ForecastPlan(1, rank=args.rank, arma_orders=_int_tuple(args.arma_orders))
     report = update_report(tensor, ExperimentConfig(split_day=day, plan=plan),
                            args.observed_fraction, window=args.window)

@@ -5,16 +5,29 @@ The on-disk format is a UTF-8 CSV with header
 Stations are ordered by first appearance; cells absent from the file are
 zero-filled and counted rather than interpolated, since completion is a
 modeling step, not an ingest step.
+
+A well-formed file is parsed in one ``np.loadtxt`` call and checked with
+array operations (index ranges, finite non-negative counts, no duplicate
+cell).  Any file those checks cannot vouch for is read again by the row
+loop, which is the parser of record: it names the line of the first bad
+row, or accepts what only Python's ``int``/``float`` accept (``1_0``).
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 HEADER = ["station_id", "day_index", "slot_index", "count"]
+
+# object, not U<n>: a fixed-width string dtype would cut long ids short
+_RECORD = np.dtype([("sid", object), ("day", np.int64), ("slot", np.int64),
+                    ("count", np.float64)])
 
 
 @dataclass
@@ -58,27 +71,55 @@ def _parse_row(row, line_no, n_days, n_slots):
         raise ValueError(f"line {line_no}: slot_index {slot} outside [0, {n_slots})")
     if count < 0:
         raise ValueError(f"line {line_no}: negative count for ({sid}, {day}, {slot})")
+    if not math.isfinite(count):
+        raise ValueError(f"line {line_no}: non-finite count for ({sid}, {day}, {slot})")
     return sid, day, slot, count
 
 
-def ingest(path, extents):
-    """Read records into a dense (stations, days, slots) tensor.
+def _check_header(reader):
+    header = next(reader, None)
+    if header != HEADER:
+        raise ValueError(f"expected header {','.join(HEADER)!r}, got {header!r}")
 
-    ``extents`` declares (n_days, n_slots); the station extent is discovered.
-    Returns ``(tensor, station_ids, LoadReport)``.
-    """
-    n_days, n_slots = (int(e) for e in extents)
-    if n_days < 1 or n_slots < 1:
-        raise ValueError("declared extents must be positive")
 
+def _ingest_array(path, n_days, n_slots):
+    """Parse and check the whole file at once; None where the row loop must decide."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        _check_header(csv.reader(fh))
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is the row loop's "no records found"
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rec = np.loadtxt(fh, dtype=_RECORD, delimiter=",", comments=None,
+                                 quotechar='"', ndmin=1)
+        except (ValueError, OverflowError):
+            return None
+    day, slot, count = rec["day"], rec["slot"], rec["count"]
+    if (not len(rec) or day.min() < 0 or day.max() >= n_days
+            or slot.min() < 0 or slot.max() >= n_slots
+            or not np.isfinite(count).all() or count.min() < 0):
+        return None
+    station_row = {}
+    codes = np.array([station_row.setdefault(sid, len(station_row)) for sid in rec["sid"]],
+                     dtype=np.int64)
+    size = len(station_row) * n_days * n_slots
+    cell = (codes * n_days + day) * n_slots + slot
+    if np.bincount(cell, minlength=size).max() > 1:
+        return None
+    tensor = np.zeros((len(station_row), n_days, n_slots))
+    tensor.reshape(-1)[cell] = count
+    report = LoadReport(n_rows=len(rec), n_stations=len(station_row),
+                        missing_count=size - len(rec))
+    return tensor, list(station_row), report
+
+
+def _ingest_rows(path, n_days, n_slots):
     station_ids = []
     station_row = {}
     cells = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != HEADER:
-            raise ValueError(f"expected header {','.join(HEADER)!r}, got {header!r}")
+        _check_header(reader)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -101,6 +142,19 @@ def ingest(path, extents):
     return tensor, station_ids, report
 
 
+def ingest(path, extents):
+    """Read records into a dense (stations, days, slots) tensor.
+
+    ``extents`` declares (n_days, n_slots); the station extent is discovered.
+    Returns ``(tensor, station_ids, LoadReport)``.
+    """
+    n_days, n_slots = (int(e) for e in extents)
+    if n_days < 1 or n_slots < 1:
+        raise ValueError("declared extents must be positive")
+    loaded = _ingest_array(path, n_days, n_slots)
+    return loaded if loaded is not None else _ingest_rows(path, n_days, n_slots)
+
+
 def export(path, tensor, station_ids):
     """Write every cell in canonical (station, day, slot) order.
 
@@ -115,7 +169,7 @@ def export(path, tensor, station_ids):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
-        for l, sid in enumerate(station_ids):
-            for day in range(tensor.shape[1]):
-                for slot in range(tensor.shape[2]):
-                    writer.writerow([sid, day, slot, repr(float(tensor[l, day, slot]))])
+        slots = range(tensor.shape[2])
+        for sid, station in zip(station_ids, tensor.tolist()):
+            for day, counts in enumerate(station):
+                writer.writerows(zip(repeat(sid), repeat(day), slots, counts))

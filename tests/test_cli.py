@@ -244,6 +244,16 @@ class TestUpdate:
         assert rc == 1
         assert "observed_fraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("day", [0, 28])
+    def test_day_index_outside_the_archive_fails(self, tmp_path, base_archive, capsys, day):
+        rc = run_cli("update", "--tensor", base_archive, "--day-index", day,
+                     "--observed-fraction", 0.3, "--rank", 2,
+                     "--output-dir", tmp_path / "rep")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--day-index {day} must lie in [1, 28)" in err
+        assert "split_day" not in err
+
     def test_remainder_shorter_than_window_fails(self, tmp_path, base_archive, capsys):
         # 95% of 12 slots leaves one slot to score, short of the 5-slot window
         rc = run_cli("update", "--tensor", base_archive,

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from flowcast import io
 from flowcast.io import FlowRecord, export, ingest
+from flowcast.synthetic import SyntheticSpec, generate_synthetic
 
 
 def write_csv(path, rows, header="station_id,day_index,slot_index,count"):
@@ -82,6 +86,19 @@ class TestIngest:
         with pytest.raises(ValueError, match="expected header"):
             ingest(path, (1, 1))
 
+    @pytest.mark.parametrize("count", ["nan", "inf", "1e400"])
+    def test_non_finite_count_is_rejected_with_its_line(self, tmp_path, count):
+        path = tmp_path / "flows.csv"
+        write_csv(path, ["a,0,0,1.0", f"a,0,1,{count}"])
+        with pytest.raises(ValueError, match=r"^line 3: non-finite count for \(a, 0, 1\)$"):
+            ingest(path, (1, 2))
+
+    def test_negative_infinity_stays_a_negative_count(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        write_csv(path, ["a,0,0,-inf"])
+        with pytest.raises(ValueError, match="line 2: negative count"):
+            ingest(path, (1, 1))
+
     def test_empty_file_and_bad_extents_are_rejected(self, tmp_path):
         path = tmp_path / "flows.csv"
         write_csv(path, [])
@@ -89,6 +106,109 @@ class TestIngest:
             ingest(path, (1, 1))
         with pytest.raises(ValueError, match="extents"):
             ingest(path, (0, 1))
+
+
+# (body after the header, whether the array parse must vouch for it)
+EDGE_CASES = {
+    "whitespace-only line": ("a,0,0,1\n   \nb,0,1,2\n", False),
+    "blank lines": ("a,0,0,1\n\n\nb,0,1,2\n\n", True),
+    "hash-prefixed id": ("#a,0,0,1\nb,0,1,2\n", True),
+    "empty id": (",0,0,1\nb,0,1,2\n", True),
+    "quoted id with comma": ('"a,b",0,0,1\nb,0,1,2\n', True),
+    "bare quote in id": ('a"b,0,0,1\nb,0,1,2\n', True),
+    "doubled quote in id": ('"a""b",0,0,1\na"b,0,1,2\n', True),
+    "crlf": ("a,0,0,1\r\nb,0,1,2\r\nb,1,2,3\r\n", True),
+    "plus index": ("a,+0,0,1\n", True),
+    "space index": ("a, 0,0,1\n", True),
+    "underscore index": ("a,1_0,0,1\na,0,1_0,2\n", False),
+    "float day": ("a,0.0,0,1\n", False),
+    "index beyond int64": ("a,0,99999999999999999999,1\n", False),
+    "hex count": ("a,0,0,0x1p3\n", False),
+    "nan count": ("a,0,0,nan\n", False),
+    "inf count": ("a,0,0,inf\n", False),
+    "overflowing count": ("a,0,0,1e400\n", False),
+    "40-character id": ("s" * 40 + ",0,0,1\n" + "s" * 39 + ",0,0,2\n", True),
+    "trailing comma": ("a,0,0,1,\n", False),
+    "empty field": ("a,0,,1\n", False),
+    "header only": ("", False),
+    "duplicate cell": ("a,0,0,1\nb,0,0,2\na,0,0,3\n", False),
+    "day out of range": ("a,0,0,1\na,2,0,1\n", False),
+    "negative count": ("a,0,0,-0.0\na,0,1,-2\n", False),
+}
+
+
+def outcome(read, path):
+    """Tensor bytes, ids and report, or the error message; any warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            tensor, ids, report = read(path)
+        except ValueError as exc:
+            return str(exc)
+    return tensor.shape, tensor.tobytes(), ids, report
+
+
+class TestArrayParseMatchesRowLoop:
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_same_tensor_or_same_message(self, tmp_path, case, bom):
+        body, vouched = EDGE_CASES[case]
+        path = tmp_path / "flows.csv"
+        text = "station_id,day_index,slot_index,count\n" + body
+        path.write_bytes(("\ufeff" * bom + text).encode("utf-8"))
+        got = outcome(lambda p: ingest(p, (2, 3)), path)
+        assert got == outcome(lambda p: io._ingest_rows(p, 2, 3), path)
+        if not bom:
+            assert (io._ingest_array(path, 2, 3) is not None) == vouched
+
+    def test_underscore_index_is_read_by_the_row_loop(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        write_csv(path, ["a,1_0,0,1.5"])
+        tensor, ids, report = ingest(path, (11, 1))
+        assert ids == ["a"] and tensor[0, 10, 0] == 1.5 and report.n_rows == 1
+
+
+class TestRoundTripAtSize:
+    @pytest.fixture(scope="class")
+    def exported(self, tmp_path_factory):
+        tensor, _ = generate_synthetic(SyntheticSpec(extents=(12, 56, 48), seed=3))
+        path = tmp_path_factory.mktemp("io") / "full.csv"
+        export(path, tensor, [f"st{l:02d}" for l in range(12)])
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        return tensor, header, rows
+
+    def test_shuffled_rows_with_gaps_reingest(self, tmp_path, exported):
+        tensor, header, rows = exported
+        rng = np.random.default_rng(7)
+        order = rng.permutation(len(rows))
+        dropped = order[:5]
+        kept = [rows[i] for i in order[5:]]
+        path = tmp_path / "shuffled.csv"
+        path.write_text("\n".join([header] + kept) + "\n", encoding="utf-8")
+        back, ids, report = ingest(path, (56, 48))
+
+        first_seen = list(dict.fromkeys(row.split(",")[0] for row in kept))
+        assert ids == first_seen
+        want = tensor[[int(sid[2:]) for sid in ids]]
+        for i in dropped:
+            sid, day, slot, _ = rows[i].split(",")
+            want[ids.index(sid), int(day), int(slot)] = 0.0
+        assert np.array_equal(back, want)
+        assert report.n_rows == len(kept)
+        assert report.n_stations == 12
+        assert report.missing_count == 5
+
+    def test_duplicate_far_from_its_first_copy_names_its_line(self, tmp_path, exported):
+        _, header, rows = exported
+        rows = rows[:]
+        rows.insert(2500 + 1000, rows[2500])  # 1,000 rows after its first copy
+        path = tmp_path / "dup.csv"
+        path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        sid, day, slot, _ = rows[2500].split(",")
+        # row i of the data sits on line i + 2
+        with pytest.raises(ValueError, match=rf"^line 3502: duplicate record for "
+                                             rf"\('{sid}', {day}, {slot}\)$"):
+            ingest(path, (56, 48))
 
 
 class TestExport:
@@ -103,6 +223,15 @@ class TestExport:
         assert back_ids == ids
         assert np.array_equal(back, tensor)
         assert report.missing_count == 0
+
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        export(path, np.array([[[1.0 / 3.0, 0.0], [-0.0, 1e-300]]]), ["a"])
+        assert path.read_bytes() == (b"station_id,day_index,slot_index,count\r\n"
+                                     b"a,0,0,0.3333333333333333\r\n"
+                                     b"a,0,1,0.0\r\n"
+                                     b"a,1,0,-0.0\r\n"
+                                     b"a,1,1,1e-300\r\n")
 
     def test_shape_and_id_validation(self, tmp_path):
         with pytest.raises(ValueError):
