@@ -24,6 +24,9 @@ from .tensor_ops import (
 )
 
 PINV_RCOND = 1e-12
+# squared relative error (1e-3 unsquared) down to which the fit error comes from
+# the Gram identity; its cancellation moves it by under about 1e-12 there
+GRAM_ERR_FLOOR = 1e-6
 
 
 @dataclass
@@ -87,11 +90,13 @@ def _solve_mode(t_unf, factors, mode):
     """Weight-absorbed least-squares update of one factor, others held fixed.
 
     Takes the mode-``mode`` unfolding and also returns the Khatri-Rao matrix
-    of the other factors, so that ``factor @ kr.T`` is the model's unfolding.
+    of the other factors (``factor @ kr.T`` is the model's unfolding), the
+    MTTKRP ``t_unf @ kr`` and the Gram Hadamard ``g == kr.T @ kr``.
     """
     kr = khatri_rao_all(factors, mode)
     g = _gram_hadamard(factors, mode)
-    return t_unf @ kr @ np.linalg.pinv(g, rcond=PINV_RCOND), kr
+    mttkrp = t_unf @ kr
+    return mttkrp @ np.linalg.pinv(g, rcond=PINV_RCOND), kr, mttkrp, g
 
 
 def _normalize_columns(a):
@@ -112,10 +117,13 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     reconstruction error after each sweep.  Stops when the error change
     between sweeps drops below ``cfg.tol`` or after ``cfg.max_iters`` sweeps.
 
-    The unfoldings of ``t`` are built once per fit, and each sweep's error
-    comes from the last mode's solve: its factor times the Khatri-Rao matrix
-    that solve built is the model in that mode's unfolded layout.  (The Gram
-    identity would be cheaper, but it cancels to about sqrt(eps).)
+    The unfoldings of ``t`` are built once per fit.  Each sweep's squared
+    error is the Gram identity (Kolda & Bader 2009) on the last mode's solve,
+    ``||X||^2 - 2 sum(K * A) + sum((A.T @ A) * G)`` for its MTTKRP ``K``,
+    weight-absorbed factor ``A`` and Gram Hadamard ``G``, with no dense model.
+    It cancels to noise below a relative error of about sqrt(eps), so at
+    ``GRAM_ERR_FLOOR * ||X||^2`` or below the sweep takes the exact norm of
+    ``X`` minus the model, that factor times the solve's Khatri-Rao matrix.
 
     With an ``observed`` mask, only those cells are fitted (EM-style masked
     ALS, Tomasi & Bro 2005): the other cells start at the observed mean and
@@ -147,12 +155,16 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
         if observed is not None:
             unfoldings = [unfold(work, k) for k in range(t.ndim)]
         for mode in range(t.ndim):
-            raw, kr = _solve_mode(unfoldings[mode], factors, mode)
+            raw, kr, mttkrp, g = _solve_mode(unfoldings[mode], factors, mode)
             factors[mode], weights = _normalize_columns(raw)
-        recon = (factors[last] * weights) @ kr.T
         if observed is None:
-            err = np.linalg.norm(t_last - recon)
+            err2 = norm_t**2 - 2 * np.sum(mttkrp * raw) + np.sum((raw.T @ raw) * g)
+            if err2 > GRAM_ERR_FLOOR * norm_t**2:
+                err = np.sqrt(err2)
+            else:
+                err = np.linalg.norm(t_last - (factors[last] * weights) @ kr.T)
         else:
+            recon = (factors[last] * weights) @ kr.T
             work = fold(np.where(seen_last, t_last, recon), last, t.shape)
             err = np.linalg.norm((t_last - recon)[seen_last])
         err = 0.0 if norm_t == 0 else float(err / norm_t)

@@ -44,6 +44,8 @@ class FlowRecord:
             raise ValueError("indices must be non-negative")
         if self.count < 0:
             raise ValueError("count must be non-negative")
+        if not math.isfinite(self.count):
+            raise ValueError("count must be finite")
 
 
 @dataclass
@@ -76,8 +78,18 @@ def _parse_row(row, line_no, n_days, n_slots):
     return sid, day, slot, count
 
 
-def _check_header(reader):
-    header = next(reader, None)
+def _csv_rows(fh):
+    """``csv.reader`` rows, with csv's own errors (a field past
+    ``csv.field_size_limit()``, say) raised as ``ValueError`` naming the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+
+def _check_header(rows):
+    header = next(rows, None)
     if header != HEADER:
         raise ValueError(f"expected header {','.join(HEADER)!r}, got {header!r}")
 
@@ -85,7 +97,7 @@ def _check_header(reader):
 def _ingest_array(path, n_days, n_slots):
     """Parse and check the whole file at once; None where the row loop must decide."""
     with open(path, newline="", encoding="utf-8") as fh:
-        _check_header(csv.reader(fh))
+        _check_header(_csv_rows(fh))
         try:
             with warnings.catch_warnings():
                 # a header-only file is the row loop's "no records found"
@@ -118,9 +130,9 @@ def _ingest_rows(path, n_days, n_slots):
     station_row = {}
     cells = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _check_header(reader)
-        for line_no, row in enumerate(reader, start=2):
+        rows = _csv_rows(fh)
+        _check_header(rows)
+        for line_no, row in enumerate(rows, start=2):
             if not row:
                 continue
             sid, day, slot, count = _parse_row(row, line_no, n_days, n_slots)

@@ -138,6 +138,17 @@ class TestIngest:
         assert rc == 1
         assert "duplicate" in capsys.readouterr().err
 
+    def test_field_over_the_csv_limit_fails_without_a_traceback(self, tmp_path, capsys):
+        long_id = "x" * 140_000
+        csv_path = tmp_path / "long.csv"
+        csv_path.write_text("station_id,day_index,slot_index,count\n"
+                            f"a,0,0,1.0\n{long_id},0,0,2.0\n{long_id},0,0,3.0\n")
+        rc = run_cli("ingest", "--data", csv_path, "--days", 1, "--slots", 1,
+                     "--out", tmp_path / "long.npz")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"flowcast: error: line 3: field larger than field limit ({csv.field_size_limit()})\n")
+
 
 class TestSynth:
     def test_archive_holds_generating_model(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for alternating-least-squares CP fitting and rank selection."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,6 +73,42 @@ def test_exact_recovery_error_reaches_below_sqrt_eps_without_rising():
     assert history[-1] < 1e-10
     assert abs(history[-1] - relative_residual(cp_reconstruct(model), t)) < 1e-12
     assert np.all(np.diff(history) <= 1e-12)
+
+
+@pytest.mark.parametrize("shape, noise", [((7, 6, 5), 0.05), ((5, 4, 3, 4), 0.05),
+                                          ((8, 9, 7, 5), 0.0)])
+def test_every_sweeps_error_is_the_models_residual(shape, noise):
+    # the Gram identity gives these errors, the exact product those near a perfect
+    # fit; each sweep's must match its model's, across every error level
+    rng = np.random.default_rng(24)
+    t = cp_reconstruct(random_model(rng, shape, 3)) + noise * rng.normal(size=shape)
+    cfg = AlsConfig(rank=3, max_iters=25, seed=9)
+    _, full = cp_fit(t, cfg)
+    assert len(full) >= 10
+    for k in range(1, len(full) + 1):
+        model, history = cp_fit(t, replace(cfg, max_iters=k))
+        assert history == full[:k]
+        assert abs(history[-1] - relative_residual(cp_reconstruct(model), t)) < 1e-12
+
+
+def test_factors_match_a_plain_als_loop():
+    # the fit error never feeds back: same factors as ALS with no error at all
+    rng = np.random.default_rng(25)
+    shape, rank = (6, 5, 4), 3
+    t = rng.uniform(0.0, 1.0, size=shape)
+    init = np.random.default_rng(10)  # cp_fit's own draw for seed 10
+    factors = [init.uniform(-1.0, 1.0, size=(n, rank)) for n in shape]
+    for _ in range(20):
+        for mode in range(len(shape)):
+            raw = solve_mode_by_normal_equations(t, factors, mode)
+            norms = np.linalg.norm(raw, axis=0)
+            factors[mode], weights = raw / np.where(norms > 0, norms, 1.0), norms
+    model, history = cp_fit(t, AlsConfig(rank=rank, max_iters=20, tol=1e-300, seed=10))
+    assert len(history) == 20
+    order = np.argsort(-weights, kind="stable")
+    np.testing.assert_allclose(model.weights, weights[order], rtol=0, atol=1e-12)
+    for got, want in zip(model.factors, factors):
+        np.testing.assert_allclose(got, want[:, order], rtol=0, atol=1e-12)
 
 
 def test_fit_never_forms_the_dense_reconstruction(monkeypatch):

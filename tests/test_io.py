@@ -99,6 +99,17 @@ class TestIngest:
         with pytest.raises(ValueError, match="line 2: negative count"):
             ingest(path, (1, 1))
 
+    def test_field_over_the_csv_limit_is_a_value_error_with_its_line(self, tmp_path):
+        # the duplicate sends the file to the row loop, whose csv.reader stops at the id
+        long_id = "x" * 140_000
+        path = tmp_path / "flows.csv"
+        write_csv(path, ["a,0,0,1.0", f"{long_id},0,0,2.0", f"{long_id},0,0,3.0"])
+        with pytest.raises(ValueError, match=r"^line 3: field larger than field limit"):
+            ingest(path, (1, 1))
+        write_csv(path, ["a,0,0,1.0"], header=f"station_id,day_index,slot_index,{long_id}")
+        with pytest.raises(ValueError, match=r"^line 1: field larger than field limit"):
+            ingest(path, (1, 1))
+
     def test_empty_file_and_bad_extents_are_rejected(self, tmp_path):
         path = tmp_path / "flows.csv"
         write_csv(path, [])
@@ -250,3 +261,8 @@ class TestFlowRecord:
             FlowRecord("a", 0, -2, 1.0)
         with pytest.raises(ValueError):
             FlowRecord("a", 0, 0, -0.5)
+
+    @pytest.mark.parametrize("count", [float("nan"), float("inf")])
+    def test_rejects_non_finite_count(self, count):
+        with pytest.raises(ValueError, match="finite"):
+            FlowRecord("a", 0, 0, count)
