@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import sys
+import zipfile
 
 import numpy as np
 
@@ -136,7 +137,13 @@ def _save_tensor(path, tensor, station_ids, **extra):
 
 
 def _load_tensor(path):
-    with np.load(path, allow_pickle=False) as archive:
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not an .npz tensor archive")
+    with archive:
         for name in ("tensor", "station_ids"):
             if name not in archive:
                 raise ValueError(f"{path}: missing array {name!r}")

@@ -122,26 +122,14 @@ def _upgma_trace(coords):
 
 
 def _labels_from_trace(n, trace, k):
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    member_lists = {i: [i] for i in range(n)}
+    members = {i: [i] for i in range(n)}
     for step in range(n - k):
         a, b, _, _ = trace[step]
-        new_members = sorted(member_lists.pop(a) + member_lists.pop(b))
-        member_lists[n + step] = new_members
-        root = new_members[0]
-        for s in new_members:
-            parent[find(s)] = find(root)
-
-    reps = sorted({find(i) for i in range(n)})
-    order = {r: c for c, r in enumerate(reps)}
-    return np.array([order[find(i)] for i in range(n)], dtype=np.int64)
+        members[n + step] = members.pop(a) + members.pop(b)
+    labels = np.empty(n, dtype=np.int64)
+    for c, group in enumerate(sorted(members.values(), key=min)):
+        labels[group] = c
+    return labels
 
 
 def agglomerate(e: StationEmbedding, k: int) -> ClusterAssignment:

@@ -22,7 +22,7 @@ from .clustering import agglomerate, choose_cluster_count, embed_stations
 from .cp import cp_fit
 from .io import ingest
 from .lrtc import LrtcHyperParams, short_term_predict
-from .pipeline import (ForecastPlan, forecast_from_model, lean_update,
+from .pipeline import (ForecastPlan, _forecast, forecast_from_model, lean_update,
                        rolling_update_evaluation, two_step_forecast)
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tensor_ops import residual_or_nan
@@ -99,35 +99,19 @@ def _check_split(split_day, n_days):
         raise ValueError(f"split_day {split_day} must lie in [1, {n_days})")
 
 
-def _ar_forecast(series, n_lags, horizon):
-    """Least-squares scalar AR(n_lags) forecast, mean-centered."""
-    series = np.asarray(series, dtype=np.float64)
-    n = series.size
-    if n <= n_lags:
-        raise ValueError(f"series of length {n} cannot support {n_lags} lags")
-    mean = series.mean()
-    c = series - mean
-    design = np.column_stack([c[n_lags - 1 - j:n - 1 - j] for j in range(n_lags)])
-    coef, *_ = np.linalg.lstsq(design, c[n_lags:], rcond=None)
-    buf = list(c)
-    out = []
-    for _ in range(horizon):
-        nxt = float(np.dot(coef, buf[::-1][:n_lags]))
-        buf.append(nxt)
-        out.append(nxt)
-    return mean + np.array(out)
-
-
 def longterm_report(tensor, station_ids, cfg: ExperimentConfig) -> ExperimentReport:
     """Two-step 2D-ARMA forecast vs a per-rank scalar AR on the same CP fit.
 
-    The baseline gets the identical factorization and lag-count parity
-    (``n_baseline_lags`` daily lags), so the comparison isolates the value
-    of modelling the day-of-week by week structure.
+    The baseline is the same 2D-ARMA path on a one-row field, orders
+    ``(0, n_baseline_lags, 0, 0)``: identical factorization and lag-count
+    parity, so the comparison isolates the day-of-week by week structure.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     n_days = tensor.shape[1]
     _check_split(cfg.split_day, n_days)
+    if cfg.split_day <= 2 * cfg.n_baseline_lags:
+        raise ValueError(f"split_day {cfg.split_day} must exceed 2 * n_baseline_lags "
+                         f"({cfg.n_baseline_lags}) to fit the AR baseline")
     horizon = n_days - cfg.split_day
     if cfg.plan.horizon_days != horizon:
         raise ValueError(
@@ -137,14 +121,7 @@ def longterm_report(tensor, station_ids, cfg: ExperimentConfig) -> ExperimentRep
 
     model, _ = cp_fit(train, cfg.plan.als)
     prediction = forecast_from_model(model, cfg.plan)
-    extended = np.column_stack([
-        _ar_forecast(model.factors[1][:, r], cfg.n_baseline_lags, horizon)
-        for r in range(model.rank)
-    ])
-    baseline = np.clip(
-        np.einsum("lr,tr,pr,r->ltp", model.factors[0], extended,
-                  model.factors[2], model.weights),
-        0.0, None)
+    baseline = _forecast(model, horizon, (0, cfg.n_baseline_lags, 0, 0), 1).tensor
 
     rows = []
     for l, sid in enumerate(station_ids):

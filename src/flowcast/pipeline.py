@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arma2d import DAYS_PER_WEEK, arma2d_fit, arma2d_forecast, reshape_to_field
-from .cp import AlsConfig, CpModel, _solve_mode, cp_fit
+from .cp import AlsConfig, CpModel, _normalize_columns, _solve_mode, cp_fit
 from .tensor_ops import as_tensor, cp_reconstruct, residual_or_nan
 
 PROVENANCE_TAGS = ("long_term", "updated")
@@ -87,19 +87,21 @@ def forecast_from_model(model: CpModel, plan: ForecastPlan) -> DayPrediction:
     horizon; the extended columns replace the temporal factor in the
     reconstruction.  Negative reconstructed counts are clamped to 0.
     """
+    return _forecast(model, plan.horizon_days, plan.arma_orders, DAYS_PER_WEEK)
+
+
+def _forecast(model, tau, orders, days_per_week):
     if len(model.factors) != 3:
         raise ValueError("expected a 3-way model (locations x days x slots)")
     u_t = model.factors[1]
     n_days = u_t.shape[0]
-    tau = plan.horizon_days
-
-    weeks_have = math.ceil(n_days / DAYS_PER_WEEK)
-    weeks_need = math.ceil((n_days + tau) / DAYS_PER_WEEK)
+    weeks_have = math.ceil(n_days / days_per_week)
+    weeks_need = math.ceil((n_days + tau) / days_per_week)
     h = max(1, weeks_need - weeks_have)
     extended = np.empty((n_days + tau, model.rank))
     for r in range(model.rank):
-        f = reshape_to_field(u_t[:, r])
-        arma = arma2d_fit(f, plan.arma_orders)
+        f = reshape_to_field(u_t[:, r], days_per_week)
+        arma = arma2d_fit(f, orders)
         g = arma2d_forecast(arma, f, h)
         extended[:, r] = g.values.T.ravel()[: n_days + tau]
 
@@ -159,9 +161,8 @@ def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpMo
     out = np.maximum(recon, 0.0)
     out[:, observed] = day_new[:, observed]
 
-    norms = np.linalg.norm(weighted, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    source = CpModel(norms, [weighted / safe, row[None, :], u_p])
+    location, norms = _normalize_columns(weighted)
+    source = CpModel(norms, [location, row[None, :], u_p])
     return DayPrediction(out[:, None, :], source, "updated")
 
 

@@ -204,13 +204,25 @@ class TestForecast:
         assert rc == 1
         assert "flowcast: error:" in capsys.readouterr().err
 
-    def test_non_archive_input_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["text", "npy", "truncated", "empty"])
+    def test_non_archive_input_fails(self, tmp_path, base_archive, capsys, kind):
         bogus = tmp_path / "notes.npz"
-        bogus.write_text("not an archive")
+        if kind == "text":
+            bogus.write_text("not an archive")
+        elif kind == "npy":
+            with open(bogus, "wb") as fh:
+                np.save(fh, np.zeros((2, 3, 4)))
+        elif kind == "truncated":
+            whole = base_archive.read_bytes()
+            bogus.write_bytes(whole[: len(whole) // 2])
+        else:
+            bogus.write_bytes(b"")
         rc = run_cli("forecast", "--tensor", bogus, "--horizon-days", 1,
                      "--rank", 2, "--out", tmp_path / "p.npz")
         assert rc == 1
-        assert "flowcast: error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "flowcast: error:" in err
+        assert "not an .npz tensor archive" in err
 
 
 class TestUpdate:

@@ -204,6 +204,15 @@ class TestAgglomerate:
         assign = agglomerate(StationEmbedding(list(range(5)), coords), 2)
         assert np.array_equal(assign.labels, [0, 1, 1, 0, 1])
 
+    def test_every_cut_numbers_clusters_by_their_smallest_station(self):
+        for seed in range(10):
+            rng = np.random.default_rng(200 + seed)
+            e = StationEmbedding(list(range(12)), rng.normal(size=(12, 2)))
+            for k in range(1, 13):
+                labels = agglomerate(e, k).labels
+                firsts = [int(np.flatnonzero(labels == c)[0]) for c in range(k)]
+                assert firsts == sorted(firsts), (seed, k)
+
     def test_merge_distances_never_decrease(self):
         rng = np.random.default_rng(11)
         e = StationEmbedding(list(range(20)), rng.normal(size=(20, 4)))

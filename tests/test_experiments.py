@@ -9,18 +9,17 @@ import pytest
 from flowcast.experiments import (
     ExperimentConfig,
     ExperimentReport,
-    _ar_forecast,
     load_input,
     longterm_report,
     shortterm_report,
     update_report,
     write_report,
 )
-from flowcast.cp import AlsConfig
+from flowcast.cp import AlsConfig, CpModel, cp_fit
 from flowcast.io import export
 from flowcast.lrtc import LrtcHyperParams
-from flowcast.pipeline import (ForecastPlan, lean_update, rolling_update_evaluation,
-                               two_step_forecast)
+from flowcast.pipeline import (ForecastPlan, _forecast, lean_update,
+                               rolling_update_evaluation, two_step_forecast)
 from flowcast.synthetic import SyntheticSpec, generate_synthetic
 from flowcast.tensor_ops import DegenerateSolveWarning, residual_or_nan
 
@@ -83,27 +82,82 @@ class TestConfig:
         assert np.array_equal(tensor, np.ones((2, 3, 4)))
 
 
+def ar_oracle(series, n_lags, horizon):
+    """Least-squares scalar AR(n_lags) forecast, mean-centered."""
+    series = np.asarray(series, dtype=np.float64)
+    n = series.size
+    if n <= n_lags:
+        raise ValueError(f"series of length {n} cannot support {n_lags} lags")
+    mean = series.mean()
+    c = series - mean
+    design = np.column_stack([c[n_lags - 1 - j:n - 1 - j] for j in range(n_lags)])
+    coef, *_ = np.linalg.lstsq(design, c[n_lags:], rcond=None)
+    buf = list(c)
+    out = []
+    for _ in range(horizon):
+        nxt = float(np.dot(coef, buf[::-1][:n_lags]))
+        buf.append(nxt)
+        out.append(nxt)
+    return mean + np.array(out)
+
+
+def ar_baseline(series, n_lags, horizon):
+    # the long-term report's baseline path, on a one-component model whose
+    # temporal factor is the series; its extended factor is the unclamped forecast
+    u_t = np.asarray(series, dtype=np.float64)[:, None]
+    model = CpModel(np.ones(1), [np.ones((1, 1)), u_t, np.ones((1, 1))])
+    return _forecast(model, horizon, (0, n_lags, 0, 0), 1).source_model.factors[1][:, 0]
+
+
 class TestArBaseline:
     def test_recovers_an_exact_alternation(self):
         # centered series satisfies c[t] = -c[t-1] exactly, so the one-lag
         # fit is perfect and the forecast continues the alternation
         series = 3.0 + 0.5 * (-1.0) ** np.arange(12)
-        out = _ar_forecast(series, 1, 3)
+        out = ar_baseline(series, 1, 3)
         assert out == pytest.approx([3.5, 2.5, 3.5], abs=1e-10)
 
     def test_recovers_an_exact_three_cycle(self):
         cycle = np.array([0.6, -0.2, -0.4])
         series = 5.0 + np.tile(cycle, 4)
-        out = _ar_forecast(series, 2, 4)
+        out = ar_baseline(series, 2, 4)
         assert out == pytest.approx(5.0 + np.array([0.6, -0.2, -0.4, 0.6]), abs=1e-9)
 
     def test_constant_series_forecasts_the_constant(self):
-        out = _ar_forecast(np.full(20, 3.25), 8, 4)
+        with pytest.warns(DegenerateSolveWarning):
+            out = ar_baseline(np.full(20, 3.25), 8, 4)
         assert out == pytest.approx(np.full(4, 3.25), abs=1e-12)
 
     def test_too_short_series_is_rejected(self):
         with pytest.raises(ValueError):
-            _ar_forecast(np.arange(8.0), 8, 1)
+            ar_baseline(np.arange(8.0), 8, 1)
+
+    def test_matches_the_least_squares_oracle(self):
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(17, 81))
+            n_lags = int(rng.integers(1, 9))
+            horizon = int(rng.integers(1, 10))
+            series = 5.0 + rng.normal(size=n).cumsum()
+            want = ar_oracle(series, n_lags, horizon)
+            got = ar_baseline(series, n_lags, horizon)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), seed
+
+    def test_report_column_matches_an_oracle_baseline(self):
+        cfg = weekly_cfg(0)
+        tensor, ids = load_input(cfg)
+        report = longterm_report(tensor, ids, cfg)
+        model, _ = cp_fit(tensor[:, :49], cfg.plan.als)
+        extended = np.column_stack([
+            ar_oracle(model.factors[1][:, r], cfg.n_baseline_lags, 7)
+            for r in range(model.rank)
+        ])
+        baseline = np.clip(
+            np.einsum("lr,tr,pr,r->ltp", model.factors[0], extended,
+                      model.factors[2], model.weights),
+            0.0, None)
+        want = [residual_or_nan(baseline[l], tensor[l, 49:]) for l in range(len(ids))]
+        assert [row[2] for row in report.rows] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestLongterm:
@@ -127,6 +181,19 @@ class TestLongterm:
             assert abs(imp) <= 0.05
             imps.append(imp)
         assert abs(np.mean(imps)) <= 0.03
+
+    def test_too_few_days_for_the_baseline_are_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("cp_fit ran before the baseline lag check")
+
+        monkeypatch.setattr("flowcast.experiments.cp_fit", no_fit)
+        plan = ForecastPlan(7, rank=6, arma_orders=(1, 1, 0, 0))
+        # an AR(n) needs more than n equations from split_day - n lagged rows
+        for lags in (8, 7):
+            cfg = ExperimentConfig(split_day=14, synth=SyntheticSpec(extents=(12, 21, 48)),
+                                   plan=plan, n_baseline_lags=lags)
+            with pytest.raises(ValueError, match=rf"split_day 14 .*n_baseline_lags \({lags}\)"):
+                longterm_report(*load_input(cfg), cfg)
 
     def test_report_shape_and_plan_consistency(self):
         cfg = weekly_cfg(0)
