@@ -12,9 +12,10 @@ noise scale lives in sigma2 alone.
 
 Estimation is two-stage least squares: a high-order pure-AR fit recovers
 innovation estimates, then the AR and lagged-MA coefficients are regressed
-jointly.  Only interior cells (every lag index on the grid, every involved
-cell present) become regression rows.  Fields are centered on their sample
-mean before fitting and the mean is restored after forecasting.
+jointly; a pure AR (q1 = q2 = 0) reads no innovations and skips stage 1.
+Only interior cells (every lag index on the grid, every involved cell
+present) become regression rows.  Fields are centered on their sample mean
+before fitting and the mean is restored after forecasting.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def _regression_rows(values, valid, ar_offs, ma_offs, eps, d_min, w_min):
             row += [eps[d - i, w - j] for i, j in ma_offs]
             rows.append(row)
             targets.append(values[d, w])
-    return np.asarray(rows), np.asarray(targets)
+    return np.asarray(rows).reshape(len(rows), len(ar_offs) + len(ma_offs)), np.asarray(targets)
 
 
 def arma2d_fit(f: Field2D, orders) -> Arma2dModel:
@@ -162,11 +163,11 @@ def arma2d_fit(f: Field2D, orders) -> Arma2dModel:
     mu = float(f.values[f.valid].mean())
     c = np.where(f.valid, f.values - mu, 0.0)
 
-    # stage 1: high-order pure AR to estimate innovations
-    s1, s2 = p1 + q1, p2 + q2
-    stage1_offs = _lag_offsets(s1, s2, include_origin=False)
+    # stage 1: high-order pure AR to estimate innovations, which only MA terms read
     eps = c.copy()
-    if stage1_offs:
+    if q1 or q2:
+        s1, s2 = p1 + q1, p2 + q2
+        stage1_offs = _lag_offsets(s1, s2, include_origin=False)
         x1, y1 = _regression_rows(c, f.valid, stage1_offs, [], np.zeros_like(c), s1, s2)
         if len(y1):
             gamma, _, rank1, _ = np.linalg.lstsq(x1, y1, rcond=None)
@@ -194,12 +195,13 @@ def arma2d_fit(f: Field2D, orders) -> Arma2dModel:
 
     d_min, w_min = max(p1, q1), max(p2, q2)
     x2, y2 = _regression_rows(c, f.valid, ar_offs, ma_offs, eps, d_min, w_min)
-    if len(y2) <= n_par:
-        raise ValueError("not enough interior cells to estimate the requested orders")
+    # the rank is reported before the size is judged: too few rows is rank deficient too
     coef, _, rank2, _ = np.linalg.lstsq(x2, y2, rcond=None)
     if rank2 < n_par:
         warnings.warn("2D-ARMA regression is rank deficient; minimum-norm coefficients",
                       DegenerateSolveWarning, stacklevel=2)
+    if len(y2) <= n_par:
+        raise ValueError("not enough interior cells to estimate the requested orders")
     for (i, j), g in zip(ar_offs, coef[: len(ar_offs)]):
         ar[i, j] = -g
     for (i, j), b in zip(ma_offs, coef[len(ar_offs):]):

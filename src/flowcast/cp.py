@@ -7,8 +7,10 @@ weights folded into a factor do the folding themselves.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -17,7 +19,6 @@ from .tensor_ops import (
     as_mask,
     as_tensor,
     cp_reconstruct,
-    fold,
     khatri_rao_all,
     relative_residual,
     unfold,
@@ -76,27 +77,31 @@ def _check_rank_feasible(shape, rank):
         raise ValueError(f"rank {rank} infeasible for shape {tuple(shape)} (max {cap})")
 
 
-def _gram_hadamard(factors, skip):
-    g = None
-    for k, f in enumerate(factors):
-        if k == skip:
-            continue
-        gk = f.T @ f
-        g = gk if g is None else g * gk
-    return g
+def _solve_mode(mttkrp, g):
+    """Weight-absorbed least-squares factor from its MTTKRP and Gram Hadamard ``g``."""
+    return mttkrp @ np.linalg.pinv(g, rcond=PINV_RCOND)
 
 
-def _solve_mode(t_unf, factors, mode):
-    """Weight-absorbed least-squares update of one factor, others held fixed.
+def _split(shape):
+    """The tree's halves, modes ``[0, s)`` and ``[s, N)``: the ``s`` whose larger half is least."""
+    return min(range(1, len(shape)), key=lambda s: max(math.prod(shape[:s]), math.prod(shape[s:])))
 
-    Takes the mode-``mode`` unfolding and also returns the Khatri-Rao matrix
-    of the other factors (``factor @ kr.T`` is the model's unfolding), the
-    MTTKRP ``t_unf @ kr`` and the Gram Hadamard ``g == kr.T @ kr``.
-    """
-    kr = khatri_rao_all(factors, mode)
-    g = _gram_hadamard(factors, mode)
-    mttkrp = t_unf @ kr
-    return mttkrp @ np.linalg.pinv(g, rcond=PINV_RCOND), kr, mttkrp, g
+
+def _half_kr(factors, half):
+    """Khatri-Rao matrix of one half's factors, its rows in C order (last mode fastest)."""
+    if len(half) == 1:
+        return factors[half[0]]
+    return khatri_rao_all([factors[k] for k in reversed(half)])
+
+
+def _half_mttkrp(p, factors, half, mode):
+    """MTTKRP of ``mode`` from ``p``, its half's product with the other half's Khatri-Rao."""
+    if len(half) == 1:
+        return p
+    kr = khatri_rao_all([factors[k] for k in reversed(half) if k != mode])
+    a, rank = math.prod(factors[k].shape[0] for k in half if k < mode), p.shape[1]
+    return np.einsum("aibr,abr->ir", p.reshape(a, factors[mode].shape[0], -1, rank),
+                     kr.reshape(a, -1, rank))
 
 
 def _normalize_columns(a):
@@ -117,13 +122,14 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     reconstruction error after each sweep.  Stops when the error change
     between sweeps drops below ``cfg.tol`` or after ``cfg.max_iters`` sweeps.
 
-    The unfoldings of ``t`` are built once per fit.  Each sweep's squared
-    error is the Gram identity (Kolda & Bader 2009) on the last mode's solve,
-    ``||X||^2 - 2 sum(K * A) + sum((A.T @ A) * G)`` for its MTTKRP ``K``,
-    weight-absorbed factor ``A`` and Gram Hadamard ``G``, with no dense model.
-    It cancels to noise below a relative error of about sqrt(eps), so at
-    ``GRAM_ERR_FLOOR * ||X||^2`` or below the sweep takes the exact norm of
-    ``X`` minus the model, that factor times the solve's Khatri-Rao matrix.
+    MTTKRPs come from a dimension tree (Phan, Tichavsky & Cichocki 2013) on
+    one C-order view ``x`` of ``t`` split by :func:`_split`, with no unfolding
+    copied: ``x @ KR(right half)`` serves every left mode, ``x.T @ KR(left)``
+    every right mode.  The squared error is the Gram identity (Kolda & Bader
+    2009) on the last solve, ``||X||^2 - 2 sum(K * A) + sum((A.T @ A) * G)``
+    for its MTTKRP ``K``, factor ``A`` and Gram Hadamard ``G``; it cancels to
+    noise below about sqrt(eps), so at ``GRAM_ERR_FLOOR * ||X||^2`` or below
+    the sweep takes the exact residual.
 
     With an ``observed`` mask, only those cells are fitted (EM-style masked
     ALS, Tomasi & Bro 2005): the other cells start at the observed mean and
@@ -132,41 +138,46 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     """
     t = as_tensor(t, min_modes=2)
     _check_rank_feasible(t.shape, cfg.rank)
-    last = t.ndim - 1
     if observed is not None:
         observed = as_mask(observed, t.shape)
         if observed.all():
             observed = None
+    s = _split(t.shape)
+    left, right = list(range(s)), list(range(s, t.ndim))
+    n_rows = math.prod(t.shape[:s])
     if observed is None:
-        unfoldings = [unfold(t, k) for k in range(t.ndim)]
-        t_last = unfoldings[last]
-        norm_t = np.linalg.norm(t)
+        x, norm_t = t.reshape(n_rows, -1), np.linalg.norm(t)
     else:
-        work = np.where(observed, t, float(t[observed].mean()))
-        t_last, seen_last = unfold(t, last), unfold(observed, last)
-        norm_t = np.linalg.norm(t[observed])
+        x = np.where(observed, t, float(t[observed].mean())).reshape(n_rows, -1)
+        seen, norm_t = observed.reshape(n_rows, -1), np.linalg.norm(t[observed])
     rng = np.random.default_rng(cfg.seed)
     factors = [rng.uniform(-1.0, 1.0, size=(n, cfg.rank)) for n in t.shape]
+    grams = [f.T @ f for f in factors]
     weights = np.ones(cfg.rank)
 
     history = []
     prev = None
     for _ in range(cfg.max_iters):
-        if observed is not None:
-            unfoldings = [unfold(work, k) for k in range(t.ndim)]
-        for mode in range(t.ndim):
-            raw, kr, mttkrp, g = _solve_mode(unfoldings[mode], factors, mode)
-            factors[mode], weights = _normalize_columns(raw)
+        for half, other, rows in ((left, right, x), (right, left, x.T)):
+            kr = _half_kr(factors, other)
+            p = rows @ kr
+            for mode in half:
+                mttkrp = _half_mttkrp(p, factors, half, mode)
+                g = reduce(np.multiply, [gk for k, gk in enumerate(grams) if k != mode])
+                raw = _solve_mode(mttkrp, g)
+                factors[mode], weights = _normalize_columns(raw)
+                grams[mode] = factors[mode].T @ factors[mode]
+        # kr is the left half's Khatri-Rao matrix: (kr * weights) @ KR(right).T is the model
         if observed is None:
             err2 = norm_t**2 - 2 * np.sum(mttkrp * raw) + np.sum((raw.T @ raw) * g)
             if err2 > GRAM_ERR_FLOOR * norm_t**2:
                 err = np.sqrt(err2)
             else:
-                err = np.linalg.norm(t_last - (factors[last] * weights) @ kr.T)
+                err = np.linalg.norm(x - (kr * weights) @ _half_kr(factors, right).T)
         else:
-            recon = (factors[last] * weights) @ kr.T
-            work = fold(np.where(seen_last, t_last, recon), last, t.shape)
-            err = np.linalg.norm((t_last - recon)[seen_last])
+            recon = (kr * weights) @ _half_kr(factors, right).T
+            err = np.linalg.norm((x - recon)[seen])
+            np.copyto(x, recon, where=~seen)
         err = 0.0 if norm_t == 0 else float(err / norm_t)
         history.append(err)
         if prev is not None and abs(prev - err) < cfg.tol:
@@ -190,11 +201,11 @@ def cp_solve_mode(t, model: CpModel, mode: int) -> np.ndarray:
     for k, f in enumerate(model.factors):
         if k != mode and f.shape[0] != t.shape[k]:
             raise ValueError(f"factor {k} has {f.shape[0]} rows, tensor extent is {t.shape[k]}")
-    g = _gram_hadamard(model.factors, mode)
+    g = reduce(np.multiply, [f.T @ f for k, f in enumerate(model.factors) if k != mode])
     if np.linalg.matrix_rank(g, tol=PINV_RCOND * max(np.linalg.norm(g, 2), 1e-300)) < g.shape[0]:
         warnings.warn("Gram Hadamard product is singular; returning minimum-norm solution",
                       DegenerateSolveWarning, stacklevel=2)
-    return _solve_mode(unfold(t, mode), model.factors, mode)[0]
+    return _solve_mode(unfold(t, mode) @ khatri_rao_all(model.factors, mode), g)
 
 
 def cp_rank_select(t, candidate_ranks, holdout_fraction: float, cfg: AlsConfig) -> int:

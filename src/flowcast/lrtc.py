@@ -59,7 +59,8 @@ class LrtcPosterior:
     ``factor_means[k]`` is I_k x R, ``factor_covs[k]`` is I_k x R x R (one
     covariance per row), ``lambda_post`` is a (shapes, rates) pair of length-R
     arrays, ``tau_post`` a scalar (shape, rate) pair.  ``elbo`` records the
-    bound after every sweep.
+    bound after every sweep; ``converged`` is true only when the ELBO stop
+    rule ended the fit, not the sweep budget.
     """
 
     factor_means: list
@@ -67,6 +68,7 @@ class LrtcPosterior:
     lambda_post: tuple
     tau_post: tuple
     elbo: list = field(default_factory=list)
+    converged: bool = False
 
     @property
     def shape(self) -> tuple:
@@ -172,6 +174,7 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
 
     elbo_trace = []
     prev = None
+    converged = False
     for _ in range(hp.max_iters):
         for k in range(y.ndim):
             s, proj = _mode_statistics(unfolded, means, moments, k)
@@ -211,19 +214,21 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
         elbo_trace.append(elbo)
         if not pruned and prev is not None and abs(elbo - prev) < hp.elbo_tol * max(
                 1.0, abs(prev)):
+            converged = True
             break
         prev = elbo
 
-    return LrtcPosterior(means, covs, (c_shape, d_rate), (a_shape, b_rate), elbo_trace)
+    return LrtcPosterior(means, covs, (c_shape, d_rate), (a_shape, b_rate), elbo_trace, converged)
 
 
 @dataclass
 class CompletionResult:
-    """Completed tensor, per-cell predictive variance, and the surviving rank."""
+    """Completed tensor, per-cell predictive variance, surviving rank, and convergence."""
 
     imputed: np.ndarray
     predictive_variance: np.ndarray
     effective_rank: int
+    converged: bool = False
 
 
 def lrtc_predict(post: LrtcPosterior, mask, y) -> CompletionResult:
@@ -248,7 +253,7 @@ def lrtc_predict(post: LrtcPosterior, mask, y) -> CompletionResult:
     imputed[missing] = mean
     variance = np.zeros_like(y)
     variance[missing] = np.maximum(second - mean**2, 0.0) + noise
-    return CompletionResult(imputed, variance, post.rank)
+    return CompletionResult(imputed, variance, post.rank, post.converged)
 
 
 def short_term_predict(t, future_mask, hp: LrtcHyperParams,
@@ -268,8 +273,8 @@ def short_term_predict(t, future_mask, hp: LrtcHyperParams,
     fully_missing = future_mask.all(axis=(0, 2))
     if fully_missing.any():
         raise ValueError("a day slice is entirely missing; the day axis cannot be extended")
-    if not future_mask.any():
-        return CompletionResult(t.copy(), np.zeros_like(t), 0)
+    if not future_mask.any():  # nothing to fit, so nothing left unconverged
+        return CompletionResult(t.copy(), np.zeros_like(t), 0, True)
 
     n_days = t.shape[1]
     start = 0
@@ -289,4 +294,4 @@ def short_term_predict(t, future_mask, hp: LrtcHyperParams,
     imputed[:, start:, :] = completed.imputed
     variance = np.zeros_like(t)
     variance[:, start:, :] = completed.predictive_variance
-    return CompletionResult(imputed, variance, completed.effective_rank)
+    return CompletionResult(imputed, variance, completed.effective_rank, completed.converged)

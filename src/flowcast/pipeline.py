@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arma2d import DAYS_PER_WEEK, arma2d_fit, arma2d_forecast, reshape_to_field
+from .arma2d import (DAYS_PER_WEEK, arma2d_fit, arma2d_forecast, field_to_vector,
+                     reshape_to_field)
 from .cp import AlsConfig, CpModel, _normalize_columns, _solve_mode, cp_fit
-from .tensor_ops import as_tensor, cp_reconstruct, residual_or_nan
+from .tensor_ops import as_tensor, cp_reconstruct, khatri_rao_all, residual_or_nan
 
 PROVENANCE_TAGS = ("long_term", "updated")
 
@@ -103,7 +104,7 @@ def _forecast(model, tau, orders, days_per_week):
         f = reshape_to_field(u_t[:, r], days_per_week)
         arma = arma2d_fit(f, orders)
         g = arma2d_forecast(arma, f, h)
-        extended[:, r] = g.values.T.ravel()[: n_days + tau]
+        extended[:, r] = field_to_vector(g)[: n_days + tau]
 
     source = CpModel(model.weights, [model.factors[0], extended[n_days:], model.factors[2]])
     return DayPrediction(np.maximum(cp_reconstruct(source), 0.0), source, "long_term")
@@ -117,7 +118,7 @@ def update_location_factor(day, temporal_row, u_p) -> np.ndarray:
     """
     day = np.asarray(day, dtype=np.float64)
     row = np.asarray(temporal_row, dtype=np.float64).reshape(1, -1)
-    return _solve_mode(day, [None, row, u_p], 0)[0]
+    return _solve_mode(day @ khatri_rao_all([None, row, u_p], 0), (row.T @ row) * (u_p.T @ u_p))
 
 
 def _as_day_slice(values, n_locations, n_slots, name):

@@ -175,6 +175,30 @@ def test_constant_field_degenerates_to_mean():
     np.testing.assert_allclose(g.values, 6.25)
 
 
+def test_pure_ar_fit_solves_its_design_once(monkeypatch):
+    # stage 1 only estimates innovations, which a pure AR never reads
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    with pytest.warns(DegenerateSolveWarning) as record:
+        m = arma2d_fit(Field2D(np.full((7, 20), 6.25)), (1, 2, 0, 0))
+    assert len(calls) == 1 and len(record) == 1
+    assert np.all(m.ar == 0.0) and m.sigma2 == 0.0
+
+
+def test_fit_with_no_complete_interior_cell_is_rejected():
+    # a partial second week leaves no cell whose lags are all present
+    f = reshape_to_field(np.arange(8.0))
+    with pytest.raises(ValueError, match="not enough interior cells"), \
+            pytest.warns(DegenerateSolveWarning):
+        arma2d_fit(f, (1, 1, 0, 0))
+
+
 # --- forecasting ---------------------------------------------------------
 
 

@@ -1,13 +1,17 @@
 """Tests for alternating-least-squares CP fitting and rank selection."""
 
+import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from flowcast import cp
 from flowcast.cp import AlsConfig, CpModel, cp_fit, cp_rank_select, cp_solve_mode
-from flowcast.tensor_ops import DegenerateSolveWarning, cp_reconstruct, relative_residual
+from flowcast.tensor_ops import (DegenerateSolveWarning, cp_reconstruct, khatri_rao_all,
+                                 relative_residual, unfold)
 
 
 def random_model(rng, shape, rank, weight_range=(0.5, 2.0)):
@@ -119,6 +123,57 @@ def test_fit_never_forms_the_dense_reconstruction(monkeypatch):
     t = np.random.default_rng(23).uniform(size=(5, 6, 4))
     model, history = cp_fit(t, AlsConfig(rank=2, max_iters=10))
     assert len(history) == 10 and model.rank == 2
+
+
+@pytest.mark.parametrize("shape, split", [
+    ((7, 5), 1), ((20, 4, 3), 1), ((3, 4, 20), 2),
+    ((60, 49, 48), 1), ((300, 49, 48), 1), ((12, 55, 48), 2),
+    ((30, 3, 2, 2), 1), ((2, 3, 4, 5), 2), ((2, 2, 3, 30), 3),
+    ((9, 2, 2, 2, 2), 1), ((5, 2, 2, 2, 2), 2), ((2, 2, 2, 3, 7), 3), ((2, 2, 2, 2, 9), 4),
+])
+def test_tree_mttkrp_matches_the_unfolding_product(shape, split):
+    # each half's product with the other half's Khatri-Rao matrix, finished
+    # inside the half, is every mode's MTTKRP
+    assert cp._split(shape) == split
+    rng = np.random.default_rng(26)
+    t = rng.normal(size=shape)
+    factors = [rng.normal(size=(n, 3)) for n in shape]
+    x = t.reshape(math.prod(shape[:split]), -1)
+    left, right = list(range(split)), list(range(split, len(shape)))
+    for half, other, rows in ((left, right, x), (right, left, x.T)):
+        p = rows @ cp._half_kr(factors, other)
+        for mode in half:
+            want = unfold(t, mode) @ khatri_rao_all(factors, mode)
+            got = cp._half_mttkrp(p, factors, half, mode)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_fit_copies_no_unfolding(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cp_fit unfolded the tensor")
+
+    for name in ("flowcast.cp.unfold", "flowcast.tensor_ops.unfold", "flowcast.tensor_ops.fold"):
+        monkeypatch.setattr(name, refuse)
+    rng = np.random.default_rng(27)
+    # an exact rank-2 tensor also takes the exact-error product near a perfect fit
+    t = cp_reconstruct(random_model(rng, (5, 6, 4), 2))
+    mask = rng.uniform(size=t.shape) > 0.2
+    cfg = AlsConfig(rank=2, max_iters=60, tol=1e-300)
+    assert cp_fit(t, cfg)[1][-1] < cp.GRAM_ERR_FLOOR
+    assert len(cp_fit(t, cfg, mask)[1]) == 60
+
+
+def test_fit_memory_stays_under_twice_the_tensor():
+    t = np.random.default_rng(28).uniform(size=(60, 49, 48))
+    cfg = AlsConfig(rank=6, max_iters=5)
+    cp_fit(t, cfg)  # first-call allocations are not the fit's own
+    tracemalloc.start()
+    try:
+        cp_fit(t, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * t.nbytes
 
 
 def test_all_zero_tensor():

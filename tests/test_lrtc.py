@@ -92,6 +92,18 @@ def test_zero_tensor_gives_zero_mean_and_high_precision():
     assert post.tau_mean > 1e3
 
 
+def test_fit_says_whether_the_stop_rule_fired():
+    y, _, mask = rank2_scenario(seed=0, noise=0.0)
+    hp = LrtcHyperParams(max_rank=2, max_iters=1, seed=0)
+    truncated = lrtc_fit(y, mask, hp)
+    assert not truncated.converged and len(truncated.elbo) == 1
+    assert not lrtc_predict(truncated, mask, y).converged
+    # an exact low-rank block meets a loose tolerance well inside the budget
+    post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=2, max_iters=300, elbo_tol=1e-2))
+    assert post.converged and len(post.elbo) < 300
+    assert lrtc_predict(post, mask, y).converged
+
+
 def test_posterior_covariances_symmetric_psd():
     post, _, _, _ = fitted_posterior()
     for v in post.factor_covs:
@@ -300,6 +312,14 @@ def test_short_term_empty_missing_set_is_identity():
     np.testing.assert_array_equal(result.imputed, y)
     assert result.effective_rank == 0
     assert (result.predictive_variance == 0).all()
+
+
+def test_short_term_reports_convergence():
+    y, _ = intraday_scenario(seed=5, n_slots=24)
+    assert short_term_predict(y, np.zeros_like(y, dtype=bool), LrtcHyperParams()).converged
+    future = np.zeros_like(y, dtype=bool)
+    future[:, -1, 12:] = True
+    assert not short_term_predict(y, future, LrtcHyperParams(max_iters=1)).converged
 
 
 def test_short_term_history_window():
