@@ -12,8 +12,7 @@ import numpy as np
 from flowcast import (LrtcHyperParams, SyntheticSpec, agglomerate,
                       choose_cluster_count, cp_fit, AlsConfig,
                       embed_stations, generate_synthetic, planted_labels,
-                      relative_residual, short_term_predict,
-                      split_tensor_by_cluster)
+                      relative_residual, short_term_predict)
 
 spec = SyntheticSpec(extents=(12, 28, 24), rank=4, n_clusters=2,
                      separation=50.0, seed=2)
@@ -41,11 +40,10 @@ future[:, -1, 12:] = True
 hp = LrtcHyperParams(max_rank=3, max_iters=80, elbo_tol=1e-7, seed=0)
 joint = short_term_predict(tensor, future, hp)
 
-parts = split_tensor_by_cluster(tensor, assign)
-mask_parts = split_tensor_by_cluster(future, assign)
 imputed = np.empty_like(tensor)
-for c, (part, mask) in enumerate(zip(parts, mask_parts)):
-    imputed[assign.labels == c] = short_term_predict(part, mask, hp).imputed
+for c in range(assign.k):
+    members = assign.labels == c
+    imputed[members] = short_term_predict(tensor[members], future[members], hp).imputed
 
 res_joint = relative_residual(joint.imputed, tensor, future)
 res_split = relative_residual(imputed, tensor, future)

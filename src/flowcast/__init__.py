@@ -10,8 +10,7 @@ their latent loadings for per-cluster modelling.
 from .arma2d import (Arma2dModel, Field2D, arma2d_fit, arma2d_forecast,
                      field_to_vector, reshape_to_field, simulate_field)
 from .clustering import (ClusterAssignment, StationEmbedding, agglomerate,
-                         choose_cluster_count, embed_stations,
-                         split_tensor_by_cluster)
+                         choose_cluster_count, embed_stations)
 from .cp import AlsConfig, CpModel, cp_fit, cp_rank_select, cp_solve_mode
 from .experiments import (ExperimentConfig, ExperimentReport, load_input,
                           longterm_report, shortterm_report, update_report,
@@ -76,7 +75,6 @@ __all__ = [
     "short_term_predict",
     "shortterm_report",
     "simulate_field",
-    "split_tensor_by_cluster",
     "two_step_forecast",
     "unfold",
     "update_location_factor",

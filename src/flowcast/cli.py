@@ -10,9 +10,14 @@ Subcommands:
 * ``cluster``  - station embedding and hierarchical cluster labels
 * ``evaluate`` - named experiment, written as table + summary files
 
-Settings shared with :class:`~flowcast.experiments.ExperimentConfig` can
-come from a ``key=value`` file (``--config``); command line flags take
-precedence over file entries.
+Every command but ``ingest`` reads its settings through one surface: the
+dotted keys of ``_SCHEMA`` map onto
+:class:`~flowcast.experiments.ExperimentConfig` and the dataclasses it holds,
+which are the only home of their defaults.  A key's flag is the key with
+dots and underscores turned into dashes (``--plan-rank``); some keys also
+keep a short spelling (``--rank``).  ``synth`` and ``evaluate`` also read a
+``key=value`` file (``--config``); command line flags take precedence over
+file entries.
 """
 
 import argparse
@@ -23,15 +28,15 @@ import zipfile
 
 import numpy as np
 
-from .cp import AlsConfig, cp_fit
+from .cp import cp_fit
 from .clustering import agglomerate, choose_cluster_count, embed_stations
 from .experiments import (ExperimentConfig, final_day_suffix, load_input,
                           longterm_report, shortterm_report, update_report,
                           write_report)
 from .io import ingest
-from .lrtc import LrtcHyperParams, short_term_predict
-from .pipeline import ForecastPlan, two_step_forecast
-from .synthetic import SyntheticSpec, generate_synthetic, planted_labels
+from .lrtc import short_term_predict
+from .pipeline import two_step_forecast
+from .synthetic import generate_synthetic, planted_labels
 
 
 def _int_tuple(text):
@@ -39,21 +44,23 @@ def _int_tuple(text):
 
 
 # Config-file / override surface: dotted keys map onto ExperimentConfig and
-# its nested dataclasses.  Values stay strings until build time so that file
-# entries and command line overrides are cast identically.
+# its nested dataclasses.  Each entry is (caster, help[, short flag]).  Values
+# stay strings until build time so that file entries and command line
+# overrides are cast identically.
 _SCHEMA = {
     "data_path": (str, "flow-record CSV instead of synthetic data"),
     "extents": (_int_tuple, "days,slots grid of the data file"),
     "split_day": (int, "first held-out day index"),
     "n_baseline_lags": (int, "lag count of the 1-D AR baseline"),
-    "n_clusters": (int, "fixed cluster count (default: automatic)"),
+    "n_clusters": (int, "fixed cluster count (default: automatic)", "--clusters"),
     "variance_retained": (float, "embedding variance fraction"),
-    "suffix_start": (int, "first masked slot of the final day"),
+    "suffix_start": (int, "first masked slot of the final day "
+                           "(default: 30%% into the day)"),
     "output_dir": (str, "directory for report files"),
     "seed": (int, "random seed for synthetic scenarios"),
-    "plan.horizon_days": (int, "forecast horizon in days"),
-    "plan.rank": (int, "CP rank of the forecast model"),
-    "plan.arma_orders": (_int_tuple, "AR/MA orders p1,p2,q1,q2"),
+    "plan.horizon_days": (int, "forecast horizon in days", "--horizon-days"),
+    "plan.rank": (int, "CP rank of the forecast model", "--rank"),
+    "plan.arma_orders": (_int_tuple, "AR/MA orders p1,p2,q1,q2", "--arma-orders"),
     "synth.extents": (_int_tuple, "stations,days,slots of generated data"),
     "synth.rank": (int, "CP rank of the generator"),
     "synth.weekly_strength": (float, "weekly modulation strength"),
@@ -65,9 +72,9 @@ _SCHEMA = {
     "lrtc.b0": (float, "precision prior rate"),
     "lrtc.c0": (float, "weight prior shape"),
     "lrtc.d0": (float, "weight prior rate"),
-    "lrtc.max_rank": (int, "initial completion rank budget"),
-    "lrtc.max_iters": (int, "completion iteration cap"),
-    "lrtc.elbo_tol": (float, "completion convergence tolerance"),
+    "lrtc.max_rank": (int, "initial completion rank budget", "--max-rank"),
+    "lrtc.max_iters": (int, "completion iteration cap", "--max-iters"),
+    "lrtc.elbo_tol": (float, "completion convergence tolerance", "--elbo-tol"),
 }
 
 
@@ -89,9 +96,13 @@ def load_config(path):
 
 
 def build_experiment_config(settings) -> ExperimentConfig:
-    """Assemble an ExperimentConfig from flat dotted-key settings."""
+    """Assemble an ExperimentConfig from flat dotted-key settings.
+
+    Unset keys keep the defaults of ExperimentConfig and its dataclasses.
+    """
     plain = {}
-    nested = {"plan": {}, "synth": {}, "lrtc": {}}
+    # als=None lets ForecastPlan rebuild its AlsConfig from the plan's rank
+    nested = {"plan": {"als": None}, "synth": {}, "lrtc": {}}
     for key, raw in settings.items():
         if key not in _SCHEMA:
             raise ValueError(f"unknown setting {key!r}")
@@ -105,30 +116,33 @@ def build_experiment_config(settings) -> ExperimentConfig:
             nested[section][field_name] = value
         else:
             plain[key] = value
-    plan = ForecastPlan(**{"horizon_days": 7, "rank": 6, **nested["plan"]})
-    lrtc = LrtcHyperParams(**{"max_rank": 8, **nested["lrtc"]})
-    synth = SyntheticSpec(**nested["synth"])
-    return ExperimentConfig(plan=plan, lrtc=lrtc, synth=synth, **plain)
+    base = ExperimentConfig()
+    sections = {name: dataclasses.replace(getattr(base, name), **fields)
+                for name, fields in nested.items()}
+    return dataclasses.replace(base, **sections, **plain)
 
 
-def _collect_settings(args):
-    settings = {}
-    if getattr(args, "config", None) is not None:
-        settings.update(load_config(args.config))
-    for key in _SCHEMA:
-        value = vars(args).get(key)
-        if value is not None:
-            settings[key] = value
-    return settings
+def _config(args):
+    """The command's ExperimentConfig: ``--config`` entries, then the flags given."""
+    settings = load_config(args.config) if getattr(args, "config", None) is not None else {}
+    settings.update({k: v for k, v in vars(args).items() if k in _SCHEMA and v is not None})
+    return build_experiment_config(settings)
 
 
-def _add_config_options(parser, keys):
-    parser.add_argument("--config", metavar="PATH",
-                        help="key=value settings file (flags take precedence)")
+def _add_config_options(parser, keys, config_file=False):
+    if config_file:
+        parser.add_argument("--config", metavar="PATH",
+                            help="key=value settings file (flags take precedence)")
     for key in keys:
+        _, text, *short = _SCHEMA[key]
         flag = "--" + key.replace(".", "-").replace("_", "-")
-        parser.add_argument(flag, dest=key, metavar="VALUE", default=None,
-                            help=_SCHEMA[key][1])
+        parser.add_argument(flag, *short, dest=key, metavar="VALUE", help=text)
+
+
+def _add_update_options(parser):
+    parser.add_argument("--observed-fraction", type=float, default=0.3,
+                        help="revealed fraction of the day, in (0, 1)")
+    parser.add_argument("--window", type=int, default=5, help="scoring block length")
 
 
 def _save_tensor(path, tensor, station_ids, **extra):
@@ -178,7 +192,7 @@ def _cmd_ingest(args):
 
 
 def _cmd_synth(args):
-    cfg = build_experiment_config(_collect_settings(args))
+    cfg = _config(args)
     spec = dataclasses.replace(cfg.synth, seed=cfg.seed)
     tensor, model = generate_synthetic(spec)
     station_ids = [f"s{l:02d}" for l in range(tensor.shape[0])]
@@ -196,29 +210,28 @@ def _cmd_synth(args):
 
 
 def _cmd_forecast(args):
+    cfg = _config(args)
     tensor, station_ids = _load_tensor(args.tensor)
-    plan = ForecastPlan(args.horizon_days, rank=args.rank,
-                        arma_orders=_int_tuple(args.arma_orders))
-    prediction = two_step_forecast(tensor, plan)
+    prediction = two_step_forecast(tensor, cfg.plan)
     _save_tensor(args.out, prediction.tensor, station_ids,
                  provenance=np.asarray(prediction.provenance))
     print(f"forecast {prediction.horizon_days} day(s) x {tensor.shape[2]} slots "
-          f"for {len(station_ids)} stations (rank {args.rank})")
+          f"for {len(station_ids)} stations (rank {cfg.plan.rank})")
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_update(args):
+    cfg = _config(args)
     tensor, _ = _load_tensor(args.tensor)
     n_days = tensor.shape[1]
     day = args.day_index if args.day_index is not None else n_days - 1
     if not 1 <= day < n_days:
         raise ValueError(f"--day-index {day} must lie in [1, {n_days}): "
                          "the update needs at least one day before it")
-    plan = ForecastPlan(1, rank=args.rank, arma_orders=_int_tuple(args.arma_orders))
-    report = update_report(tensor, ExperimentConfig(split_day=day, plan=plan),
+    report = update_report(tensor, dataclasses.replace(cfg, split_day=day),
                            args.observed_fraction, window=args.window)
-    paths = write_report(report, args.output_dir)
+    paths = write_report(report, cfg.output_dir)
     s = report.summary
     print(f"updated day {day} from {s['observed_slots']} observed slots: "
           f"mean block RES {s['mean_res_longterm']:.4f} -> {s['mean_res_updated']:.4f}, "
@@ -229,12 +242,10 @@ def _cmd_update(args):
 
 
 def _cmd_complete(args):
+    cfg = _config(args)
     tensor, station_ids = _load_tensor(args.tensor)
-    start, future = final_day_suffix(tensor.shape, args.suffix_start)
-    overrides = {"max_rank": args.max_rank, "max_iters": args.max_iters,
-                 "elbo_tol": args.elbo_tol, "seed": args.seed}
-    hp = LrtcHyperParams(**{k: v for k, v in overrides.items() if v is not None})
-    result = short_term_predict(tensor, future, hp)
+    start, future = final_day_suffix(tensor.shape, cfg.suffix_start)
+    result = short_term_predict(tensor, future, dataclasses.replace(cfg.lrtc, seed=cfg.seed))
     _save_tensor(args.out, result.imputed, station_ids,
                  predictive_variance=result.predictive_variance,
                  mask=future,
@@ -246,11 +257,12 @@ def _cmd_complete(args):
 
 
 def _cmd_cluster(args):
+    cfg = _config(args)
     tensor, station_ids = _load_tensor(args.tensor)
-    model, _ = cp_fit(tensor, AlsConfig(rank=args.rank))
-    embedding = embed_stations(model, args.variance_retained,
-                               station_ids=station_ids)
-    k = args.clusters if args.clusters is not None else choose_cluster_count(embedding)
+    cfg.check_n_clusters(len(station_ids))
+    model, _ = cp_fit(tensor, cfg.plan.als)
+    embedding = embed_stations(model, cfg.variance_retained, station_ids=station_ids)
+    k = cfg.n_clusters if cfg.n_clusters is not None else choose_cluster_count(embedding)
     assign = agglomerate(embedding, k)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -264,7 +276,7 @@ def _cmd_cluster(args):
 
 
 def _cmd_evaluate(args):
-    cfg = build_experiment_config(_collect_settings(args))
+    cfg = _config(args)
     tensor, station_ids = load_input(cfg)
     if args.experiment == "longterm":
         report = longterm_report(tensor, station_ids, cfg)
@@ -272,8 +284,7 @@ def _cmd_evaluate(args):
         report = update_report(tensor, cfg, args.observed_fraction, window=args.window)
     else:
         report = shortterm_report(tensor, station_ids, cfg, args.use_clustering)
-    out_dir = cfg.output_dir if cfg.output_dir is not None else "."
-    paths = write_report(report, out_dir)
+    paths = write_report(report, cfg.output_dir)
     print(_summary_line(report))
     for path in paths:
         print(f"wrote {path}")
@@ -294,15 +305,14 @@ def build_parser():
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic tensor archive")
-    _add_config_options(p, ["seed"] + [k for k in _SCHEMA if k.startswith("synth.")])
+    _add_config_options(p, ["seed"] + [k for k in _SCHEMA if k.startswith("synth.")],
+                        config_file=True)
     p.add_argument("--out", required=True, metavar="PATH", help="output .npz archive")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("forecast", help="forecast the next days from a tensor archive")
     p.add_argument("--tensor", required=True, metavar="PATH", help="input .npz archive")
-    p.add_argument("--horizon-days", required=True, type=int)
-    p.add_argument("--rank", required=True, type=int, help="CP rank")
-    p.add_argument("--arma-orders", default="2,2,1,1", metavar="P1,P2,Q1,Q2")
+    _add_config_options(p, ["plan.horizon_days", "plan.rank", "plan.arma_orders"])
     p.add_argument("--out", required=True, metavar="PATH", help="output .npz archive")
     p.set_defaults(func=_cmd_forecast)
 
@@ -312,43 +322,30 @@ def build_parser():
     p.add_argument("--tensor", required=True, metavar="PATH", help="input .npz archive")
     p.add_argument("--day-index", type=int, default=None,
                    help="day to update (default: last day)")
-    p.add_argument("--observed-fraction", required=True, type=float,
-                   help="revealed fraction of the day, in (0, 1)")
-    p.add_argument("--rank", required=True, type=int, help="CP rank")
-    p.add_argument("--arma-orders", default="2,2,1,1", metavar="P1,P2,Q1,Q2")
-    p.add_argument("--window", type=int, default=5, help="scoring block length")
-    p.add_argument("--output-dir", required=True, metavar="DIR")
+    _add_update_options(p)
+    _add_config_options(p, ["plan.rank", "plan.arma_orders", "output_dir"])
     p.set_defaults(func=_cmd_update)
 
     p = sub.add_parser("complete", help="impute a masked suffix of the final day")
     p.add_argument("--tensor", required=True, metavar="PATH", help="input .npz archive")
-    p.add_argument("--suffix-start", type=int, default=None,
-                   help="first masked slot (default: 30%% into the day)")
-    p.add_argument("--max-rank", type=int, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--elbo-tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_config_options(p, ["suffix_start", "seed", "lrtc.max_rank", "lrtc.max_iters",
+                            "lrtc.elbo_tol"])
     p.add_argument("--out", required=True, metavar="PATH", help="output .npz archive")
     p.set_defaults(func=_cmd_complete)
 
     p = sub.add_parser("cluster", help="embed stations and write cluster labels")
     p.add_argument("--tensor", required=True, metavar="PATH", help="input .npz archive")
-    p.add_argument("--rank", required=True, type=int, help="CP rank of the embedding model")
-    p.add_argument("--clusters", type=int, default=None,
-                   help="cluster count (default: automatic)")
-    p.add_argument("--variance-retained", type=float, default=0.9)
+    _add_config_options(p, ["plan.rank", "n_clusters", "variance_retained"])
     p.add_argument("--out", required=True, metavar="PATH", help="output CSV")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("evaluate", help="run a named experiment and write reports")
     p.add_argument("--experiment", required=True,
                    choices=("longterm", "update", "shortterm"))
-    p.add_argument("--observed-fraction", type=float, default=0.3,
-                   help="revealed fraction for the update experiment")
-    p.add_argument("--window", type=int, default=5, help="scoring block length")
+    _add_update_options(p)
     p.add_argument("--use-clustering", action="store_true",
                    help="complete per cluster in the shortterm experiment")
-    _add_config_options(p, list(_SCHEMA))
+    _add_config_options(p, list(_SCHEMA), config_file=True)
     p.set_defaults(func=_cmd_evaluate)
 
     return parser

@@ -4,7 +4,7 @@ The location factor (weights folded in, so flow volume informs distance) is
 centered and reduced by PCA, then stations are grouped bottom-up under
 group-average (UPGMA) Euclidean linkage.  Merge ties break toward the pair
 containing the lowest station index, which makes traces deterministic.
-Completion downstream runs per cluster on the split tensors.
+Completion downstream runs per cluster on the stations of each label.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .cp import CpModel
 
@@ -100,10 +101,8 @@ def _upgma_trace(coords):
     in row-major order is the closest pair with the lowest station indices.
     """
     n = coords.shape[0]
-    dist = np.full((n, n), np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = np.linalg.norm(coords[i] - coords[j])
+    dist = squareform(pdist(coords))
+    np.fill_diagonal(dist, np.inf)
     ids = np.arange(n)
     sizes = np.ones(n)
     trace = []
@@ -166,11 +165,3 @@ def choose_cluster_count(e: StationEmbedding) -> int:
     if ratios[widest] < DOMINANCE_RATIO:
         return 1
     return e.n_stations - widest - 1
-
-
-def split_tensor_by_cluster(t, assign: ClusterAssignment):
-    """One sub-tensor per cluster, station order preserved within each."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim < 1 or t.shape[0] != assign.labels.size:
-        raise ValueError("tensor station extent does not match the assignment")
-    return [t[assign.labels == c] for c in range(assign.k)]

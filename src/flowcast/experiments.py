@@ -51,7 +51,7 @@ class ExperimentConfig:
     n_clusters: int | None = None
     variance_retained: float = 0.9
     suffix_start: int | None = None
-    output_dir: str | None = None
+    output_dir: str = "."
     seed: int = 0
 
     def __post_init__(self):
@@ -59,10 +59,17 @@ class ExperimentConfig:
             raise ValueError("split_day must be >= 1")
         if self.n_baseline_lags < 1:
             raise ValueError("n_baseline_lags must be >= 1")
+        if self.n_clusters is not None and self.n_clusters < 1:
+            raise ValueError("n_clusters must be >= 1")
         if not 0.0 < self.variance_retained <= 1.0:
             raise ValueError("variance_retained must lie in (0, 1]")
         if self.extents is not None and len(self.extents) != 2:
             raise ValueError("extents must declare (n_days, n_slots)")
+
+    def check_n_clusters(self, n_stations):
+        """Reject a fixed cluster count above ``n_stations`` before any fit."""
+        if self.n_clusters is not None and self.n_clusters > n_stations:
+            raise ValueError(f"n_clusters {self.n_clusters} exceeds the {n_stations} stations")
 
 
 @dataclass
@@ -224,6 +231,8 @@ def shortterm_report(tensor, station_ids, cfg: ExperimentConfig,
     tensor = np.asarray(tensor, dtype=np.float64)
     n_loc, n_days, _ = tensor.shape
     start, future = final_day_suffix(tensor.shape, cfg.suffix_start)
+    if use_clustering:
+        cfg.check_n_clusters(n_loc)
     prediction, lean = _forecast_and_update(tensor, cfg, n_days - 1, start)
 
     if use_clustering:

@@ -1,16 +1,20 @@
 """End-to-end tests of the command line front end."""
 
+import argparse
 import csv
 import dataclasses
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
 
-from flowcast.cli import build_experiment_config, load_config, main
+from flowcast import cli
+from flowcast.cli import build_experiment_config, build_parser, load_config, main
 from flowcast.cp import CpModel
-from flowcast.experiments import ExperimentConfig, update_report, write_report
+from flowcast.experiments import (ExperimentConfig, final_day_suffix, update_report,
+                                  write_report)
 from flowcast.io import export
 from flowcast.lrtc import LrtcHyperParams, short_term_predict
 from flowcast.pipeline import ForecastPlan, two_step_forecast
@@ -45,6 +49,18 @@ def base_archive(tmp_path_factory):
 def base_tensor(base_archive):
     with np.load(base_archive) as archive:
         return np.asarray(archive["tensor"])
+
+
+def archive_members(path):
+    # the .npy bytes of each array; the zip's own timestamps are left out
+    with zipfile.ZipFile(path) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+def subcommands():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return sorted(action.choices)
 
 
 class TestConfigFile:
@@ -192,6 +208,26 @@ class TestForecast:
             assert str(archive["provenance"]) == "long_term"
             assert list(archive["station_ids"]) == [f"s{l:02d}" for l in range(5)]
 
+    def test_short_and_dotted_rank_spellings_write_identical_arrays(self, tmp_path,
+                                                                    base_archive):
+        outputs = []
+        for flag in ("--rank", "--plan-rank"):
+            out = tmp_path / f"pred{flag}.npz"
+            assert run_cli("forecast", "--tensor", base_archive, "--horizon-days", 2,
+                           flag, 2, "--arma-orders", "1,2,0,0", "--out", out) == 0
+            outputs.append(archive_members(out))
+        assert outputs[0] == outputs[1]
+
+    def test_defaults_come_from_the_experiment_config(self, tmp_path):
+        # the default 2D-ARMA orders need more weeks than the base archive holds
+        archive = make_archive(tmp_path / "long.npz", extents="5,56,12")
+        out = tmp_path / "pred.npz"
+        assert run_cli("forecast", "--tensor", archive, "--out", out) == 0
+        with np.load(archive) as source:
+            expected = two_step_forecast(source["tensor"], ExperimentConfig().plan)
+        with np.load(out) as archive:
+            assert np.array_equal(archive["tensor"], expected.tensor)
+
     def test_bad_orders_fail_with_diagnostic(self, tmp_path, base_archive, capsys):
         rc = run_cli("forecast", "--tensor", base_archive, "--horizon-days", 1,
                      "--rank", 2, "--arma-orders", "1,x", "--out", tmp_path / "p.npz")
@@ -310,6 +346,26 @@ class TestComplete:
         with np.load(out) as archive:
             assert int(archive["mask"].sum()) == 5 * 8
 
+    def test_short_and_dotted_max_rank_spellings_write_identical_arrays(self, tmp_path,
+                                                                        base_archive):
+        outputs = []
+        for flag in ("--max-rank", "--lrtc-max-rank"):
+            out = tmp_path / f"done{flag}.npz"
+            assert run_cli("complete", "--tensor", base_archive, "--suffix-start", 6,
+                           flag, 3, "--out", out) == 0
+            outputs.append(archive_members(out))
+        assert outputs[0] == outputs[1]
+
+    def test_defaults_come_from_the_experiment_config(self, tmp_path, base_archive,
+                                                      base_tensor):
+        out = tmp_path / "done.npz"
+        assert run_cli("complete", "--tensor", base_archive, "--out", out) == 0
+        _, future = final_day_suffix(base_tensor.shape)
+        expected = short_term_predict(base_tensor, future, ExperimentConfig().lrtc)
+        with np.load(out) as archive:
+            assert np.array_equal(archive["tensor"], expected.imputed)
+            assert np.array_equal(archive["mask"], future)
+
     def test_out_of_day_suffix_fails(self, tmp_path, base_archive, capsys):
         rc = run_cli("complete", "--tensor", base_archive, "--suffix-start", 12,
                      "--out", tmp_path / "done.npz")
@@ -339,6 +395,29 @@ class TestCluster:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert [r[1] for r in rows[1:]] == ["0"] * 8
+
+    def test_short_and_dotted_cluster_spellings_write_identical_bytes(self, tmp_path):
+        archive = make_archive(tmp_path / "two.npz", extents="8,14,12",
+                               rank=2, clusters=2, seed=3)
+        outputs = []
+        for flag in ("--clusters", "--n-clusters"):
+            out = tmp_path / f"labels{flag}.csv"
+            assert run_cli("cluster", "--tensor", archive, "--rank", 2,
+                           flag, 3, "--out", out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_bad_cluster_count_fails_before_any_fit(self, tmp_path, base_archive,
+                                                    capsys, monkeypatch, k):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("cp_fit ran before the cluster count check")
+
+        monkeypatch.setattr(cli, "cp_fit", no_fit)
+        rc = run_cli("cluster", "--tensor", base_archive, "--rank", 2,
+                     "--clusters", k, "--out", tmp_path / "labels.csv")
+        assert rc == 1
+        assert "n_clusters" in capsys.readouterr().err
 
     def test_infeasible_rank_fails(self, tmp_path, base_archive, capsys):
         rc = run_cli("cluster", "--tensor", base_archive, "--rank", 200,
@@ -409,3 +488,11 @@ class TestParser:
     def test_requires_output_path(self):
         with pytest.raises(SystemExit):
             main(["synth"])
+
+    @pytest.mark.parametrize("command", subcommands())
+    def test_every_subcommand_prints_help(self, command, capsys):
+        # argparse %-formats help strings only when --help prints them
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: flowcast {command}")

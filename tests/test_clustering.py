@@ -11,7 +11,6 @@ from flowcast.clustering import (
     agglomerate,
     choose_cluster_count,
     embed_stations,
-    split_tensor_by_cluster,
 )
 from flowcast.cp import CpModel
 from flowcast.lrtc import LrtcHyperParams, short_term_predict
@@ -291,30 +290,6 @@ class TestSharedTrace:
         first = agglomerate(e, 3)
         first.linkage_trace.clear()
         assert agglomerate(e, 3).linkage_trace == clustering._upgma_trace(e.coords)
-
-
-class TestSplit:
-    def test_split_preserves_station_order(self):
-        rng = np.random.default_rng(8)
-        t = rng.normal(size=(5, 4, 3))
-        assign = ClusterAssignment(np.array([0, 1, 0, 2, 1]), 3)
-        parts = split_tensor_by_cluster(t, assign)
-        assert [p.shape[0] for p in parts] == [2, 2, 1]
-        assert np.array_equal(parts[0], t[[0, 2]])
-        assert np.array_equal(parts[1], t[[1, 4]])
-        assert np.array_equal(parts[2], t[[3]])
-
-    def test_split_concatenation_is_a_permutation_of_the_input(self):
-        rng = np.random.default_rng(9)
-        t = rng.normal(size=(8, 3, 2))
-        labels = np.array([2, 0, 1, 0, 2, 1, 0, 1])
-        parts = split_tensor_by_cluster(t, ClusterAssignment(labels, 3))
-        stacked = np.concatenate(parts)
-        assert np.array_equal(stacked, t[np.argsort(labels, kind="stable")])
-
-    def test_extent_mismatch_is_rejected(self):
-        with pytest.raises(ValueError):
-            split_tensor_by_cluster(np.zeros((4, 3, 2)), ClusterAssignment(np.array([0, 1, 0]), 2))
 
 
 def two_population_tensor(seed):

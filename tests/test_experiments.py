@@ -62,6 +62,8 @@ class TestConfig:
             ExperimentConfig(variance_retained=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(extents=(56,))
+        with pytest.raises(ValueError, match="n_clusters must be >= 1"):
+            ExperimentConfig(n_clusters=0)
 
     def test_load_input_seed_overrides_the_synth_seed(self):
         cfg = ExperimentConfig(seed=3)
@@ -365,6 +367,15 @@ class TestShortterm:
         assert report.summary["mean_res_lean_update"] == want
         default = shortterm_report(tensor, ids, weekly_cfg(0, lrtc=lrtc), use_clustering=False)
         assert default.summary["mean_res_lean_update"] != want
+
+    def test_too_many_clusters_are_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("cp_fit ran before the cluster count check")
+
+        monkeypatch.setattr("flowcast.pipeline.cp_fit", no_fit)
+        cfg = weekly_cfg(0, n_clusters=13)
+        with pytest.raises(ValueError, match="n_clusters 13 exceeds the 12 stations"):
+            shortterm_report(*load_input(cfg), cfg, use_clustering=True)
 
     def test_suffix_start_bounds(self):
         tensor, ids = load_input(weekly_cfg(0))
