@@ -29,6 +29,7 @@ import numpy as np
 from .tensor_ops import DegenerateSolveWarning
 
 DAYS_PER_WEEK = 7
+TOO_FEW_CELLS = "not enough interior cells to estimate the requested orders"
 
 
 @dataclass
@@ -126,40 +127,48 @@ def field_to_vector(f: Field2D) -> np.ndarray:
     return flat[: last + 1].copy()
 
 
-def _lag_offsets(o1, o2, include_origin):
-    offs = [(i, j) for i in range(o1 + 1) for j in range(o2 + 1)]
-    if not include_origin:
-        offs = [o for o in offs if o != (0, 0)]
-    return offs
+def _lag_offsets(o1, o2):
+    """Lags ``(i, j)`` up to ``(o1, o2)`` in row-major order, without ``(0, 0)``."""
+    return [(i, j) for i in range(o1 + 1) for j in range(o2 + 1)][1:]
 
 
-def _regression_rows(values, valid, ar_offs, ma_offs, eps, d_min, w_min):
-    """Design-matrix rows over interior cells with every involved cell present."""
-    d_ext, w_ext = values.shape
-    rows, targets = [], []
-    for w in range(w_min, w_ext):
-        for d in range(d_min, d_ext):
-            cells = [(d, w)] + [(d - i, w - j) for i, j in ar_offs]
-            if not all(valid[c] for c in cells):
-                continue
-            row = [values[d - i, w - j] for i, j in ar_offs]
-            row += [eps[d - i, w - j] for i, j in ma_offs]
-            rows.append(row)
-            targets.append(values[d, w])
-    return np.asarray(rows).reshape(len(rows), len(ar_offs) + len(ma_offs)), np.asarray(targets)
+def _lagged(a, offs):
+    """``a`` shifted by each offset ``(i, j)``, stacked on a last axis; 0 off the grid."""
+    out = np.zeros(a.shape + (len(offs),), dtype=a.dtype)
+    for n, (i, j) in enumerate(offs):
+        out[i:, j:, n] = a[: a.shape[0] - i, : a.shape[1] - j]
+    return out
+
+
+def _interior(valid, offs, d_min, w_min):
+    """Week x day mask of regression cells: present, every ``offs`` lag present, d, w >= mins."""
+    rows = valid & _lagged(valid, offs).all(axis=2)
+    rows[:d_min] = rows[:, :w_min] = False
+    return rows.T
+
+
+def _checked_orders(days, weeks, orders):
+    p1, p2, q1, q2 = (int(o) for o in orders)
+    if min(p1, p2, q1, q2) < 0:
+        raise ValueError("orders must be non-negative")
+    if days <= p1 + q1 or weeks <= p2 + q2:
+        raise ValueError(f"grid {days}x{weeks} too small for orders ({p1},{p2},{q1},{q2}); "
+                         f"need D > p1+q1 and W > p2+q2")
+    return p1, p2, q1, q2
+
+
+def check_orders(valid, orders) -> None:
+    """Raise, without fitting, the ``ValueError`` :func:`arma2d_fit` raises on these cells."""
+    p1, p2, q1, q2 = _checked_orders(*valid.shape, orders)
+    ar_offs = _lag_offsets(p1, p2)
+    n_par = len(ar_offs) + len(_lag_offsets(q1, q2))
+    if n_par and _interior(valid, ar_offs, max(p1, q1), max(p2, q2)).sum() <= n_par:
+        raise ValueError(TOO_FEW_CELLS)
 
 
 def arma2d_fit(f: Field2D, orders) -> Arma2dModel:
     """Estimate a 2D-ARMA model on ``f`` by two-stage least squares."""
-    p1, p2, q1, q2 = (int(o) for o in orders)
-    if min(p1, p2, q1, q2) < 0:
-        raise ValueError("orders must be non-negative")
-    if f.days <= p1 + q1 or f.weeks <= p2 + q2:
-        raise ValueError(
-            f"grid {f.days}x{f.weeks} too small for orders ({p1},{p2},{q1},{q2}); "
-            f"need D > p1+q1 and W > p2+q2"
-        )
-
+    p1, p2, q1, q2 = _checked_orders(f.days, f.weeks, orders)
     mu = float(f.values[f.valid].mean())
     c = np.where(f.valid, f.values - mu, 0.0)
 
@@ -167,24 +176,20 @@ def arma2d_fit(f: Field2D, orders) -> Arma2dModel:
     eps = c.copy()
     if q1 or q2:
         s1, s2 = p1 + q1, p2 + q2
-        stage1_offs = _lag_offsets(s1, s2, include_origin=False)
-        x1, y1 = _regression_rows(c, f.valid, stage1_offs, [], np.zeros_like(c), s1, s2)
+        offs = _lag_offsets(s1, s2)
+        lags, rows = _lagged(c, offs), _interior(f.valid, offs, s1, s2)
+        x1, y1 = lags.swapaxes(0, 1)[rows], c.T[rows]
         if len(y1):
             gamma, _, rank1, _ = np.linalg.lstsq(x1, y1, rcond=None)
             if rank1 < x1.shape[1]:
                 warnings.warn("stage-1 AR regression is rank deficient",
                               DegenerateSolveWarning, stacklevel=2)
             # zero-padded prediction everywhere so lagged innovations exist on the full grid
-            pred = np.zeros_like(c)
-            for (i, j), g in zip(stage1_offs, gamma):
-                shifted = np.zeros_like(c)
-                shifted[i:, j:] = c[: c.shape[0] - i, : c.shape[1] - j]
-                pred += g * shifted
-            eps = np.where(f.valid, c - pred, 0.0)
+            eps = np.where(f.valid, c - lags @ gamma, 0.0)
 
     # stage 2: joint AR + lagged-MA regression
-    ar_offs = _lag_offsets(p1, p2, include_origin=False)
-    ma_offs = _lag_offsets(q1, q2, include_origin=False)
+    ar_offs = _lag_offsets(p1, p2)
+    ma_offs = _lag_offsets(q1, q2)
     n_par = len(ar_offs) + len(ma_offs)
     ar = np.zeros((p1 + 1, p2 + 1))
     ma = np.zeros((q1 + 1, q2 + 1))
@@ -193,19 +198,17 @@ def arma2d_fit(f: Field2D, orders) -> Arma2dModel:
         resid = c[f.valid]
         return Arma2dModel(ar, ma, float(np.mean(resid**2)), (p1, p2, q1, q2))
 
-    d_min, w_min = max(p1, q1), max(p2, q2)
-    x2, y2 = _regression_rows(c, f.valid, ar_offs, ma_offs, eps, d_min, w_min)
+    rows = _interior(f.valid, ar_offs, max(p1, q1), max(p2, q2))
+    x2 = np.concatenate([_lagged(c, ar_offs), _lagged(eps, ma_offs)], axis=2).swapaxes(0, 1)[rows]
+    y2 = c.T[rows]
     # the rank is reported before the size is judged: too few rows is rank deficient too
     coef, _, rank2, _ = np.linalg.lstsq(x2, y2, rcond=None)
     if rank2 < n_par:
         warnings.warn("2D-ARMA regression is rank deficient; minimum-norm coefficients",
                       DegenerateSolveWarning, stacklevel=2)
     if len(y2) <= n_par:
-        raise ValueError("not enough interior cells to estimate the requested orders")
-    for (i, j), g in zip(ar_offs, coef[: len(ar_offs)]):
-        ar[i, j] = -g
-    for (i, j), b in zip(ma_offs, coef[len(ar_offs):]):
-        ma[i, j] = b
+        raise ValueError(TOO_FEW_CELLS)
+    ar.flat[1:], ma.flat[1:] = -coef[: len(ar_offs)], coef[len(ar_offs):]
     resid = y2 - x2 @ coef
     return Arma2dModel(ar, ma, float(np.mean(resid**2)), (p1, p2, q1, q2))
 
@@ -219,8 +222,8 @@ def _recursion(model, c, known, eps):
     place.
     """
     p1, p2, q1, q2 = model.orders
-    ar_offs = _lag_offsets(p1, p2, include_origin=False)
-    ma_offs = _lag_offsets(q1, q2, include_origin=False)
+    ar_offs = _lag_offsets(p1, p2)
+    ma_offs = _lag_offsets(q1, q2)
     d_ext, w_ext = c.shape
     for w in range(w_ext):
         for d in range(d_ext):

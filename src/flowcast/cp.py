@@ -14,15 +14,8 @@ from functools import reduce
 
 import numpy as np
 
-from .tensor_ops import (
-    DegenerateSolveWarning,
-    as_mask,
-    as_tensor,
-    cp_reconstruct,
-    khatri_rao_all,
-    relative_residual,
-    unfold,
-)
+from .tensor_ops import (DegenerateSolveWarning, _half_kr, _split, _tree_mttkrps, as_mask,
+                         as_tensor, cp_reconstruct, khatri_rao_all, relative_residual, unfold)
 
 PINV_RCOND = 1e-12
 # squared relative error (1e-3 unsquared) down to which the fit error comes from
@@ -82,28 +75,6 @@ def _solve_mode(mttkrp, g):
     return mttkrp @ np.linalg.pinv(g, rcond=PINV_RCOND)
 
 
-def _split(shape):
-    """The tree's halves, modes ``[0, s)`` and ``[s, N)``: the ``s`` whose larger half is least."""
-    return min(range(1, len(shape)), key=lambda s: max(math.prod(shape[:s]), math.prod(shape[s:])))
-
-
-def _half_kr(factors, half):
-    """Khatri-Rao matrix of one half's factors, its rows in C order (last mode fastest)."""
-    if len(half) == 1:
-        return factors[half[0]]
-    return khatri_rao_all([factors[k] for k in reversed(half)])
-
-
-def _half_mttkrp(p, factors, half, mode):
-    """MTTKRP of ``mode`` from ``p``, its half's product with the other half's Khatri-Rao."""
-    if len(half) == 1:
-        return p
-    kr = khatri_rao_all([factors[k] for k in reversed(half) if k != mode])
-    a, rank = math.prod(factors[k].shape[0] for k in half if k < mode), p.shape[1]
-    return np.einsum("aibr,abr->ir", p.reshape(a, factors[mode].shape[0], -1, rank),
-                     kr.reshape(a, -1, rank))
-
-
 def _normalize_columns(a):
     norms = np.linalg.norm(a, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
@@ -122,14 +93,13 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     reconstruction error after each sweep.  Stops when the error change
     between sweeps drops below ``cfg.tol`` or after ``cfg.max_iters`` sweeps.
 
-    MTTKRPs come from a dimension tree (Phan, Tichavsky & Cichocki 2013) on
-    one C-order view ``x`` of ``t`` split by :func:`_split`, with no unfolding
-    copied: ``x @ KR(right half)`` serves every left mode, ``x.T @ KR(left)``
-    every right mode.  The squared error is the Gram identity (Kolda & Bader
-    2009) on the last solve, ``||X||^2 - 2 sum(K * A) + sum((A.T @ A) * G)``
-    for its MTTKRP ``K``, factor ``A`` and Gram Hadamard ``G``; it cancels to
-    noise below about sqrt(eps), so at ``GRAM_ERR_FLOOR * ||X||^2`` or below
-    the sweep takes the exact residual.
+    MTTKRPs come from the dimension tree of ``tensor_ops._tree_mttkrps`` on
+    one C-order view ``x`` of ``t``, with no unfolding copied.  The squared
+    error is the Gram identity (Kolda & Bader 2009) on the last solve,
+    ``||X||^2 - 2 sum(K * A) + sum((A.T @ A) * G)`` for its MTTKRP ``K``,
+    factor ``A`` and Gram Hadamard ``G``; it cancels to noise below about
+    sqrt(eps), so at ``GRAM_ERR_FLOOR * ||X||^2`` or below the sweep takes
+    the exact residual.
 
     With an ``observed`` mask, only those cells are fitted (EM-style masked
     ALS, Tomasi & Bro 2005): the other cells start at the observed mean and
@@ -143,7 +113,6 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
         if observed.all():
             observed = None
     s = _split(t.shape)
-    left, right = list(range(s)), list(range(s, t.ndim))
     n_rows = math.prod(t.shape[:s])
     if observed is None:
         x, norm_t = t.reshape(n_rows, -1), np.linalg.norm(t)
@@ -158,26 +127,20 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     history = []
     prev = None
     for _ in range(cfg.max_iters):
-        for half, other, rows in ((left, right, x), (right, left, x.T)):
-            kr = _half_kr(factors, other)
-            p = rows @ kr
-            for mode in half:
-                mttkrp = _half_mttkrp(p, factors, half, mode)
-                g = reduce(np.multiply, [gk for k, gk in enumerate(grams) if k != mode])
-                raw = _solve_mode(mttkrp, g)
-                factors[mode], weights = _normalize_columns(raw)
-                grams[mode] = factors[mode].T @ factors[mode]
-        # kr is the left half's Khatri-Rao matrix: (kr * weights) @ KR(right).T is the model
+        for mode, mttkrp in _tree_mttkrps(x, factors, s):
+            g = reduce(np.multiply, [gk for k, gk in enumerate(grams) if k != mode])
+            raw = _solve_mode(mttkrp, g)
+            factors[mode], weights = _normalize_columns(raw)
+            grams[mode] = factors[mode].T @ factors[mode]
         if observed is None:
             err2 = norm_t**2 - 2 * np.sum(mttkrp * raw) + np.sum((raw.T @ raw) * g)
-            if err2 > GRAM_ERR_FLOOR * norm_t**2:
-                err = np.sqrt(err2)
-            else:
-                err = np.linalg.norm(x - (kr * weights) @ _half_kr(factors, right).T)
-        else:
-            recon = (kr * weights) @ _half_kr(factors, right).T
-            err = np.linalg.norm((x - recon)[seen])
-            np.copyto(x, recon, where=~seen)
+        if observed is None and err2 > GRAM_ERR_FLOOR * norm_t**2:
+            err = np.sqrt(err2)
+        else:  # the model in the view's layout, from each half's Khatri-Rao matrix
+            recon = (_half_kr(factors, range(s)) * weights) @ _half_kr(factors, range(s, t.ndim)).T
+            err = np.linalg.norm(x - recon if observed is None else (x - recon)[seen])
+            if observed is not None:
+                np.copyto(x, recon, where=~seen)
         err = 0.0 if norm_t == 0 else float(err / norm_t)
         history.append(err)
         if prev is not None and abs(prev - err) < cfg.tol:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arma2d import check_orders, reshape_to_field
 from .clustering import agglomerate, choose_cluster_count, embed_stations
 from .cp import cp_fit
 from .io import ingest
@@ -123,6 +124,7 @@ def longterm_report(tensor, station_ids, cfg: ExperimentConfig) -> ExperimentRep
     if cfg.plan.horizon_days != horizon:
         raise ValueError(
             f"plan horizon {cfg.plan.horizon_days} must equal held-out days {horizon}")
+    check_orders(reshape_to_field(np.zeros(cfg.split_day)).valid, cfg.plan.arma_orders)
     train = tensor[:, :cfg.split_day, :]
     truth = tensor[:, cfg.split_day:, :]
 

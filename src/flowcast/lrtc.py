@@ -6,7 +6,8 @@ lambda_r has a Gamma prior, observation noise is Gaussian with Gamma
 precision tau, and the likelihood touches observed cells only.  All
 conditionals are conjugate, so coordinate ascent gives closed-form Gaussian
 row posteriors and Gamma posteriors for lambda and tau, with a monotone
-evidence lower bound.
+evidence lower bound.  Each sweep's observed-cell statistics are MTTKRPs on
+the dimension tree ``cp_fit`` sweeps with (``tensor_ops._tree_mttkrps``).
 
 Components whose posterior-mean precision exceeds ``PRUNE_RATIO`` times the
 smallest are candidates for removal as the sweeps proceed; a candidate set
@@ -23,7 +24,7 @@ from functools import reduce
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .tensor_ops import as_mask, khatri_rao_all, unfold
+from .tensor_ops import _split, _tree_mttkrps, as_mask
 
 PRUNE_RATIO = 100.0
 
@@ -95,19 +96,15 @@ def _gathered_product(arrs, idx):
     return reduce(np.multiply, [a[i] for a, i in zip(arrs, idx)])
 
 
-def _masked_unfoldings(y, mask):
-    """(unfold(mask, k), unfold(y * mask, k)) per mode k; a missing cell may hold nan."""
-    masked_y = np.where(mask, y, 0.0)
-    return [(unfold(mask.astype(np.float64), k), unfold(masked_y, k)) for k in range(y.ndim)]
-
-
-def _mode_statistics(unfolded, means, moments, k):
-    """Observed-cell sums of the other modes' second moments (``s``) and of y
-    times their means (``proj``), per slice of mode ``k``, as two matmuls."""
-    mask_k, masked_y_k = unfolded[k]
+def _statistics(seen, filled, split, means, moments):
+    """Yield ``(k, s, proj)`` per mode k, the observed-cell sums of the other modes' second
+    moments and of y times their means: the tree MTTKRPs of the float mask ``seen`` and
+    the zero-filled ``filled``.  Updates to ``means[k]`` and ``moments[k]`` reach mode k+1."""
     flat = [v.reshape(v.shape[0], -1) for v in moments]
-    s = (mask_k @ khatri_rao_all(flat, skip=k)).reshape(moments[k].shape)
-    return s, masked_y_k @ khatri_rao_all(means, skip=k)
+    for (k, s), (_, proj) in zip(_tree_mttkrps(seen, flat, split),
+                                 _tree_mttkrps(filled, means, split)):
+        yield k, s.reshape(moments[k].shape), proj
+        flat[k] = moments[k].reshape(flat[k].shape)
 
 
 def _error_from_statistics(sum_y2, s, proj, mean, moment):
@@ -154,7 +151,8 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
     n = y_obs.size
     rank = hp.max_rank
     extents = y.shape
-    unfolded = _masked_unfoldings(y, mask)
+    split = _split(extents)
+    seen, filled = mask.astype(np.float64), np.where(mask, y, 0.0)  # a missing cell may hold nan
     sum_y2 = float(np.sum(y_obs**2))
 
     rng = np.random.default_rng(hp.seed)
@@ -176,8 +174,7 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
     prev = None
     converged = False
     for _ in range(hp.max_iters):
-        for k in range(y.ndim):
-            s, proj = _mode_statistics(unfolded, means, moments, k)
+        for k, s, proj in _statistics(seen, filled, split, means, moments):
             prec = np.diag(e_lam)[None, :, :] + e_tau * s
             v = np.linalg.inv(prec)
             covs[k] = 0.5 * (v + v.swapaxes(1, 2))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arma2d import (DAYS_PER_WEEK, arma2d_fit, arma2d_forecast, field_to_vector,
-                     reshape_to_field)
+from .arma2d import (DAYS_PER_WEEK, arma2d_fit, arma2d_forecast, check_orders,
+                     field_to_vector, reshape_to_field)
 from .cp import AlsConfig, CpModel, _normalize_columns, _solve_mode, cp_fit
 from .tensor_ops import as_tensor, cp_reconstruct, khatri_rao_all, residual_or_nan
 
@@ -71,11 +71,13 @@ class DayPrediction:
 def two_step_forecast(t, plan: ForecastPlan) -> DayPrediction:
     """Forecast the next ``plan.horizon_days`` day slices of ``t``.
 
-    Fits a CP model to ``t`` and hands it to :func:`forecast_from_model`.
+    Fits a CP model to ``t``, after checking that the ARMA orders fit its
+    day-of-week by week grid, and hands it to :func:`forecast_from_model`.
     """
     t = as_tensor(t, min_modes=3)
     if t.ndim != 3:
         raise ValueError("expected a 3-way tensor (locations x days x slots)")
+    check_orders(reshape_to_field(np.zeros(t.shape[1])).valid, plan.arma_orders)
     model, _ = cp_fit(t, plan.als)
     return forecast_from_model(model, plan)
 

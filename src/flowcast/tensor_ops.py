@@ -1,4 +1,4 @@
-"""Dense tensor kernels: unfolding, Khatri-Rao products, CP reconstruction, residuals.
+"""Dense tensor kernels: unfolding, Khatri-Rao products, MTTKRPs, CP reconstruction, residuals.
 
 Tensors are plain float64 ``numpy.ndarray`` objects in row-major storage.
 Matricization follows the Kolda-Bader convention: in ``unfold(t, mode)`` the
@@ -10,6 +10,8 @@ All functions here are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -100,6 +102,37 @@ def khatri_rao_all(factors, skip: int | None = None) -> np.ndarray:
     for m in mats[1:]:
         out = khatri_rao(out, m)
     return out
+
+
+def _split(shape):
+    """The tree's halves, modes ``[0, s)`` and ``[s, N)``: the ``s`` whose larger half is least."""
+    return min(range(1, len(shape)), key=lambda s: max(math.prod(shape[:s]), math.prod(shape[s:])))
+
+
+def _half_kr(factors, half):
+    """Khatri-Rao matrix of one half's factors, its rows in C order (last mode fastest)."""
+    if len(half) == 1:
+        return factors[half[0]]
+    return khatri_rao_all([factors[k] for k in reversed(half)])
+
+
+def _tree_mttkrps(t, factors, split):
+    """Yield ``(mode, MTTKRP)`` for every mode in order, from a dimension tree (Phan,
+    Tichavsky & Cichocki 2013) on the C-order view of ``t`` with modes ``[0, split)`` on
+    its rows; no unfolding is copied.  A factor is read only when a mode's MTTKRP is
+    formed, so updating ``factors[mode]`` before the next mode gives a Gauss-Seidel sweep."""
+    x = t.reshape(math.prod(f.shape[0] for f in factors[:split]), -1)
+    left, right = list(range(split)), list(range(split, len(factors)))
+    for half, other, rows in ((left, right, x), (right, left, x.T)):
+        p = rows @ _half_kr(factors, other)  # the half's product with the other half
+        for mode in half:
+            if len(half) == 1:
+                yield mode, p
+                continue
+            kr = khatri_rao_all([factors[k] for k in reversed(half) if k != mode])
+            a, rank = math.prod(factors[k].shape[0] for k in half if k < mode), p.shape[1]
+            yield mode, np.einsum("aibr,abr->ir", p.reshape(a, factors[mode].shape[0], -1, rank),
+                                  kr.reshape(a, -1, rank))
 
 
 def cp_reconstruct(model) -> np.ndarray:

@@ -5,6 +5,9 @@ difference equation frozen into the tests; coefficient recovery checks run
 the fit against fields simulated from known models.
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from flowcast.arma2d import (
     Field2D,
     arma2d_fit,
     arma2d_forecast,
+    check_orders,
     field_to_vector,
     reshape_to_field,
     simulate_field,
@@ -163,6 +167,41 @@ def test_fit_rejects_small_grids():
         arma2d_fit(Field2D(np.arange(4.0).reshape(2, 2)), (1, 1, 0, 0))
     with pytest.raises(ValueError):
         arma2d_fit(f, (0, -1, 0, 0))
+
+
+def test_fit_skips_cells_whose_lags_fall_in_a_hole():
+    rng = np.random.default_rng(7)
+    valid = rng.uniform(size=(7, 12)) > 0.15
+    f = Field2D(rng.normal(size=(7, 12)), valid)
+    m = arma2d_fit(f, (1, 2, 0, 0))
+    # oracle: the design built cell by cell, a row only where the cell and all its lags exist
+    c = np.where(valid, f.values - f.values[valid].mean(), 0.0)
+    offs = [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    rows, targets = [], []
+    for w in range(2, 12):
+        for d in range(1, 7):
+            if valid[d, w] and all(valid[d - i, w - j] for i, j in offs):
+                rows.append([c[d - i, w - j] for i, j in offs])
+                targets.append(c[d, w])
+    coef = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)[0]
+    np.testing.assert_allclose([-m.ar[i, j] for i, j in offs], coef, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("orders", [(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0), (1, 1, 0, 0),
+                                    (2, 2, 1, 1), (1, 2, 1, 0), (0, 8, 0, 0)])
+def test_check_orders_raises_exactly_when_the_fit_does(orders):
+    rng = np.random.default_rng(sum(orders))
+    for n_days in range(1, 50):
+        f = reshape_to_field(rng.normal(size=n_days))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateSolveWarning)
+                arma2d_fit(f, orders)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                check_orders(f.valid, orders)
+        else:
+            check_orders(f.valid, orders)
 
 
 def test_constant_field_degenerates_to_mean():

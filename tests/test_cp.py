@@ -1,6 +1,5 @@
 """Tests for alternating-least-squares CP fitting and rank selection."""
 
-import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -8,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flowcast import cp
+from flowcast import cp, tensor_ops
 from flowcast.cp import AlsConfig, CpModel, cp_fit, cp_rank_select, cp_solve_mode
 from flowcast.tensor_ops import (DegenerateSolveWarning, cp_reconstruct, khatri_rao_all,
                                  relative_residual, unfold)
@@ -133,19 +132,17 @@ def test_fit_never_forms_the_dense_reconstruction(monkeypatch):
 ])
 def test_tree_mttkrp_matches_the_unfolding_product(shape, split):
     # each half's product with the other half's Khatri-Rao matrix, finished
-    # inside the half, is every mode's MTTKRP
-    assert cp._split(shape) == split
+    # inside the half, is every mode's MTTKRP, yielded in mode order
+    assert tensor_ops._split(shape) == split
     rng = np.random.default_rng(26)
     t = rng.normal(size=shape)
     factors = [rng.normal(size=(n, 3)) for n in shape]
-    x = t.reshape(math.prod(shape[:split]), -1)
-    left, right = list(range(split)), list(range(split, len(shape)))
-    for half, other, rows in ((left, right, x), (right, left, x.T)):
-        p = rows @ cp._half_kr(factors, other)
-        for mode in half:
-            want = unfold(t, mode) @ khatri_rao_all(factors, mode)
-            got = cp._half_mttkrp(p, factors, half, mode)
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    modes = []
+    for mode, got in tensor_ops._tree_mttkrps(t, factors, split):
+        want = unfold(t, mode) @ khatri_rao_all(factors, mode)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        modes.append(mode)
+    assert modes == list(range(len(shape)))
 
 
 def test_fit_copies_no_unfolding(monkeypatch):

@@ -197,6 +197,17 @@ class TestLongterm:
             with pytest.raises(ValueError, match=rf"split_day 14 .*n_baseline_lags \({lags}\)"):
                 longterm_report(*load_input(cfg), cfg)
 
+    def test_infeasible_orders_are_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("cp_fit ran before the order check")
+
+        monkeypatch.setattr("flowcast.experiments.cp_fit", no_fit)
+        # four weeks of training days cannot fit the default orders (2, 2, 1, 1)
+        cfg = ExperimentConfig(split_day=28, synth=SyntheticSpec(extents=(5, 35, 12)),
+                               plan=ForecastPlan(7, rank=2))
+        with pytest.raises(ValueError, match="not enough interior cells"):
+            longterm_report(*load_input(cfg), cfg)
+
     def test_report_shape_and_plan_consistency(self):
         cfg = weekly_cfg(0)
         report = longterm_report(*load_input(cfg), cfg)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowcast import lrtc
+from flowcast import lrtc, tensor_ops
 from flowcast.cp import CpModel
 from flowcast.lrtc import (
     CompletionResult,
@@ -179,7 +179,7 @@ def cellwise_statistics(y, mask, means, moments, k):
     return s, proj, err
 
 
-@pytest.mark.parametrize("shape", [(5, 7, 6), (4, 3, 5, 6)])
+@pytest.mark.parametrize("shape", [(5, 7, 6), (4, 3, 5, 6), (20, 4, 3)])
 def test_dense_statistics_match_cellwise_sums(shape):
     rng = np.random.default_rng(len(shape))
     rank = 3
@@ -187,24 +187,32 @@ def test_dense_statistics_match_cellwise_sums(shape):
     mask = rng.random(shape) < 0.6
     mask[1] = False  # one station never observed
     y[1].flat[0] = np.nan  # a nan behind a missing cell
-    means = [rng.normal(size=(i, rank)) for i in shape]
-    covs = []
-    for i in shape:
-        a = rng.normal(size=(i, rank, rank))
-        covs.append(0.1 * a @ a.swapaxes(1, 2))
-    moments = lrtc._second_moments(means, covs)
-    unfolded = lrtc._masked_unfoldings(y, mask)
+
+    def random_moments(i):
+        mean, a = rng.normal(size=(i, rank)), rng.normal(size=(i, rank, rank))
+        return mean, lrtc._second_moments([mean], [0.1 * a @ a.swapaxes(1, 2)])[0]
+
+    means, moments = map(list, zip(*(random_moments(i) for i in shape)))
+    seen, filled = mask.astype(np.float64), np.where(mask, y, 0.0)
+    split = tensor_ops._split(shape)  # (20, 4, 3): one-mode left half; (5, 7, 6): one-mode right
     sum_y2 = np.sum(y[mask] ** 2)
-    for k in range(len(shape)):
-        s, proj = lrtc._mode_statistics(unfolded, means, moments, k)
-        want_s, want_proj, want_err = cellwise_statistics(y, mask, means, moments, k)
-        np.testing.assert_allclose(s, want_s, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(proj, want_proj, rtol=1e-12, atol=1e-12)
-        if k == 0:
-            np.testing.assert_array_equal(s[1], 0.0)
-            np.testing.assert_array_equal(proj[1], 0.0)
-        err = lrtc._error_from_statistics(sum_y2, s, proj, means[k], moments[k])
-        assert err == pytest.approx(want_err, rel=1e-12)
+    # the second pass overwrites each mode's means and moments once its statistics
+    # are out, as a sweep does: the next mode's statistics must see the new values
+    for update in (False, True):
+        modes = []
+        for k, s, proj in lrtc._statistics(seen, filled, split, means, moments):
+            want_s, want_proj, want_err = cellwise_statistics(y, mask, means, moments, k)
+            np.testing.assert_allclose(s, want_s, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(proj, want_proj, rtol=1e-12, atol=1e-12)
+            if k == 0:
+                np.testing.assert_array_equal(s[1], 0.0)
+                np.testing.assert_array_equal(proj[1], 0.0)
+            err = lrtc._error_from_statistics(sum_y2, s, proj, means[k], moments[k])
+            assert err == pytest.approx(want_err, rel=1e-12)
+            if update:
+                means[k], moments[k] = random_moments(shape[k])
+            modes.append(k)
+        assert modes == list(range(len(shape)))
 
 
 def test_fit_memory_stays_off_the_observed_cell_count():
@@ -221,6 +229,36 @@ def test_fit_memory_stays_off_the_observed_cell_count():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_fit_memory_stays_under_ten_tensors():
+    # the tree holds one float copy each of the mask and the zero-filled data;
+    # per-mode unfoldings of both would hold 2N
+    rng = np.random.default_rng(0)
+    factors = [rng.uniform(0.5, 1.5, size=(n, 3)) for n in (12, 56, 48)]
+    y = cp_reconstruct(CpModel(np.ones(3), factors))
+    mask = np.ones(y.shape, dtype=bool)
+    mask[:, -1, 15:] = False
+    tracemalloc.start()
+    try:
+        lrtc_fit(y, mask, LrtcHyperParams(max_rank=8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * y.nbytes
+
+
+def test_fit_copies_no_unfolding(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lrtc_fit unfolded the tensor")
+
+    # lrtc.unfold too, for a module that imports it by name
+    for name in ("flowcast.lrtc.unfold", "flowcast.tensor_ops.unfold", "flowcast.tensor_ops.fold"):
+        monkeypatch.setattr(name, refuse, raising=False)
+    y, truth, mask = rank2_scenario(seed=3, extent=8)
+    post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=4, max_iters=20))
+    result = lrtc_predict(post, mask, y)
+    assert relative_residual(result.imputed, truth, ~mask) < 1e-2
 
 
 # --- prediction --------------------------------------------------------------

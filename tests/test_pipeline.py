@@ -129,6 +129,18 @@ def test_forecast_rejects_bad_input():
         two_step_forecast(np.ones((3, 10, 4)) + np.random.default_rng(0).normal(size=(3, 10, 4)), plan)
 
 
+@pytest.mark.parametrize("n_days, match", [(10, "too small"), (28, "not enough interior")])
+def test_infeasible_orders_are_rejected_before_the_fit(monkeypatch, n_days, match):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("cp_fit ran before the order check")
+
+    monkeypatch.setattr("flowcast.pipeline.cp_fit", no_fit)
+    t = np.random.default_rng(0).uniform(size=(5, n_days, 12))
+    # the default orders (2, 2, 1, 1) need more than four weeks of days
+    with pytest.raises(ValueError, match=match):
+        two_step_forecast(t, ForecastPlan(horizon_days=7, rank=2))
+
+
 # --- lean update -----------------------------------------------------------
 
 
