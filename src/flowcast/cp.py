@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
+from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
 
 from .tensor_ops import (DegenerateSolveWarning, _half_kr, _split, _tree_mttkrps, as_mask,
                          as_tensor, cp_reconstruct, khatri_rao_all, relative_residual, unfold)
@@ -71,8 +72,20 @@ def _check_rank_feasible(shape, rank):
 
 
 def _solve_mode(mttkrp, g):
-    """Weight-absorbed least-squares factor from its MTTKRP and Gram Hadamard ``g``."""
-    return mttkrp @ np.linalg.pinv(g, rcond=PINV_RCOND)
+    """Weight-absorbed least-squares factor from its MTTKRP and Gram Hadamard ``g``.
+
+    Solves ``x @ g = mttkrp`` by a Cholesky factorization of ``g``.  Where that
+    factorization fails, or its reciprocal 1-norm condition estimate is at most
+    ``100 * PINV_RCOND`` (which covers every ``g`` whose pseudo-inverse could
+    truncate a singular value), the result is ``mttkrp @ pinv(g)`` instead, the
+    minimum-norm solution.  Either way the result is C-contiguous.
+    """
+    c, info = dpotrf(g)
+    if info == 0:
+        rcond, info = dpocon(c, dlange("1", g))
+    if info != 0 or rcond <= 100 * PINV_RCOND:
+        return mttkrp @ np.linalg.pinv(g, rcond=PINV_RCOND)
+    return dpotrs(c, mttkrp.T)[0].T
 
 
 def _normalize_columns(a):
@@ -130,10 +143,13 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
         for mode, mttkrp in _tree_mttkrps(x, factors, s):
             g = reduce(np.multiply, [gk for k, gk in enumerate(grams) if k != mode])
             raw = _solve_mode(mttkrp, g)
-            factors[mode], weights = _normalize_columns(raw)
-            grams[mode] = factors[mode].T @ factors[mode]
+            # one R x R product: column norms, the unit columns' Gram, the error term
+            rtr = raw.T @ raw
+            weights = np.sqrt(np.diag(rtr))
+            safe = np.where(weights > 0, weights, 1.0)
+            factors[mode], grams[mode] = raw / safe, rtr / np.outer(safe, safe)
         if observed is None:
-            err2 = norm_t**2 - 2 * np.sum(mttkrp * raw) + np.sum((raw.T @ raw) * g)
+            err2 = norm_t**2 - 2 * np.sum(mttkrp * raw) + np.sum(rtr * g)
         if observed is None and err2 > GRAM_ERR_FLOOR * norm_t**2:
             err = np.sqrt(err2)
         else:  # the model in the view's layout, from each half's Khatri-Rao matrix

@@ -117,9 +117,12 @@ def longterm_report(tensor, station_ids, cfg: ExperimentConfig) -> ExperimentRep
     tensor = np.asarray(tensor, dtype=np.float64)
     n_days = tensor.shape[1]
     _check_split(cfg.split_day, n_days)
-    if cfg.split_day <= 2 * cfg.n_baseline_lags:
-        raise ValueError(f"split_day {cfg.split_day} must exceed 2 * n_baseline_lags "
-                         f"({cfg.n_baseline_lags}) to fit the AR baseline")
+    try:
+        check_orders(reshape_to_field(np.zeros(cfg.split_day), 1).valid,
+                     (0, cfg.n_baseline_lags, 0, 0))
+    except ValueError as exc:
+        raise ValueError(f"split_day {cfg.split_day} is too short for the AR baseline with "
+                         f"n_baseline_lags ({cfg.n_baseline_lags}): {exc}") from exc
     horizon = n_days - cfg.split_day
     if cfg.plan.horizon_days != horizon:
         raise ValueError(

@@ -6,9 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from flowcast import cp, tensor_ops
-from flowcast.cp import AlsConfig, CpModel, cp_fit, cp_rank_select, cp_solve_mode
+from flowcast.cp import AlsConfig, CpModel, _solve_mode, cp_fit, cp_rank_select, cp_solve_mode
+from flowcast.pipeline import ForecastPlan, lean_update, two_step_forecast
+from flowcast.synthetic import SyntheticSpec, generate_synthetic
 from flowcast.tensor_ops import (DegenerateSolveWarning, cp_reconstruct, khatri_rao_all,
                                  relative_residual, unfold)
 
@@ -160,6 +163,18 @@ def test_fit_copies_no_unfolding(monkeypatch):
     assert len(cp_fit(t, cfg, mask)[1]) == 60
 
 
+def test_fit_and_updates_never_fall_back_to_pinv(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a well-conditioned solve fell back to pinv")
+
+    monkeypatch.setattr("numpy.linalg.pinv", refuse)
+    t, _ = generate_synthetic(SyntheticSpec(extents=(30, 50, 48), seed=0))
+    prediction = two_step_forecast(t[:, :49], ForecastPlan(1, rank=6, arma_orders=(1, 2, 0, 0)))
+    slots = np.arange(48)
+    for n_obs in range(1, 48):
+        lean_update(prediction, t[:, 49], slots < n_obs, prediction.source_model)
+
+
 def test_fit_memory_stays_under_twice_the_tensor():
     t = np.random.default_rng(28).uniform(size=(60, 49, 48))
     cfg = AlsConfig(rank=6, max_iters=5)
@@ -262,6 +277,56 @@ def test_singular_gram_warns_in_solve_mode_but_not_in_fit():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DegenerateSolveWarning)
         cp_fit(np.zeros((3, 3, 3)), AlsConfig(rank=2, max_iters=5))
+
+
+def conditioned_gram(rng, rank, cond):
+    q, _ = np.linalg.qr(rng.normal(size=(rank, rank)))
+    g = (q * np.logspace(0, -np.log10(cond), rank)) @ q.T
+    return (g + g.T) / 2
+
+
+def pinv_solve(mttkrp, g):
+    return mttkrp @ np.linalg.pinv(g, rcond=1e-12)
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6, 1e8])
+def test_solve_mode_matches_pinv_on_well_conditioned_grams(cond):
+    # two backward-stable solves agree to what the Gram's condition allows:
+    # 1e-12 relative up to cond 1e2, about 1e-8 at cond 1e8
+    rng = np.random.default_rng(29)
+    for rank in range(1, 11):
+        for _ in range(5):
+            g, mttkrp = conditioned_gram(rng, rank, cond), rng.normal(size=(30, rank))
+            got, want = _solve_mode(mttkrp, g), pinv_solve(mttkrp, g)
+            tol = 4 * rank * np.finfo(float).eps * np.linalg.cond(g)
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+            assert got.flags.c_contiguous
+
+
+def degenerate_grams():
+    rng = np.random.default_rng(30)
+    repeated = [np.repeat(rng.normal(size=(n, 1)), 2, axis=1) for n in (3, 5)]
+    yield "repeated columns", (repeated[0].T @ repeated[0]) * (repeated[1].T @ repeated[1])
+    yield "all zero", np.zeros((3, 3))
+    # update_location_factor's Gram for a temporal row with a zero entry
+    row, u_p = np.array([[0.7, 0.0, 1.3]]), rng.normal(size=(48, 3))
+    yield "temporal row with a zero", (row.T @ row) * (u_p.T @ u_p)
+    # Cholesky succeeds, and its pivots lie within PINV_RCOND of each other,
+    # but pinv truncates the smallest singular value
+    g = conditioned_gram(np.random.default_rng(0), 6, 1e13)
+    c, info = dpotrf(g)
+    pivots = np.diag(c) ** 2
+    assert info == 0 and pivots.min() > cp.PINV_RCOND * pivots.max()
+    assert np.linalg.matrix_rank(g, tol=cp.PINV_RCOND * np.linalg.norm(g, 2)) == 5
+    yield "cond 1e13", g
+
+
+@pytest.mark.parametrize("name, g", list(degenerate_grams()))
+def test_solve_mode_is_pinv_on_degenerate_grams(name, g):
+    mttkrp = np.random.default_rng(31).normal(size=(20, g.shape[0]))
+    got = _solve_mode(mttkrp, g)
+    assert np.array_equal(got, pinv_solve(mttkrp, g))
+    assert got.flags.c_contiguous
 
 
 def test_solve_mode_shape_mismatch():
