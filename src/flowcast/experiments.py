@@ -102,6 +102,14 @@ def _improvement(reference: float, candidate: float) -> float:
     return 0.0 if reference == 0 else (reference - candidate) / reference
 
 
+def _require(rows, report, what):
+    """``rows``, unless there are none: a mean over no scored rows is nan, not a result."""
+    if not rows:
+        raise ValueError(f"the {report} report has no {what} to score: "
+                         f"none has nonzero truth on its held-out cells")
+    return rows
+
+
 def _check_split(split_day, n_days):
     if not 1 <= split_day < n_days:
         raise ValueError(f"split_day {split_day} must lie in [1, {n_days})")
@@ -140,7 +148,7 @@ def longterm_report(tensor, station_ids, cfg: ExperimentConfig) -> ExperimentRep
         res_arma = residual_or_nan(prediction.tensor[l], truth[l])
         res_ar = residual_or_nan(baseline[l], truth[l])
         rows.append((sid, res_arma, res_ar, _improvement(res_ar, res_arma)))
-    scored = [r for r in rows if not np.isnan(r[1])]
+    scored = _require([r for r in rows if not np.isnan(r[1])], "longterm", "stations")
     mean_arma = float(np.mean([r[1] for r in scored]))
     mean_ar = float(np.mean([r[2] for r in scored]))
     summary = {
@@ -184,6 +192,9 @@ def update_report(tensor, cfg: ExperimentConfig, observed_fraction: float,
         raise ValueError(
             f"window {window} must lie in [1, {n_slots - n_obs}]: observed_fraction "
             f"{observed_fraction} leaves {n_slots - n_obs} of {n_slots} slots to score")
+    if n_obs == n_slots - 1:
+        raise ValueError(f"observed_fraction {observed_fraction} leaves 1 of {n_slots} slots "
+                         f"to score, too few to split into early and late blocks")
 
     prediction, updated = _forecast_and_update(tensor, cfg, cfg.split_day, n_obs)
     blocks = rolling_update_evaluation(tensor[:, cfg.split_day, :], prediction, updated,
@@ -194,8 +205,8 @@ def update_report(tensor, cfg: ExperimentConfig, observed_fraction: float,
         for start, res_long, res_upd in blocks
     ]
     early_cut = n_obs + (n_slots - n_obs) // 2
-    scored = [r for r in rows if not np.isnan(r[2])]
-    early = [r for r in scored if r[0] < early_cut]
+    scored = _require([r for r in rows if not np.isnan(r[2])], "update", "blocks")
+    early = _require([r for r in scored if r[0] < early_cut], "update", "early blocks")
     summary = {
         "observed_slots": n_obs,
         "n_blocks": len(rows),
@@ -260,7 +271,7 @@ def shortterm_report(tensor, station_ids, cfg: ExperimentConfig,
         res_lrtc = residual_or_nan(completed[l, -1], tensor[l, -1], future[l, -1])
         res_lean = residual_or_nan(lean.tensor[l, 0], tensor[l, -1], future[l, -1])
         rows.append((sid, int(labels[l]), res_lrtc, res_lean, _improvement(res_lean, res_lrtc)))
-    scored = [r for r in rows if not np.isnan(r[2])]
+    scored = _require([r for r in rows if not np.isnan(r[2])], "shortterm", "stations")
     mean_lrtc = float(np.mean([r[2] for r in scored]))
     mean_lean = float(np.mean([r[3] for r in scored]))
     summary = {

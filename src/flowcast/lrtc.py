@@ -9,6 +9,12 @@ row posteriors and Gamma posteriors for lambda and tau, with a monotone
 evidence lower bound.  Each sweep's observed-cell statistics are MTTKRPs on
 the dimension tree ``cp_fit`` sweeps with (``tensor_ops._tree_mttkrps``).
 
+A row's posterior precision depends only on which of its cells are observed,
+so the rows of a mode that share a mask pattern share one covariance: each
+sweep inverts one precision per pattern and gathers it back to the rows, and
+the bound's entropy takes one log-determinant per pattern.  A suffix mask
+such as today's missing slots has one or two patterns per mode.
+
 Components whose posterior-mean precision exceeds ``PRUNE_RATIO`` times the
 smallest are candidates for removal as the sweeps proceed; a candidate set
 is dropped only when doing so does not lower the bound, which keeps the
@@ -92,6 +98,25 @@ def _second_moments(means, covs):
     return [m[:, :, None] * m[:, None, :] + v for m, v in zip(means, covs)]
 
 
+def _row_groups(mask):
+    """Per mode, ``(first, index, counts)`` over the rows that share a mask pattern:
+    each group's first row, each row's group and the group sizes.  Each row's packed
+    bits are one byte-string key, which ``np.unique`` sorts far faster than rows."""
+    groups = []
+    for k, extent in enumerate(mask.shape):
+        rows = np.ascontiguousarray(np.moveaxis(mask, k, 0)).reshape(extent, -1)
+        bits = np.packbits(rows, axis=1)
+        keys = bits.view(f"V{bits.shape[1]}").ravel()
+        groups.append(np.unique(keys, return_index=True, return_inverse=True,
+                                return_counts=True)[1:])
+    return groups
+
+
+def _gamma_terms(shape):
+    """A Gamma shape with its digamma and gammaln, which stay fixed while its rate moves."""
+    return shape, digamma(shape), gammaln(shape)
+
+
 def _gathered_product(arrs, idx):
     return reduce(np.multiply, [a[i] for a, i in zip(arrs, idx)])
 
@@ -112,13 +137,17 @@ def _error_from_statistics(sum_y2, s, proj, mean, moment):
     return max(float(sum_y2 - 2.0 * np.sum(proj * mean) + np.sum(s * moment)), 0.0)
 
 
-def _elbo(hp, n, err, covs, c_shape, d_rate, a_shape, b_rate):
+def _elbo(hp, n, err, group_covs, counts, c_terms, d_rate, a_terms, b_rate):
+    """The bound; ``group_covs`` holds one covariance per row group of every mode and
+    ``counts`` the rows in each, so the entropy takes one log-determinant per group."""
     rank = d_rate.size
+    c_shape, digamma_c, gammaln_c = c_terms
+    a_shape, digamma_a, gammaln_a = a_terms
     e_tau = a_shape / b_rate
-    eln_tau = digamma(a_shape) - np.log(b_rate)
+    eln_tau = digamma_a - np.log(b_rate)
     e_lam = c_shape / d_rate
-    eln_lam = digamma(c_shape) - np.log(d_rate)
-    n_rows = sum(v.shape[0] for v in covs)
+    eln_lam = digamma_c - np.log(d_rate)
+    n_rows = counts.sum()
 
     like = 0.5 * n * (eln_tau - np.log(2 * np.pi)) - 0.5 * e_tau * err
     # factor prior; sum_k sum_i E[u^2] per component is 2 (d_rate - d0)
@@ -128,11 +157,10 @@ def _elbo(hp, n, err, covs, c_shape, d_rate, a_shape, b_rate):
                        + (hp.c0 - 1.0) * eln_lam - hp.d0 * e_lam)
     prior_tau = (hp.a0 * np.log(hp.b0) - gammaln(hp.a0)
                  + (hp.a0 - 1.0) * eln_tau - hp.b0 * e_tau)
-    ent_u = sum(0.5 * (v.shape[0] * v.shape[1] * (1.0 + np.log(2 * np.pi))
-                       + np.linalg.slogdet(v)[1].sum()) for v in covs)
-    ent_lam = np.sum(c_shape - np.log(d_rate) + gammaln(c_shape)
-                     + (1.0 - c_shape) * digamma(c_shape))
-    ent_tau = a_shape - np.log(b_rate) + gammaln(a_shape) + (1.0 - a_shape) * digamma(a_shape)
+    logdets = np.linalg.slogdet(np.concatenate(group_covs))[1]
+    ent_u = 0.5 * (n_rows * rank * (1.0 + np.log(2 * np.pi)) + counts @ logdets)
+    ent_lam = np.sum(c_shape - np.log(d_rate) + gammaln_c + (1.0 - c_shape) * digamma_c)
+    ent_tau = a_shape - np.log(b_rate) + gammaln_a + (1.0 - a_shape) * digamma_a
     return float(like + prior_u + prior_lam + prior_tau + ent_u + ent_lam + ent_tau)
 
 
@@ -160,14 +188,18 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
     std = float(y_obs.std()) or float(np.sqrt(np.mean(y_obs**2)))
     scale = (max(std, 1e-12) / np.sqrt(rank)) ** (1.0 / y.ndim)
     means = [rng.normal(0.0, scale, size=(i, rank)) for i in extents]
-    covs = [np.tile(scale**2 * np.eye(rank), (i, 1, 1)) for i in extents]
+    groups = _row_groups(mask)
+    counts = np.concatenate([c for _, _, c in groups])
+    group_covs = [np.tile(scale**2 * np.eye(rank), (first.size, 1, 1)) for first, _, _ in groups]
+    covs = [v[index] for v, (_, index, _) in zip(group_covs, groups)]
     moments = _second_moments(means, covs)
     e_lam = np.ones(rank)
     var = float(y_obs.var())
     e_tau = 1.0 / var if var > 0 else 1.0
-    c_shape = np.full(rank, hp.c0) + 0.5 * sum(extents)
+    c_terms = _gamma_terms(np.full(rank, hp.c0) + 0.5 * sum(extents))
     d_rate = np.full(rank, hp.d0)
-    a_shape = hp.a0 + 0.5 * n
+    a_terms = _gamma_terms(hp.a0 + 0.5 * n)
+    a_shape = a_terms[0]
     b_rate = hp.b0
 
     elbo_trace = []
@@ -175,37 +207,41 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
     converged = False
     for _ in range(hp.max_iters):
         for k, s, proj in _statistics(seen, filled, split, means, moments):
-            prec = np.diag(e_lam)[None, :, :] + e_tau * s
-            v = np.linalg.inv(prec)
-            covs[k] = 0.5 * (v + v.swapaxes(1, 2))
+            first, index, _ = groups[k]
+            v = np.linalg.inv(np.diag(e_lam)[None, :, :] + e_tau * s[first])
+            group_covs[k] = 0.5 * (v + v.swapaxes(1, 2))
+            covs[k] = group_covs[k][index]
             means[k] = e_tau * np.einsum("irs,is->ir", covs[k], proj)
             moments[k] = means[k][:, :, None] * means[k][:, None, :] + covs[k]
 
         d_rate = hp.d0 + 0.5 * sum((m**2 + np.diagonal(v, axis1=1, axis2=2)).sum(axis=0)
                                    for m, v in zip(means, covs))
-        e_lam = c_shape / d_rate
+        e_lam = c_terms[0] / d_rate
 
         # the last mode's statistics already hold every other mode's update
         err = _error_from_statistics(sum_y2, s, proj, means[-1], moments[-1])
         b_rate = hp.b0 + 0.5 * err
         e_tau = a_shape / b_rate
-        elbo = _elbo(hp, n, err, covs, c_shape, d_rate, a_shape, b_rate)
+        elbo = _elbo(hp, n, err, group_covs, counts, c_terms, d_rate, a_terms, b_rate)
 
         pruned = False
         keep = e_lam <= PRUNE_RATIO * e_lam.min()
         if prune and rank > 1 and not keep.all():
             cut_means = [m[:, keep] for m in means]
+            cut_group_covs = [v[:, keep][:, :, keep] for v in group_covs]
             cut_covs = [v[:, keep][:, :, keep] for v in covs]
             cut_moments = _second_moments(cut_means, cut_covs)
             cut_err = _error_from_statistics(sum_y2, s[:, keep][:, :, keep], proj[:, keep],
                                              cut_means[-1], cut_moments[-1])
             cut_b = hp.b0 + 0.5 * cut_err
-            cut_elbo = _elbo(hp, n, cut_err, cut_covs, c_shape[keep], d_rate[keep], a_shape, cut_b)
+            cut_c_terms = tuple(term[keep] for term in c_terms)
+            cut_elbo = _elbo(hp, n, cut_err, cut_group_covs, counts, cut_c_terms, d_rate[keep],
+                             a_terms, cut_b)
             if cut_elbo >= elbo:
                 pruned = True
                 rank = int(keep.sum())
-                means, covs, moments = cut_means, cut_covs, cut_moments
-                e_lam, c_shape, d_rate = e_lam[keep], c_shape[keep], d_rate[keep]
+                means, group_covs, covs, moments = cut_means, cut_group_covs, cut_covs, cut_moments
+                e_lam, c_terms, d_rate = e_lam[keep], cut_c_terms, d_rate[keep]
                 b_rate, e_tau, elbo = cut_b, a_shape / cut_b, cut_elbo
 
         elbo_trace.append(elbo)
@@ -215,7 +251,8 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
             break
         prev = elbo
 
-    return LrtcPosterior(means, covs, (c_shape, d_rate), (a_shape, b_rate), elbo_trace, converged)
+    return LrtcPosterior(means, covs, (c_terms[0], d_rate), (a_shape, b_rate), elbo_trace,
+                         converged)
 
 
 @dataclass

@@ -242,6 +242,13 @@ class TestLongterm:
         assert report.summary["mean_res_arma2d"] == np.mean([r[1] for r in scored])
         assert report.summary["mean_res_ar1d"] == np.mean([r[2] for r in scored])
 
+    def test_no_station_to_score_is_an_error(self):
+        cfg = short_als_cfg()
+        tensor, ids = load_input(cfg)
+        tensor[:, 49:, :] = 0.0
+        with pytest.raises(ValueError, match="longterm report has no stations to score"):
+            longterm_report(tensor, ids, cfg)
+
 
 def perturbed_day_config(tmp_path, seed):
     tensor, _ = generate_synthetic(SyntheticSpec(seed=seed))
@@ -301,6 +308,9 @@ class TestUpdate:
             update_report(tensor, weekly_cfg(0), 0.95)
         with pytest.raises(ValueError, match="window 0"):
             update_report(tensor, weekly_cfg(0), 0.3, window=0)
+        # 99% of 48 slots leaves one slot: a block, but no early half of the remainder
+        with pytest.raises(ValueError, match=r"0\.99 leaves 1 of 48 slots to score, too few"):
+            update_report(tensor, weekly_cfg(0), 0.99, window=1)
 
     def test_plan_als_settings_reach_the_forecast(self):
         cfg = short_als_cfg()
@@ -324,6 +334,16 @@ class TestUpdate:
         assert report.summary["mean_res_longterm"] == np.mean([r[2] for r in scored])
         assert report.summary["mean_res_updated"] == np.mean([r[3] for r in scored])
         assert report.summary["improved_fraction"] == np.mean([r[4] > 0 for r in scored])
+
+    @pytest.mark.parametrize("zero_slots, what", [(slice(15, None), "blocks"),
+                                                  (slice(15, 35), "early blocks")])
+    def test_no_block_to_score_is_an_error(self, zero_slots, what):
+        # 15 slots observed: the early blocks start at 15, 20, 25 and 30
+        cfg = short_als_cfg()
+        tensor, _ = load_input(cfg)
+        tensor[:, 49, zero_slots] = 0.0
+        with pytest.raises(ValueError, match=f"update report has no {what} to score"):
+            update_report(tensor, cfg, 0.3)
 
 
 class TestShortterm:
@@ -365,6 +385,13 @@ class TestShortterm:
         scored = report.rows[:3] + report.rows[4:]
         assert report.summary["mean_res_lrtc"] == np.mean([r[2] for r in scored])
         assert report.summary["mean_res_lean_update"] == np.mean([r[3] for r in scored])
+
+    def test_no_station_to_score_is_an_error(self):
+        tensor, _ = generate_synthetic(SyntheticSpec(extents=(4, 28, 12), n_clusters=1, seed=0))
+        tensor[:, -1, 4:] = 0.0  # the masked suffix starts 30% into the 12-slot day
+        cfg = weekly_cfg(0, lrtc=LrtcHyperParams(max_rank=4, max_iters=20))
+        with pytest.raises(ValueError, match="shortterm report has no stations to score"):
+            shortterm_report(tensor, [f"s{l}" for l in range(4)], cfg, use_clustering=False)
 
     def test_plan_als_settings_reach_the_reference_update(self):
         lrtc = LrtcHyperParams(max_rank=4, max_iters=20)

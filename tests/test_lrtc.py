@@ -261,6 +261,76 @@ def test_fit_copies_no_unfolding(monkeypatch):
     assert relative_residual(result.imputed, truth, ~mask) < 1e-2
 
 
+# --- one precision per mask pattern ---------------------------------------------
+
+
+def tail_scenario():
+    # today's missing slots: the last day from slot 15 on, at every station
+    rng = np.random.default_rng(0)
+    factors = [rng.uniform(0.5, 1.5, size=(n, 3)) for n in (12, 56, 48)]
+    y = cp_reconstruct(CpModel(np.ones(3), factors))
+    mask = np.ones(y.shape, dtype=bool)
+    mask[:, -1, 15:] = False
+    return y, mask
+
+
+def counted_inverses(monkeypatch):
+    """Matrices per ``np.linalg.inv`` call, appended as the fit makes them."""
+    counts, inv = [], np.linalg.inv
+
+    def counting(a):
+        counts.append(int(np.prod(np.shape(a)[:-2])))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    return counts
+
+
+def test_tail_mask_inverts_five_precisions_per_sweep(monkeypatch):
+    # every station shares one pattern; days and slots split into full and cut rows
+    counts = counted_inverses(monkeypatch)
+    y, mask = tail_scenario()
+    post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=8, max_iters=100, elbo_tol=1e-15))
+    assert len(post.elbo) == 100
+    assert counts == [1, 2, 2] * 100
+
+
+def test_random_mask_inverts_one_precision_per_row(monkeypatch):
+    counts = counted_inverses(monkeypatch)
+    y, _, mask = rank2_scenario(seed=0, noise=0.01)
+    post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=8, max_iters=30))
+    assert counts == [15, 15, 15] * len(post.elbo)
+
+
+def block_scenario():
+    rng = np.random.default_rng(4)
+    shape = (5, 6, 4, 7)
+    y = rng.normal(size=shape)
+    mask = np.ones(shape, dtype=bool)
+    mask[1:3, 2:4, :, 3:] = False
+    return y, mask
+
+
+def unobserved_scenario():
+    y, _, mask = rank2_scenario(seed=5, noise=0.01, extent=8)
+    mask[[2, 5]] = False  # two stations never observed share the prior's pattern
+    return y, mask
+
+
+@pytest.mark.parametrize("scenario", [tail_scenario, block_scenario, unobserved_scenario])
+def test_rows_with_one_mask_pattern_share_one_covariance(scenario):
+    y, mask = scenario()
+    post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=4, max_iters=30))
+    for k, v in enumerate(post.factor_covs):
+        rows = np.moveaxis(mask, k, 0).reshape(mask.shape[k], -1)
+        patterns, group = np.unique(rows, axis=0, return_inverse=True)
+        for g in range(len(patterns)):
+            members = v[group.ravel() == g]
+            assert all(np.array_equal(m, members[0]) for m in members)
+        # and rows with different patterns keep different covariances
+        assert len({m.tobytes() for m in v}) == len(patterns)
+
+
 # --- prediction --------------------------------------------------------------
 
 
