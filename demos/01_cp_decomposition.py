@@ -23,7 +23,8 @@ noisy = truth + 0.01 * truth.std() * rng.standard_normal(truth.shape)
 print("tensor extents:", noisy.shape, "planted rank: 3")
 
 model, history = cp_fit(noisy, AlsConfig(rank=3, seed=0))
-print(f"ALS sweeps: {len(history)}")
+print(f"ALS sweeps: {len(history)}, "
+      + ("converged" if history.converged else "stopped at max_iters without converging"))
 print("fit RES trail:", " ".join(f"{r:.4f}" for r in history[:4]),
       "...", f"{history[-1]:.6f}")
 print("recovered weights:", np.round(model.weights, 3))

@@ -247,11 +247,12 @@ def _cmd_complete(args):
     start, future = final_day_suffix(tensor.shape, cfg.suffix_start)
     result = short_term_predict(tensor, future, dataclasses.replace(cfg.lrtc, seed=cfg.seed))
     _save_tensor(args.out, result.imputed, station_ids,
-                 predictive_variance=result.predictive_variance,
-                 mask=future,
-                 effective_rank=np.int64(result.effective_rank))
+                 predictive_variance=result.predictive_variance, mask=future,
+                 effective_rank=np.int64(result.effective_rank),
+                 converged=np.bool_(result.converged))
     print(f"completed {int(future.sum())} masked cells (slots {start}.."
-          f"{tensor.shape[2] - 1} of the final day), effective rank {result.effective_rank}")
+          f"{tensor.shape[2] - 1} of the final day), effective rank {result.effective_rank}, "
+          + ("converged" if result.converged else "stopped at max_iters without converging"))
     print(f"wrote {args.out}")
     return 0
 

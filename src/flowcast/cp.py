@@ -15,8 +15,9 @@ from functools import reduce
 import numpy as np
 from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
 
-from .tensor_ops import (DegenerateSolveWarning, _half_kr, _split, _tree_mttkrps, as_mask,
-                         as_tensor, cp_reconstruct, khatri_rao_all, relative_residual, unfold)
+from .tensor_ops import (DegenerateSolveWarning, _error_from_statistics, _half_kr, _split,
+                         _SweepTrace, _tree_mttkrps, as_mask, as_tensor, cp_reconstruct,
+                         khatri_rao_all, relative_residual, unfold)
 
 PINV_RCOND = 1e-12
 # squared relative error (1e-3 unsquared) down to which the fit error comes from
@@ -49,7 +50,7 @@ class CpModel:
 
 @dataclass
 class AlsConfig:
-    """ALS knobs: target rank, sweep budget, relative fit-change tolerance, init seed."""
+    """ALS knobs: target rank, sweep budget, stop tolerance on the error's change, init seed."""
 
     rank: int
     max_iters: int = 500
@@ -102,9 +103,9 @@ def _sorted_model(weights, factors):
 def cp_fit(t, cfg: AlsConfig, observed=None):
     """Fit a rank-``cfg.rank`` CP model to ``t`` by alternating least squares.
 
-    Returns ``(model, history)`` where ``history`` holds the relative
-    reconstruction error after each sweep.  Stops when the error change
-    between sweeps drops below ``cfg.tol`` or after ``cfg.max_iters`` sweeps.
+    Returns ``(model, history)``: a list of the relative error (at most 1) after each
+    sweep, whose ``converged`` says the fit stopped on two errors within ``cfg.tol *
+    max(1, |previous|)``, the stop rule ``lrtc_fit`` shares, not at ``cfg.max_iters``.
 
     MTTKRPs come from the dimension tree of ``tensor_ops._tree_mttkrps`` on
     one C-order view ``x`` of ``t``, with no unfolding copied.  The squared
@@ -137,8 +138,7 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     grams = [f.T @ f for f in factors]
     weights = np.ones(cfg.rank)
 
-    history = []
-    prev = None
+    history = _SweepTrace()
     for _ in range(cfg.max_iters):
         for mode, mttkrp in _tree_mttkrps(x, factors, s):
             g = reduce(np.multiply, [gk for k, gk in enumerate(grams) if k != mode])
@@ -149,7 +149,7 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
             safe = np.where(weights > 0, weights, 1.0)
             factors[mode], grams[mode] = raw / safe, rtr / np.outer(safe, safe)
         if observed is None:
-            err2 = norm_t**2 - 2 * np.sum(mttkrp * raw) + np.sum(rtr * g)
+            err2 = _error_from_statistics(norm_t**2, g, mttkrp, raw, rtr)
         if observed is None and err2 > GRAM_ERR_FLOOR * norm_t**2:
             err = np.sqrt(err2)
         else:  # the model in the view's layout, from each half's Khatri-Rao matrix
@@ -157,11 +157,9 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
             err = np.linalg.norm(x - recon if observed is None else (x - recon)[seen])
             if observed is not None:
                 np.copyto(x, recon, where=~seen)
-        err = 0.0 if norm_t == 0 else float(err / norm_t)
-        history.append(err)
-        if prev is not None and abs(prev - err) < cfg.tol:
+        history.append(0.0 if norm_t == 0 else float(err / norm_t))
+        if history.settled(cfg.tol):
             break
-        prev = err
     return _sorted_model(weights, factors), history
 
 

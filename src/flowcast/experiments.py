@@ -259,12 +259,11 @@ def shortterm_report(tensor, station_ids, cfg: ExperimentConfig,
     else:
         k, labels = 1, np.zeros(n_loc, dtype=np.int64)
     completed = np.empty_like(tensor)
-    effective_ranks = []
+    parts = []
     for c in range(k):
         members = labels == c
-        part = short_term_predict(tensor[members], future[members], cfg.lrtc)
-        completed[members] = part.imputed
-        effective_ranks.append(part.effective_rank)
+        parts.append(short_term_predict(tensor[members], future[members], cfg.lrtc))
+        completed[members] = parts[-1].imputed
 
     rows = []
     for l, sid in enumerate(station_ids):
@@ -280,7 +279,8 @@ def shortterm_report(tensor, station_ids, cfg: ExperimentConfig,
         "relative_improvement": _improvement(mean_lean, mean_lrtc),
         "use_clustering": bool(use_clustering),
         "n_clusters": int(k),
-        "effective_ranks": [int(r) for r in effective_ranks],
+        "effective_ranks": [int(p.effective_rank) for p in parts],
+        "converged": [bool(p.converged) for p in parts],
         "suffix_start": int(start),
     }
     return ExperimentReport(

@@ -30,14 +30,15 @@ from functools import reduce
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .tensor_ops import _split, _tree_mttkrps, as_mask
+from .tensor_ops import _error_from_statistics, _split, _SweepTrace, _tree_mttkrps, as_mask
 
 PRUNE_RATIO = 100.0
 
 
 @dataclass
 class LrtcHyperParams:
-    """Gamma hyperparameters, rank cap, sweep budget, and ELBO stop tolerance."""
+    """Gamma hyperparameters, rank cap, sweep budget, and the ELBO stop tolerance: the fit
+    stops once two sweeps' bounds differ by under ``elbo_tol * max(1, |previous|)``."""
 
     a0: float = 1e-6
     b0: float = 1e-6
@@ -65,17 +66,17 @@ class LrtcPosterior:
 
     ``factor_means[k]`` is I_k x R, ``factor_covs[k]`` is I_k x R x R (one
     covariance per row), ``lambda_post`` is a (shapes, rates) pair of length-R
-    arrays, ``tau_post`` a scalar (shape, rate) pair.  ``elbo`` records the
-    bound after every sweep; ``converged`` is true only when the ELBO stop
-    rule ended the fit, not the sweep budget.
+    arrays, ``tau_post`` a scalar (shape, rate) pair.  ``elbo`` lists the bound
+    after every sweep in the record ``cp_fit`` returns as its history, and ``converged``,
+    read from it, is true only when the stop rule ended the fit, not the sweep budget.
     """
 
     factor_means: list
     factor_covs: list
     lambda_post: tuple
     tau_post: tuple
-    elbo: list = field(default_factory=list)
-    converged: bool = False
+    elbo: list = field(default_factory=_SweepTrace)
+    converged = property(lambda self: self.elbo.converged)
 
     @property
     def shape(self) -> tuple:
@@ -132,14 +133,12 @@ def _statistics(seen, filled, split, means, moments):
         flat[k] = moments[k].reshape(flat[k].shape)
 
 
-def _error_from_statistics(sum_y2, s, proj, mean, moment):
-    """E||y - reconstruction||^2 over the observed cells, from one mode's statistics."""
-    return max(float(sum_y2 - 2.0 * np.sum(proj * mean) + np.sum(s * moment)), 0.0)
-
-
-def _elbo(hp, n, err, group_covs, counts, c_terms, d_rate, a_terms, b_rate):
-    """The bound; ``group_covs`` holds one covariance per row group of every mode and
-    ``counts`` the rows in each, so the entropy takes one log-determinant per group."""
+def _elbo(hp, n, stats, group_covs, counts, c_terms, d_rate, a_terms):
+    """The bound and tau's rate, from the last mode's ``stats`` for ``_error_from_statistics``;
+    ``group_covs`` holds one covariance per row group of every mode and ``counts`` the
+    rows in each, so the entropy takes one log-determinant per group."""
+    err = _error_from_statistics(*stats)
+    b_rate = hp.b0 + 0.5 * err
     rank = d_rate.size
     c_shape, digamma_c, gammaln_c = c_terms
     a_shape, digamma_a, gammaln_a = a_terms
@@ -161,7 +160,7 @@ def _elbo(hp, n, err, group_covs, counts, c_terms, d_rate, a_terms, b_rate):
     ent_u = 0.5 * (n_rows * rank * (1.0 + np.log(2 * np.pi)) + counts @ logdets)
     ent_lam = np.sum(c_shape - np.log(d_rate) + gammaln_c + (1.0 - c_shape) * digamma_c)
     ent_tau = a_shape - np.log(b_rate) + gammaln_a + (1.0 - a_shape) * digamma_a
-    return float(like + prior_u + prior_lam + prior_tau + ent_u + ent_lam + ent_tau)
+    return float(like + prior_u + prior_lam + prior_tau + ent_u + ent_lam + ent_tau), b_rate
 
 
 def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
@@ -202,9 +201,7 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
     a_shape = a_terms[0]
     b_rate = hp.b0
 
-    elbo_trace = []
-    prev = None
-    converged = False
+    elbo_trace = _SweepTrace()
     for _ in range(hp.max_iters):
         for k, s, proj in _statistics(seen, filled, split, means, moments):
             first, index, _ = groups[k]
@@ -219,10 +216,9 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
         e_lam = c_terms[0] / d_rate
 
         # the last mode's statistics already hold every other mode's update
-        err = _error_from_statistics(sum_y2, s, proj, means[-1], moments[-1])
-        b_rate = hp.b0 + 0.5 * err
+        elbo, b_rate = _elbo(hp, n, (sum_y2, s, proj, means[-1], moments[-1]), group_covs,
+                             counts, c_terms, d_rate, a_terms)
         e_tau = a_shape / b_rate
-        elbo = _elbo(hp, n, err, group_covs, counts, c_terms, d_rate, a_terms, b_rate)
 
         pruned = False
         keep = e_lam <= PRUNE_RATIO * e_lam.min()
@@ -231,12 +227,10 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
             cut_group_covs = [v[:, keep][:, :, keep] for v in group_covs]
             cut_covs = [v[:, keep][:, :, keep] for v in covs]
             cut_moments = _second_moments(cut_means, cut_covs)
-            cut_err = _error_from_statistics(sum_y2, s[:, keep][:, :, keep], proj[:, keep],
-                                             cut_means[-1], cut_moments[-1])
-            cut_b = hp.b0 + 0.5 * cut_err
             cut_c_terms = tuple(term[keep] for term in c_terms)
-            cut_elbo = _elbo(hp, n, cut_err, cut_group_covs, counts, cut_c_terms, d_rate[keep],
-                             a_terms, cut_b)
+            cut_elbo, cut_b = _elbo(hp, n, (sum_y2, s[:, keep][:, :, keep], proj[:, keep],
+                                            cut_means[-1], cut_moments[-1]), cut_group_covs,
+                                    counts, cut_c_terms, d_rate[keep], a_terms)
             if cut_elbo >= elbo:
                 pruned = True
                 rank = int(keep.sum())
@@ -245,14 +239,10 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
                 b_rate, e_tau, elbo = cut_b, a_shape / cut_b, cut_elbo
 
         elbo_trace.append(elbo)
-        if not pruned and prev is not None and abs(elbo - prev) < hp.elbo_tol * max(
-                1.0, abs(prev)):
-            converged = True
+        if not pruned and elbo_trace.settled(hp.elbo_tol):  # a pruning sweep never stops the fit
             break
-        prev = elbo
 
-    return LrtcPosterior(means, covs, (c_terms[0], d_rate), (a_shape, b_rate), elbo_trace,
-                         converged)
+    return LrtcPosterior(means, covs, (c_terms[0], d_rate), (a_shape, b_rate), elbo_trace)
 
 
 @dataclass

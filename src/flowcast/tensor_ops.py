@@ -135,6 +135,22 @@ def _tree_mttkrps(t, factors, split):
                                   kr.reshape(a, -1, rank))
 
 
+def _error_from_statistics(sum_y2, s, proj, mean, moment):
+    """Gram-identity squared error (Kolda & Bader 2009) from one mode's statistics, at least 0."""
+    return max(float(sum_y2 - 2.0 * np.sum(proj * mean) + np.sum(s * moment)), 0.0)
+
+
+class _SweepTrace(list):
+    """A fit's value after each sweep.  ``settled``, the stop rule both CP fits share, says and
+    keeps in ``converged`` whether the last two differ by under ``tol * max(1, |previous|)``."""
+
+    converged = False
+
+    def settled(self, tol):
+        self.converged = len(self) > 1 and abs(self[-1] - self[-2]) < tol * max(1.0, abs(self[-2]))
+        return self.converged
+
+
 def cp_reconstruct(model) -> np.ndarray:
     """Dense tensor of a CP model: entry i = sum_r weights[r] * prod_k factors[k][i_k, r]."""
     weights = np.asarray(model.weights, dtype=np.float64)

@@ -338,6 +338,18 @@ class TestComplete:
             assert int(archive["effective_rank"]) == expected.effective_rank
             assert np.array_equal(archive["mask"], future)
 
+    def test_prints_and_saves_whether_the_fit_converged(self, tmp_path, base_archive, capsys):
+        for extra, converged in ((("--max-iters", 1), False), (("--elbo-tol", 0.5), True)):
+            out = tmp_path / "done.npz"
+            assert run_cli("complete", "--tensor", base_archive, "--suffix-start", 6,
+                           "--max-rank", 3, *extra, "--out", out) == 0
+            printed = capsys.readouterr().out
+            with np.load(out) as archive:
+                assert bool(archive["converged"]) is converged
+                rank = int(archive["effective_rank"])
+            ending = "converged" if converged else "stopped at max_iters without converging"
+            assert printed.splitlines()[0].endswith(f"effective rank {rank}, {ending}")
+
     def test_default_suffix_is_third_of_day(self, tmp_path, base_archive, capsys):
         out = tmp_path / "done.npz"
         assert run_cli("complete", "--tensor", base_archive, "--max-rank", 3,

@@ -117,6 +117,51 @@ def test_factors_match_a_plain_als_loop():
         np.testing.assert_allclose(got, want[:, order], rtol=0, atol=1e-12)
 
 
+def stop_inputs():
+    rng = np.random.default_rng(26)
+    exact = cp_reconstruct(random_model(rng, (7, 6, 5), 2))
+    noisy = exact + 0.05 * rng.normal(size=exact.shape)
+    mask = rng.random(exact.shape) > 0.3
+    return [(exact, None, 2), (noisy, None, 2), (noisy, mask, 3)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["exact", "noisy", "masked"])
+def test_stop_rule_picks_the_sweep_the_old_absolute_test_picked(case):
+    # the error is at most 1 after every sweep, so max(1, |previous|) is 1 and the
+    # shared rule fires where the old ``abs(prev - err) < tol`` did
+    t, mask, rank = stop_inputs()[case]
+    budget = 400
+    _, full = cp_fit(t, AlsConfig(rank=rank, max_iters=budget, tol=1e-300, seed=4), mask)
+    assert max(full) <= 1.0
+    for tol in (1e-6, 1e-9, 1e-12):
+        fired = [i for i in range(1, len(full)) if abs(full[i - 1] - full[i]) < tol]
+        assert fired or len(full) == budget
+        _, history = cp_fit(t, AlsConfig(rank=rank, max_iters=budget, tol=tol, seed=4), mask)
+        assert len(history) == (fired[0] + 1 if fired else budget)
+        assert history == full[:len(history)]
+        assert history.converged == bool(fired)
+
+
+def test_history_keeps_the_list_contract():
+    # what a caller reads from a history: its length, its last error, its entries
+    t = np.random.default_rng(27).uniform(size=(5, 4, 3))
+    history = cp_fit(t, AlsConfig(rank=2, max_iters=7, tol=1e-300))[1]
+    assert len(history) == 7 and isinstance(history, list)
+    assert float(history[-1]) == history[6]
+    assert history == list(history) and not history.converged
+
+
+def test_history_says_whether_the_fit_converged():
+    rng = np.random.default_rng(10)
+    t = cp_reconstruct(random_model(rng, (8, 9, 7), 2))
+    _, history = cp_fit(t, AlsConfig(rank=2, seed=1))
+    assert history.converged and len(history) < 500
+    # a rank-6 fit of a synthetic week tensor still moves after its 500 sweeps
+    t, _ = generate_synthetic(SyntheticSpec(extents=(12, 49, 48), seed=0))
+    _, history = cp_fit(t, AlsConfig(rank=6))
+    assert len(history) == 500 and not history.converged
+
+
 def test_fit_never_forms_the_dense_reconstruction(monkeypatch):
     def refuse(model):
         raise AssertionError("cp_fit called cp_reconstruct")

@@ -17,7 +17,7 @@ from flowcast.experiments import (
 )
 from flowcast.cp import AlsConfig, CpModel, cp_fit
 from flowcast.io import export
-from flowcast.lrtc import LrtcHyperParams
+from flowcast.lrtc import LrtcHyperParams, short_term_predict
 from flowcast.pipeline import (ForecastPlan, _forecast, lean_update,
                                rolling_update_evaluation, two_step_forecast)
 from flowcast.synthetic import SyntheticSpec, generate_synthetic
@@ -365,6 +365,21 @@ class TestShortterm:
         joint = shortterm_report(*load_input(cfg), cfg, use_clustering=False)
         assert clustered.summary["n_clusters"] == 1
         assert clustered.summary["mean_res_lrtc"] == joint.summary["mean_res_lrtc"]
+
+    def test_summary_lists_each_clusters_rank_and_convergence(self, monkeypatch):
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(short_term_predict(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr("flowcast.experiments.short_term_predict", spy)
+        cfg = weekly_cfg(2, n_clusters=2, synth=SyntheticSpec(separation=50.0),
+                         lrtc=LrtcHyperParams(max_rank=4, max_iters=30, elbo_tol=1e-4))
+        summary = shortterm_report(*load_input(cfg), cfg, use_clustering=True).summary
+        assert summary["effective_ranks"] == [r.effective_rank for r in results]
+        # one cluster meets the tolerance inside the budget and the other does not
+        assert summary["converged"] == [r.converged for r in results] == [True, False]
 
     def test_improvement_column_carries_sign(self):
         cfg = weekly_cfg(0)

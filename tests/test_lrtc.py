@@ -6,6 +6,7 @@ non-decreasing, which is the coordinate-ascent contract.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,6 +103,52 @@ def test_fit_says_whether_the_stop_rule_fired():
     post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=2, max_iters=300, elbo_tol=1e-2))
     assert post.converged and len(post.elbo) < 300
     assert lrtc_predict(post, mask, y).converged
+
+
+def old_elbo_stop(elbo, pruned, tol):
+    """The sweep the ELBO stop test lrtc_fit once carried inline would end on: never a
+    pruning sweep, each sweep compared with the one before it, pruned or not."""
+    prev = None
+    for i, e in enumerate(elbo):
+        if i not in pruned and prev is not None and abs(e - prev) < tol * max(1.0, abs(prev)):
+            return i
+        prev = e
+    return None
+
+
+def test_stop_rule_picks_the_sweep_the_old_elbo_test_picked():
+    y, _, mask = rank2_scenario(seed=0, noise=0.05, extent=12)
+    budget = 40
+    hp = LrtcHyperParams(max_rank=6, max_iters=budget, elbo_tol=1e-300, seed=0)
+    full = lrtc_fit(y, mask, hp).elbo
+    # the rank after each sweep, from fits cut there; a drop marks a pruning sweep
+    ranks = [hp.max_rank] + [lrtc_fit(y, mask, replace(hp, max_iters=k)).rank
+                             for k in range(1, len(full) + 1)]
+    pruned = {i for i in range(len(full)) if ranks[i + 1] < ranks[i]}
+    assert pruned
+    # at 5e-2 the first sweep within tolerance is a pruning one, which must not stop the fit
+    within = [i for i in range(1, len(full))
+              if abs(full[i] - full[i - 1]) < 5e-2 * max(1.0, abs(full[i - 1]))]
+    assert within[0] in pruned
+    for tol in (5e-2, 1e-2, 1e-4, 1e-6):
+        stop = old_elbo_stop(full, pruned, tol)
+        assert stop is not None or len(full) == budget
+        post = lrtc_fit(y, mask, replace(hp, elbo_tol=tol))
+        assert len(post.elbo) == (budget if stop is None else stop + 1)
+        assert post.elbo == full[:len(post.elbo)]
+        assert post.converged == (stop is not None)
+
+
+def test_elbo_keeps_the_list_contract():
+    y, _, mask = rank2_scenario(seed=1, extent=6)
+    post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=2, max_iters=3, elbo_tol=1e-300))
+    assert len(post.elbo) == 3 and isinstance(post.elbo, list)
+    assert float(post.elbo[-1]) == post.elbo[2]
+    assert post.elbo == list(post.elbo) and not post.converged
+    # a posterior built by hand has an empty record, which never converged
+    hand = LrtcPosterior([np.zeros((2, 1))] * 3, [np.zeros((2, 1, 1))] * 3,
+                         (np.ones(1), np.ones(1)), (1.0, 1.0))
+    assert hand.elbo == [] and not hand.converged
 
 
 def test_posterior_covariances_symmetric_psd():

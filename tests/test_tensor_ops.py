@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from flowcast.tensor_ops import (
+    _error_from_statistics,
+    _SweepTrace,
     cp_reconstruct,
     fold,
     khatri_rao,
@@ -215,3 +217,52 @@ def test_relative_residual_masked():
     mask = np.array([[True, False], [True, False]])
     got = relative_residual(est, truth, mask)
     assert got == pytest.approx(2.0 / np.sqrt(5.0))
+
+
+# --- the stop rule and the error both CP fits share -------------------------
+
+
+def test_one_value_never_settles():
+    trace = _SweepTrace([0.5])
+    assert not trace.settled(1e9) and not trace.converged
+
+
+@pytest.mark.parametrize("prev", [0.5, -1.0, 0.0])
+def test_tolerance_is_absolute_up_to_a_previous_value_of_one(prev):
+    assert _SweepTrace([prev, prev + 0.9e-3]).settled(1e-3)
+    assert not _SweepTrace([prev, prev + 1.1e-3]).settled(1e-3)
+
+
+@pytest.mark.parametrize("prev", [-1000.0, 1000.0])
+def test_tolerance_scales_with_a_previous_value_above_one(prev):
+    # tol * |prev| = 1: a change of 0.5 settles, one of 1.5 does not
+    assert _SweepTrace([prev, prev - 0.5]).settled(1e-3)
+    assert not _SweepTrace([prev, prev + 1.5]).settled(1e-3)
+    # the bound is strict and scales with the previous value, not the last one
+    assert not _SweepTrace([prev, prev + 1.0]).settled(1e-3)
+
+
+@pytest.mark.parametrize("value", [0.0, 3.0, -250.0])
+def test_two_equal_values_settle(value):
+    trace = _SweepTrace([1.0, value, value])
+    assert trace.settled(1e-300) and trace.converged
+
+
+def test_only_the_last_two_values_count():
+    trace = _SweepTrace([1.0, 1.0, 0.5])
+    assert not trace.settled(1e-3) and not trace.converged
+
+
+def test_error_from_statistics_is_the_squared_residual():
+    rng = np.random.default_rng(5)
+    t = rng.normal(size=(4, 3, 5))
+    factors = [rng.normal(size=(n, 2)) for n in t.shape]
+    residual = t - cp_reconstruct(Model(np.ones(2), factors))
+    last = factors[-1]
+    gram = (factors[0].T @ factors[0]) * (factors[1].T @ factors[1])
+    mttkrp = unfold(t, 2) @ khatri_rao_all(factors, 2)
+    err = _error_from_statistics(np.sum(t**2), gram, mttkrp, last, last.T @ last)
+    assert err == pytest.approx(np.sum(residual**2), rel=1e-12)
+    # cancellation below zero is clipped
+    assert _error_from_statistics(1.0, np.zeros((2, 2)), np.ones((1, 2)), np.ones((1, 2)),
+                                  np.zeros((2, 2))) == 0.0
