@@ -2,8 +2,8 @@
 
 The location factor (weights folded in, so flow volume informs distance) is
 centered and reduced by PCA, then stations are grouped bottom-up under
-group-average (UPGMA) Euclidean linkage.  Merge ties break toward the pair
-containing the lowest station index, which makes traces deterministic.
+group-average (UPGMA) Euclidean linkage: merges and ties follow scipy's
+average linkage, so traces are deterministic.
 Completion downstream runs per cluster on the stations of each label.
 """
 
@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import pdist
 
 from .cp import CpModel
 
@@ -47,8 +48,9 @@ class StationEmbedding:
 class ClusterAssignment:
     """Flat labels plus the full merge history that produced them.
 
-    ``linkage_trace`` rows are (cluster_a, cluster_b, distance, merged_size)
-    with new clusters numbered L, L+1, ... in merge order.
+    ``linkage_trace`` rows are scipy's average-linkage rows as (cluster_a,
+    cluster_b, distance, merged_size), with new clusters numbered L, L+1, ...
+    in merge order.
     """
 
     labels: np.ndarray
@@ -96,28 +98,15 @@ def embed_stations(model: CpModel, variance_retained: float = 0.9,
 def _upgma_trace(coords):
     """Full group-average merge history over the embedding rows.
 
-    Lance-Williams updates on a dense distance matrix (Muellner 2011).  Each
-    cluster lives in the row of its smallest station, so the first minimum
-    in row-major order is the closest pair with the lowest station indices.
+    scipy's average linkage on condensed Euclidean distances (Muellner 2011),
+    so merges and ties follow scipy; non-finite coordinates raise ValueError.
     """
-    n = coords.shape[0]
-    dist = squareform(pdist(coords))
-    np.fill_diagonal(dist, np.inf)
-    ids = np.arange(n)
-    sizes = np.ones(n)
-    trace = []
-    for step in range(n - 1):
-        lo, hi = divmod(int(np.argmin(dist)), n)
-        d = float(dist[lo, hi])
-        na, nb = sizes[lo], sizes[hi]
-        merged = (na * dist[lo] + nb * dist[hi]) / (na + nb)
-        dist[lo], dist[:, lo] = merged, merged
-        dist[hi], dist[:, hi] = np.inf, np.inf
-        dist[lo, lo] = np.inf
-        a, b = sorted((int(ids[lo]), int(ids[hi])))
-        trace.append((a, b, d, int(na + nb)))
-        ids[lo], sizes[lo] = n + step, na + nb
-    return trace
+    if coords.shape[0] < 2:
+        return []
+    # condensed distances: linkage would take square, symmetric,
+    # zero-diagonal coordinates for a distance matrix
+    return [(int(a), int(b), float(d), int(size))
+            for a, b, d, size in linkage(pdist(coords), "average")]
 
 
 def _labels_from_trace(n, trace, k):

@@ -280,15 +280,12 @@ def lrtc_predict(post: LrtcPosterior, mask, y) -> CompletionResult:
     return CompletionResult(imputed, variance, post.rank, post.converged)
 
 
-def short_term_predict(t, future_mask, hp: LrtcHyperParams,
-                       history_days: int = None) -> CompletionResult:
+def short_term_predict(t, future_mask, hp: LrtcHyperParams) -> CompletionResult:
     """Complete the cells flagged by ``future_mask`` from the rest of ``t``.
 
     ``future_mask`` marks the cells to predict (missing).  Every day slice
     must keep at least one observed cell: completion works along the closed
-    location and intra-day axes, never by extending the day axis.  An
-    optional ``history_days`` window restricts the fit to the trailing days;
-    cells outside the window pass through unchanged.
+    location and intra-day axes, never by extending the day axis.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
@@ -299,23 +296,4 @@ def short_term_predict(t, future_mask, hp: LrtcHyperParams,
         raise ValueError("a day slice is entirely missing; the day axis cannot be extended")
     if not future_mask.any():  # nothing to fit, so nothing left unconverged
         return CompletionResult(t.copy(), np.zeros_like(t), 0, True)
-
-    n_days = t.shape[1]
-    start = 0
-    if history_days is not None:
-        if history_days < 1:
-            raise ValueError("history_days must be >= 1")
-        start = max(0, n_days - history_days)
-        if future_mask[:, :start, :].any():
-            raise ValueError("cells to predict fall outside the history window")
-
-    window = t[:, start:, :]
-    window_missing = future_mask[:, start:, :]
-    post = lrtc_fit(window, ~window_missing, hp)
-    completed = lrtc_predict(post, ~window_missing, window)
-
-    imputed = t.copy()
-    imputed[:, start:, :] = completed.imputed
-    variance = np.zeros_like(t)
-    variance[:, start:, :] = completed.predictive_variance
-    return CompletionResult(imputed, variance, completed.effective_rank, completed.converged)
+    return lrtc_predict(lrtc_fit(t, ~future_mask, hp), ~future_mask, t)

@@ -1,8 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 import scipy.cluster.hierarchy as sch
+from scipy.spatial.distance import pdist
 
 from flowcast import clustering
 from flowcast.clustering import (
@@ -110,7 +112,7 @@ class TestEmbedding:
 def upgma_oracle(coords):
     """Group-average merges recomputed from raw point distances each step.
 
-    Independent of the Lance-Williams recursion in the library: the
+    Independent of the scipy linkage the library calls: the
     cluster-to-cluster distance is averaged over all cross pairs directly.
     """
     n = coords.shape[0]
@@ -143,6 +145,21 @@ def trace_member_sets(n, trace):
     return out
 
 
+def tie_heavy_embeddings():
+    """Inputs whose merge heights tie: integer lattices and repeated stations."""
+    cases = []
+    for dim in (1, 2, 3):
+        cases.append(np.array(list(itertools.product(range(3), repeat=dim)), float))
+        for seed in range(4):
+            rng = np.random.default_rng(300 + 10 * dim + seed)
+            cases.append(rng.integers(0, 3, size=(9, dim)).astype(float))
+    for seed in range(4):
+        rng = np.random.default_rng(400 + seed)
+        stations = np.repeat(rng.normal(size=(4, 2)), 3, axis=0)
+        cases.append(stations[rng.permutation(12)])
+    return cases
+
+
 class TestAgglomerate:
     def test_matches_independent_quadratic_oracle(self):
         for seed in range(8):
@@ -156,20 +173,52 @@ class TestAgglomerate:
                 assert gd == pytest.approx(wd, rel=1e-12)
 
     def test_matches_scipy_average_linkage(self):
+        def assert_scipy_rows(coords):
+            n = coords.shape[0]
+            e = StationEmbedding(list(range(n)), coords)
+            z = sch.linkage(pdist(coords), method="average")
+            trace = agglomerate(e, 1).linkage_trace
+            assert len(trace) == len(z)
+            for row, (a, b, d, size) in zip(z, trace):
+                assert (a, b) == (int(row[0]), int(row[1]))
+                assert size == int(row[3])
+                assert d == pytest.approx(row[2], rel=1e-12)
+            rows = [(int(a), int(b), float(d), int(size)) for a, b, d, size in z]
+            for k in range(1, n + 1):
+                want = clustering._labels_from_trace(n, rows, k)
+                assert np.array_equal(agglomerate(e, k).labels, want), k
+            return e, z
+
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
-            coords = rng.normal(size=(15, 3))
-            e = StationEmbedding(list(range(15)), coords)
-            assign = agglomerate(e, 4)
-            z = sch.linkage(coords, method="average")
-            for row, (a, b, d, size) in zip(z, assign.linkage_trace):
-                assert {int(row[0]), int(row[1])} == {a, b}
-                assert d == pytest.approx(row[2], rel=1e-10)
-                assert size == int(row[3])
-            ours = [frozenset(np.flatnonzero(assign.labels == c)) for c in range(4)]
+            e, z = assert_scipy_rows(rng.normal(size=(15, 3)))
+            labels = agglomerate(e, 4).labels
+            ours = [frozenset(np.flatnonzero(labels == c)) for c in range(4)]
             flat = sch.fcluster(z, t=4, criterion="maxclust")
             theirs = [frozenset(np.flatnonzero(flat == c)) for c in np.unique(flat)]
             assert set(ours) == set(theirs)
+        # fcluster's maxclust may return fewer than k clusters at tied heights,
+        # so tie-heavy inputs are cut from scipy's rows instead
+        for coords in tie_heavy_embeddings():
+            assert_scipy_rows(coords)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_are_rejected(self, bad):
+        coords = np.array([[0.0], [1.0], [2.0], [3.0]])
+        coords[3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            agglomerate(StationEmbedding(list(range(4)), coords), 2)
+        with pytest.raises(ValueError, match="finite"):
+            choose_cluster_count(StationEmbedding(list(range(4)), coords))
+
+    def test_square_symmetric_embedding_is_clustered_as_coordinates(self):
+        # a zero-diagonal symmetric matrix looks like a distance matrix to
+        # scipy's linkage; the rows here are still station coordinates
+        e = StationEmbedding([0, 1], np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = agglomerate(e, 1).linkage_trace
+        assert trace == [(0, 1, pytest.approx(np.sqrt(2.0), rel=1e-15), 2)]
 
     def test_tied_merges_prefer_the_lowest_station_index(self):
         e = StationEmbedding(list(range(4)), np.array([[0.0], [1.0], [10.0], [11.0]]))
@@ -191,6 +240,10 @@ class TestAgglomerate:
         assert np.array_equal(singletons.labels, np.arange(7))
         assert len(singletons.linkage_trace) == 6
         assert np.array_equal(agglomerate(e, 1).labels, np.zeros(7, dtype=int))
+
+        one = agglomerate(StationEmbedding([0], np.zeros((1, 2))), 1)
+        assert one.linkage_trace == []
+        assert np.array_equal(one.labels, [0])
 
     def test_planted_two_group_partition_is_recovered_exactly(self):
         e = embed_stations(two_group_model(seed=2))

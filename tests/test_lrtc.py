@@ -477,24 +477,6 @@ def test_short_term_reports_convergence():
     assert not short_term_predict(y, future, LrtcHyperParams(max_iters=1)).converged
 
 
-def test_short_term_history_window():
-    y, truth = intraday_scenario(seed=6, n_slots=24)
-    future = np.zeros_like(y, dtype=bool)
-    future[:, -1, 16:] = True
-    hp = LrtcHyperParams(max_rank=5, max_iters=60, elbo_tol=1e-7, seed=2)
-    windowed = short_term_predict(y, future, hp, history_days=7)
-    manual = short_term_predict(y[:, -7:, :], future[:, -7:, :], hp)
-    np.testing.assert_allclose(windowed.imputed[:, -7:, :], manual.imputed)
-    np.testing.assert_array_equal(windowed.imputed[:, :-7, :], y[:, :-7, :])
-
-    early = np.zeros_like(y, dtype=bool)
-    early[:, 0, 16:] = True
-    with pytest.raises(ValueError):
-        short_term_predict(y, early, hp, history_days=7)
-    with pytest.raises(ValueError):
-        short_term_predict(y, future, hp, history_days=0)
-
-
 def test_short_term_rejects_non_tensor_input():
     with pytest.raises(ValueError):
         short_term_predict(np.ones((3, 4)), np.zeros((3, 4), dtype=bool), LrtcHyperParams())
