@@ -108,12 +108,17 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     max(1, |previous|)``, the stop rule ``lrtc_fit`` shares, not at ``cfg.max_iters``.
 
     MTTKRPs come from the dimension tree of ``tensor_ops._tree_mttkrps`` on
-    one C-order view ``x`` of ``t``, with no unfolding copied.  The squared
-    error is the Gram identity (Kolda & Bader 2009) on the last solve,
+    one C-order view ``x`` of ``t``, with no unfolding copied: two
+    component-major tensor products per sweep, each mode finished inside its
+    half.  ALS iterates do not
+    change under column scaling (Kolda & Bader 2009), so the sweeps keep each
+    mode's raw solve and its raw Gram, and the weights come out once, after
+    the last sweep: the model has unit-norm columns and non-increasing
+    weights.  The squared error is the Gram identity on the last solve,
     ``||X||^2 - 2 sum(K * A) + sum((A.T @ A) * G)`` for its MTTKRP ``K``,
-    factor ``A`` and Gram Hadamard ``G``; it cancels to noise below about
+    raw factor ``A`` and Gram Hadamard ``G``; it cancels to noise below about
     sqrt(eps), so at ``GRAM_ERR_FLOOR * ||X||^2`` or below the sweep takes
-    the exact residual.
+    the exact residual of the raw factors.
 
     With an ``observed`` mask, only those cells are fitted (EM-style masked
     ALS, Tomasi & Bro 2005): the other cells start at the observed mean and
@@ -136,31 +141,27 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     rng = np.random.default_rng(cfg.seed)
     factors = [rng.uniform(-1.0, 1.0, size=(n, cfg.rank)) for n in t.shape]
     grams = [f.T @ f for f in factors]
-    weights = np.ones(cfg.rank)
 
     history = _SweepTrace()
     for _ in range(cfg.max_iters):
         for mode, mttkrp in _tree_mttkrps(x, factors, s):
             g = reduce(np.multiply, [gk for k, gk in enumerate(grams) if k != mode])
-            raw = _solve_mode(mttkrp, g)
-            # one R x R product: column norms, the unit columns' Gram, the error term
-            rtr = raw.T @ raw
-            weights = np.sqrt(np.diag(rtr))
-            safe = np.where(weights > 0, weights, 1.0)
-            factors[mode], grams[mode] = raw / safe, rtr / np.outer(safe, safe)
+            factors[mode] = _solve_mode(mttkrp, g)
+            grams[mode] = factors[mode].T @ factors[mode]
         if observed is None:
-            err2 = _error_from_statistics(norm_t**2, g, mttkrp, raw, rtr)
+            err2 = _error_from_statistics(norm_t**2, g, mttkrp, factors[-1], grams[-1])
         if observed is None and err2 > GRAM_ERR_FLOOR * norm_t**2:
             err = np.sqrt(err2)
         else:  # the model in the view's layout, from each half's Khatri-Rao matrix
-            recon = (_half_kr(factors, range(s)) * weights) @ _half_kr(factors, range(s, t.ndim)).T
+            recon = _half_kr(factors, range(s)) @ _half_kr(factors, range(s, t.ndim)).T
             err = np.linalg.norm(x - recon if observed is None else (x - recon)[seen])
             if observed is not None:
                 np.copyto(x, recon, where=~seen)
         history.append(0.0 if norm_t == 0 else float(err / norm_t))
         if history.settled(cfg.tol):
             break
-    return _sorted_model(weights, factors), history
+    units, norms = zip(*map(_normalize_columns, factors))
+    return _sorted_model(reduce(np.multiply, norms), list(units)), history
 
 
 def cp_solve_mode(t, model: CpModel, mode: int) -> np.ndarray:

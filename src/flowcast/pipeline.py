@@ -21,7 +21,7 @@ import numpy as np
 from .arma2d import (DAYS_PER_WEEK, arma2d_fit, arma2d_forecast, check_orders,
                      field_to_vector, reshape_to_field)
 from .cp import AlsConfig, CpModel, _normalize_columns, _solve_mode, cp_fit
-from .tensor_ops import as_tensor, cp_reconstruct, khatri_rao_all, residual_or_nan
+from .tensor_ops import as_tensor, cp_reconstruct, residual_or_nan
 
 PROVENANCE_TAGS = ("long_term", "updated")
 
@@ -120,7 +120,7 @@ def update_location_factor(day, temporal_row, u_p) -> np.ndarray:
     """
     day = np.asarray(day, dtype=np.float64)
     row = np.asarray(temporal_row, dtype=np.float64).reshape(1, -1)
-    return _solve_mode(day @ khatri_rao_all([None, row, u_p], 0), (row.T @ row) * (u_p.T @ u_p))
+    return _solve_mode(day @ (u_p * row), (row.T @ row) * (u_p.T @ u_p))
 
 
 def _as_day_slice(values, n_locations, n_slots, name):

@@ -118,21 +118,34 @@ def _half_kr(factors, half):
 
 def _tree_mttkrps(t, factors, split):
     """Yield ``(mode, MTTKRP)`` for every mode in order, from a dimension tree (Phan,
-    Tichavsky & Cichocki 2013) on the C-order view of ``t`` with modes ``[0, split)`` on
-    its rows; no unfolding is copied.  A factor is read only when a mode's MTTKRP is
-    formed, so updating ``factors[mode]`` before the next mode gives a Gauss-Seidel sweep."""
+    Tichavsky & Cichocki 2013) on the C-order view ``x`` of ``t`` with modes ``[0, split)``
+    on its rows; no unfolding is copied.  A factor is read only when a mode's MTTKRP is
+    formed, so updating ``factors[mode]`` before the next mode gives a Gauss-Seidel sweep.
+
+    The products are component-major: each half's product with the other half is
+    R x the half's rows (``KR.T @ x.T`` on the left, ``KR.T @ x`` on the right), and a
+    mode that leads or ends its half is finished by one matmul batched over the R
+    components; only a mode between two others of its half takes an ``einsum``.  Each
+    MTTKRP is yielded as the I_k x R transposed view of its R x I_k result."""
     x = t.reshape(math.prod(f.shape[0] for f in factors[:split]), -1)
     left, right = list(range(split)), list(range(split, len(factors)))
-    for half, other, rows in ((left, right, x), (right, left, x.T)):
-        p = rows @ _half_kr(factors, other)  # the half's product with the other half
+    for half, other, rows in ((left, right, x.T), (right, left, x)):
+        p = _half_kr(factors, other).T @ rows  # the half's product with the other half
+        rank = p.shape[0]
         for mode in half:
             if len(half) == 1:
-                yield mode, p
+                yield mode, p.T
                 continue
-            kr = khatri_rao_all([factors[k] for k in reversed(half) if k != mode])
-            a, rank = math.prod(factors[k].shape[0] for k in half if k < mode), p.shape[1]
-            yield mode, np.einsum("aibr,abr->ir", p.reshape(a, factors[mode].shape[0], -1, rank),
-                                  kr.reshape(a, -1, rank))
+            n = factors[mode].shape[0]
+            a = math.prod(factors[k].shape[0] for k in half if k < mode)
+            kr = khatri_rao_all([factors[k] for k in reversed(half) if k != mode]).T
+            if a == 1:  # the mode leads its half
+                out = p.reshape(rank, n, -1) @ kr[:, :, None]
+            elif a == kr.shape[1]:  # the mode ends its half
+                out = kr[:, None, :] @ p.reshape(rank, a, n)
+            else:
+                out = np.einsum("raib,rab->ri", p.reshape(rank, a, n, -1), kr.reshape(rank, a, -1))
+            yield mode, out.reshape(rank, n).T
 
 
 def _error_from_statistics(sum_y2, s, proj, mean, moment):

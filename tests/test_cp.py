@@ -193,6 +193,40 @@ def test_tree_mttkrp_matches_the_unfolding_product(shape, split):
     assert modes == list(range(len(shape)))
 
 
+@pytest.mark.parametrize("rank", [1, 64])
+@pytest.mark.parametrize("shape", [(7, 5), (12, 55, 48), (20, 4, 3), (2, 3, 4, 5),
+                                   (5, 2, 2, 2, 2), (9, 2, 2, 2, 2)])
+def test_tree_mttkrp_matches_on_strided_factors_at_any_rank(shape, rank):
+    # rank 64 is lrtc_fit's flattened R^2 at max_rank 8; the factors are transposed,
+    # non-contiguous views, and halves of three or more modes take the einsum finish
+    rng = np.random.default_rng(29)
+    t = rng.normal(size=shape)
+    factors = [rng.normal(size=(rank, 2 * n))[:, ::2].T for n in shape]
+    assert not any(f.flags.c_contiguous or f.flags.f_contiguous for f in factors)
+    modes = []
+    for mode, got in tensor_ops._tree_mttkrps(t, factors, tensor_ops._split(shape)):
+        want = unfold(t, mode) @ khatri_rao_all(factors, mode)
+        assert got.shape == (shape[mode], rank)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        modes.append(mode)
+    assert modes == list(range(len(shape)))
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_fit_of_a_scaled_tensor_scales_only_the_weights(scale):
+    # the sweeps keep the raw factors and normalise once at the end: scaling the
+    # tensor by c must neither overflow nor underflow, and scales the weights by c
+    t = np.random.default_rng(30).uniform(0.0, 1.0, size=(7, 6, 5))
+    cfg = AlsConfig(rank=3, max_iters=40, tol=1e-300, seed=5)
+    model, history = cp_fit(t, cfg)
+    scaled, scaled_history = cp_fit(scale * t, cfg)
+    assert all(np.all(np.isfinite(a)) for a in [scaled.weights, *scaled.factors, scaled_history])
+    np.testing.assert_allclose(scaled.weights, scale * model.weights, rtol=1e-10, atol=0)
+    for got, want in zip(scaled.factors, model.factors):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(scaled_history, history, rtol=1e-10, atol=0)
+
+
 def test_fit_copies_no_unfolding(monkeypatch):
     def refuse(*args):
         raise AssertionError("cp_fit unfolded the tensor")
