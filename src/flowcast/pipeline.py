@@ -7,8 +7,13 @@ slices from the extended factor.
 
 ``lean_update`` folds a partially observed new day back into the location
 factor without refitting the whole decomposition: the observed prefix is
-spliced with the long-term prediction's suffix, and the weighted location
-factor is re-solved against the fixed temporal row and intra-day factor.
+copied over the first slots of the long-term prediction's day, and the
+weighted location factor is re-solved against the fixed temporal row and
+intra-day factor.  With one temporal row the Khatri-Rao matrix of the solve
+is ``u_p * row`` and its Gram is that matrix's own ``kr.T @ kr``, the
+identity ``(u_p (.) row)^T (u_p (.) row) = (row^T row) * (u_p^T u_p)`` of
+Kolda & Bader (2009); the day is rebuilt by one matmul,
+``(weighted * row) @ u_p.T``.
 """
 
 from __future__ import annotations
@@ -115,12 +120,15 @@ def _forecast(model, tau, orders, days_per_week):
 def update_location_factor(day, temporal_row, u_p) -> np.ndarray:
     """Weighted location factor that best explains one day slice.
 
-    Solves ``day ~ W (u_p dot-scaled by the temporal row)^T`` in the least
-    squares sense; ``W`` carries the component weights.
+    Solves ``day ~ W kr^T`` in the least squares sense, where
+    ``kr = u_p * temporal_row`` is the Khatri-Rao matrix of the one temporal
+    row and the intra-day factor, and ``W`` carries the component weights.
+    ``kr`` is formed once; it gives both the MTTKRP ``day @ kr`` and the Gram
+    ``kr.T @ kr``, which equals ``(row.T @ row) * (u_p.T @ u_p)``.
     """
     day = np.asarray(day, dtype=np.float64)
-    row = np.asarray(temporal_row, dtype=np.float64).reshape(1, -1)
-    return _solve_mode(day @ (u_p * row), (row.T @ row) * (u_p.T @ u_p))
+    kr = u_p * np.asarray(temporal_row, dtype=np.float64).reshape(1, -1)
+    return _solve_mode(day @ kr, kr.T @ kr)
 
 
 def _as_day_slice(values, n_locations, n_slots, name):
@@ -135,15 +143,22 @@ def _as_day_slice(values, n_locations, n_slots, name):
 def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpModel) -> DayPrediction:
     """Re-solve the location factor for one day from a partial observation.
 
-    ``observed_slots`` must flag a non-empty prefix of the intra-day axis.
-    The observed prefix is spliced with the prediction's remaining slots,
-    the weighted location factor is recomputed against the prediction's
-    temporal row and the model's intra-day factor, and the day is
-    reconstructed.  Observed cells in the output carry the actual
-    observations.
+    ``observed_slots`` must flag a non-empty prefix of the intra-day axis, and
+    ``model`` must be 3-way with the rank of ``prediction.source_model``.
+    The first ``n_obs`` slots of a copy of the prediction's day are
+    overwritten with the observations, the weighted location factor is
+    recomputed from that spliced day against the prediction's temporal row
+    and the model's intra-day factor (:func:`update_location_factor`), and
+    the day is reconstructed as ``(weighted * row) @ u_p.T``, clamped at 0.
+    Observed cells in the output carry the actual observations.
     """
     if prediction.horizon_days != 1:
         raise ValueError("lean_update expects a single-day prediction")
+    if len(model.factors) != 3:
+        raise ValueError("expected a 3-way model (locations x days x slots)")
+    if model.rank != prediction.source_model.rank:
+        raise ValueError(f"model rank {model.rank} differs from the prediction's "
+                         f"source model rank {prediction.source_model.rank}")
     n_loc, _, n_slots = prediction.tensor.shape
     if model.factors[0].shape[0] != n_loc or model.factors[2].shape[0] != n_slots:
         raise ValueError("model shape does not match the prediction")
@@ -151,18 +166,18 @@ def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpMo
     observed = np.asarray(observed_slots, dtype=bool).ravel()
     if observed.shape != (n_slots,):
         raise ValueError("observed_slots must cover the intra-day axis")
-    n_obs = int(observed.sum())
+    n_obs = np.count_nonzero(observed)
     if n_obs < 1 or not observed[:n_obs].all():
         raise ValueError("observed_slots must mark a non-empty prefix")
 
-    spliced = np.where(observed[None, :], day_new, prediction.tensor[:, 0, :])
+    spliced = prediction.tensor[:, 0, :].copy()
+    spliced[:, :n_obs] = day_new[:, :n_obs]
     row = prediction.source_model.factors[1][0]
     u_p = model.factors[2]
     weighted = update_location_factor(spliced, row, u_p)
 
-    recon = np.einsum("lr,r,pr->lp", weighted, row, u_p)
-    out = np.maximum(recon, 0.0)
-    out[:, observed] = day_new[:, observed]
+    out = np.maximum((weighted * row) @ u_p.T, 0.0)
+    out[:, :n_obs] = day_new[:, :n_obs]
 
     location, norms = _normalize_columns(weighted)
     source = CpModel(norms, [location, row[None, :], u_p])

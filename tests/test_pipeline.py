@@ -212,6 +212,55 @@ def test_update_rejects_bad_masks_and_shapes():
         lean_update(wide, truth_day, np.ones(24, dtype=bool), model)
 
 
+def test_update_rejects_a_mismatched_model_before_solving(monkeypatch):
+    prediction, model, truth_day = update_scenario(seed=3)
+    observed = np.arange(24) < 5
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mismatched model reached the solve")
+
+    monkeypatch.setattr("flowcast.pipeline._solve_mode", refuse)
+    two_way = CpModel(model.weights, model.factors[:2])
+    with pytest.raises(ValueError, match="3-way"):
+        lean_update(prediction, truth_day, observed, two_way)
+    rank_one = CpModel(model.weights[:1], [f[:, :1] for f in model.factors])
+    with pytest.raises(ValueError, match="rank 1 .* rank 3"):
+        lean_update(prediction, truth_day, observed, rank_one)
+
+
+def test_every_prefix_update_matches_an_independent_reference():
+    prediction, model, truth_day = update_scenario(seed=7)
+    n_slots = truth_day.shape[1]
+    row = prediction.source_model.factors[1][0]
+    kr = model.factors[2] * row
+    for n_obs in range(1, n_slots + 1):
+        observed = np.arange(n_slots) < n_obs
+        updated = lean_update(prediction, truth_day, observed, model)
+        out = updated.tensor[:, 0, :]
+        np.testing.assert_array_equal(out[:, :n_obs], truth_day[:, :n_obs])
+
+        spliced = np.where(observed[None, :], truth_day, prediction.tensor[:, 0, :])
+        want = np.linalg.lstsq(kr, spliced.T, rcond=None)[0].T
+        got = updated.source_model.factors[0] * updated.source_model.weights
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+        recon = np.maximum(cp_reconstruct(updated.source_model)[:, 0, :], 0.0)
+        np.testing.assert_allclose(out[:, n_obs:], recon[:, n_obs:], rtol=0, atol=1e-12)
+
+
+def test_update_location_factor_is_min_norm_on_a_singular_gram():
+    # a zero in the temporal row zeroes one Khatri-Rao column, so the Gram is
+    # singular and the solve must fall back to the minimum-norm solution
+    rng = np.random.default_rng(30)
+    row, u_p = np.array([0.7, 0.0, 1.3]), rng.normal(size=(48, 3))
+    day = rng.normal(size=(9, 48))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = update_location_factor(day, row, u_p)
+    want = np.linalg.lstsq(u_p * row, day.T, rcond=None)[0].T
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def test_update_location_factor_recovers_weighted_factor():
     rng = np.random.default_rng(5)
     u_p = rng.normal(size=(15, 4))
