@@ -68,10 +68,6 @@ _SCHEMA = {
     "synth.n_clusters": (int, "planted cluster count"),
     "synth.separation": (float, "cross-cluster damping factor"),
     "synth.noise_var": (float, "additive noise variance"),
-    "lrtc.a0": (float, "precision prior shape"),
-    "lrtc.b0": (float, "precision prior rate"),
-    "lrtc.c0": (float, "weight prior shape"),
-    "lrtc.d0": (float, "weight prior rate"),
     "lrtc.max_rank": (int, "initial completion rank budget", "--max-rank"),
     "lrtc.max_iters": (int, "completion iteration cap", "--max-iters"),
     "lrtc.elbo_tol": (float, "completion convergence tolerance", "--elbo-tol"),

@@ -15,11 +15,12 @@ sweep inverts one precision per pattern and gathers it back to the rows, and
 the bound's entropy takes one log-determinant per pattern.  A suffix mask
 such as today's missing slots has one or two patterns per mode.
 
-Components whose posterior-mean precision exceeds ``PRUNE_RATIO`` times the
-smallest are candidates for removal as the sweeps proceed; a candidate set
-is dropped only when doing so does not lower the bound, which keeps the
-ELBO trace monotone and turns ``max_rank`` into an upper bound (automatic
-rank determination).
+Every Gamma prior is the fixed broad Gamma(``PRIOR``, ``PRIOR``) of Zhao, Zhang
+& Cichocki (2015), and pruning always runs: components whose posterior-mean
+precision exceeds ``PRUNE_RATIO`` times the smallest are candidates for
+removal as the sweeps proceed; a candidate set is dropped only when doing so
+does not lower the bound, which keeps the ELBO trace monotone and turns
+``max_rank`` into an upper bound (automatic rank determination).
 """
 
 from __future__ import annotations
@@ -32,26 +33,22 @@ from scipy.special import digamma, gammaln
 
 from .tensor_ops import _error_from_statistics, _split, _SweepTrace, _tree_mttkrps, as_mask
 
+PRIOR = 1e-6  # shape and rate of every Gamma prior, on lambda and on tau
 PRUNE_RATIO = 100.0
 
 
 @dataclass
 class LrtcHyperParams:
-    """Gamma hyperparameters, rank cap, sweep budget, and the ELBO stop tolerance: the fit
-    stops once two sweeps' bounds differ by under ``elbo_tol * max(1, |previous|)``."""
+    """Rank cap, sweep budget, and the ELBO stop tolerance: the fit stops once two sweeps'
+    bounds differ by under ``elbo_tol * max(1, |previous|)``.  The Gamma priors are the
+    fixed broad Gamma(``PRIOR``, ``PRIOR``), and pruning always runs."""
 
-    a0: float = 1e-6
-    b0: float = 1e-6
-    c0: float = 1e-6
-    d0: float = 1e-6
     max_rank: int = 10
     max_iters: int = 100
     elbo_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.a0, self.b0, self.c0, self.d0) <= 0:
-            raise ValueError("Gamma hyperparameters must be > 0")
         if self.max_rank < 1:
             raise ValueError("max_rank must be >= 1")
         if self.max_iters < 1:
@@ -133,12 +130,12 @@ def _statistics(seen, filled, split, means, moments):
         flat[k] = moments[k].reshape(flat[k].shape)
 
 
-def _elbo(hp, n, stats, group_covs, counts, c_terms, d_rate, a_terms):
+def _elbo(n, stats, group_covs, counts, c_terms, d_rate, a_terms):
     """The bound and tau's rate, from the last mode's ``stats`` for ``_error_from_statistics``;
     ``group_covs`` holds one covariance per row group of every mode and ``counts`` the
     rows in each, so the entropy takes one log-determinant per group."""
     err = _error_from_statistics(*stats)
-    b_rate = hp.b0 + 0.5 * err
+    b_rate = PRIOR + 0.5 * err
     rank = d_rate.size
     c_shape, digamma_c, gammaln_c = c_terms
     a_shape, digamma_a, gammaln_a = a_terms
@@ -149,13 +146,13 @@ def _elbo(hp, n, stats, group_covs, counts, c_terms, d_rate, a_terms):
     n_rows = counts.sum()
 
     like = 0.5 * n * (eln_tau - np.log(2 * np.pi)) - 0.5 * e_tau * err
-    # factor prior; sum_k sum_i E[u^2] per component is 2 (d_rate - d0)
+    # factor prior; sum_k sum_i E[u^2] per component is 2 (d_rate - PRIOR)
     prior_u = (0.5 * n_rows * (eln_lam.sum() - rank * np.log(2 * np.pi))
-               - np.sum(e_lam * (d_rate - hp.d0)))
-    prior_lam = np.sum(hp.c0 * np.log(hp.d0) - gammaln(hp.c0)
-                       + (hp.c0 - 1.0) * eln_lam - hp.d0 * e_lam)
-    prior_tau = (hp.a0 * np.log(hp.b0) - gammaln(hp.a0)
-                 + (hp.a0 - 1.0) * eln_tau - hp.b0 * e_tau)
+               - np.sum(e_lam * (d_rate - PRIOR)))
+    prior_lam = np.sum(PRIOR * np.log(PRIOR) - gammaln(PRIOR)
+                       + (PRIOR - 1.0) * eln_lam - PRIOR * e_lam)
+    prior_tau = (PRIOR * np.log(PRIOR) - gammaln(PRIOR)
+                 + (PRIOR - 1.0) * eln_tau - PRIOR * e_tau)
     logdets = np.linalg.slogdet(np.concatenate(group_covs))[1]
     ent_u = 0.5 * (n_rows * rank * (1.0 + np.log(2 * np.pi)) + counts @ logdets)
     ent_lam = np.sum(c_shape - np.log(d_rate) + gammaln_c + (1.0 - c_shape) * digamma_c)
@@ -163,13 +160,16 @@ def _elbo(hp, n, stats, group_covs, counts, c_terms, d_rate, a_terms):
     return float(like + prior_u + prior_lam + prior_tau + ent_u + ent_lam + ent_tau), b_rate
 
 
-def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
+def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
     """Variational posterior for the completion model on the observed cells.
 
-    ``mask`` flags observed cells.  ``prune=False`` disables automatic rank
-    determination (useful for threshold sanity checks).
+    ``y`` has at least 2 modes and ``mask`` flags its observed cells.  The sweeps carry
+    one state, the factor means, one covariance per mask-pattern group and the second
+    moments; everything else is derived from it or constant.
     """
     y = np.asarray(y, dtype=np.float64)
+    if y.ndim < 2:
+        raise ValueError(f"tensor must have at least 2 modes, got {y.ndim}")
     mask = as_mask(mask, y.shape)
     if not np.all(np.isfinite(y[mask])):
         raise ValueError("observed values must be finite")
@@ -189,17 +189,14 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
     means = [rng.normal(0.0, scale, size=(i, rank)) for i in extents]
     groups = _row_groups(mask)
     counts = np.concatenate([c for _, _, c in groups])
-    group_covs = [np.tile(scale**2 * np.eye(rank), (first.size, 1, 1)) for first, _, _ in groups]
-    covs = [v[index] for v, (_, index, _) in zip(group_covs, groups)]
-    moments = _second_moments(means, covs)
+    group_covs = [None] * y.ndim  # each sweep sets one covariance per mask-pattern group
+    moments = [m[:, :, None] * m[:, None, :] + scale**2 * np.eye(rank) for m in means]
     e_lam = np.ones(rank)
     var = float(y_obs.var())
     e_tau = 1.0 / var if var > 0 else 1.0
-    c_terms = _gamma_terms(np.full(rank, hp.c0) + 0.5 * sum(extents))
-    d_rate = np.full(rank, hp.d0)
-    a_terms = _gamma_terms(hp.a0 + 0.5 * n)
-    a_shape = a_terms[0]
-    b_rate = hp.b0
+    # every lambda_r has the same Gamma shape, and tau's shape is fixed by the cell count
+    c_terms = _gamma_terms(PRIOR + 0.5 * sum(extents))
+    a_terms = _gamma_terms(PRIOR + 0.5 * n)
 
     elbo_trace = _SweepTrace()
     for _ in range(hp.max_iters):
@@ -207,42 +204,41 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams, prune: bool = True) -> LrtcPosterior:
             first, index, _ = groups[k]
             v = np.linalg.inv(np.diag(e_lam)[None, :, :] + e_tau * s[first])
             group_covs[k] = 0.5 * (v + v.swapaxes(1, 2))
-            covs[k] = group_covs[k][index]
-            means[k] = e_tau * np.einsum("irs,is->ir", covs[k], proj)
-            moments[k] = means[k][:, :, None] * means[k][:, None, :] + covs[k]
+            cov = group_covs[k][index]
+            means[k] = e_tau * np.einsum("irs,is->ir", cov, proj)
+            moments[k] = means[k][:, :, None] * means[k][:, None, :] + cov
 
-        d_rate = hp.d0 + 0.5 * sum((m**2 + np.diagonal(v, axis1=1, axis2=2)).sum(axis=0)
-                                   for m, v in zip(means, covs))
+        # diag(m m^T + V) = m^2 + diag V, summed over every row of every mode
+        d_rate = PRIOR + 0.5 * sum(np.diagonal(v, axis1=1, axis2=2).sum(axis=0) for v in moments)
         e_lam = c_terms[0] / d_rate
 
         # the last mode's statistics already hold every other mode's update
-        elbo, b_rate = _elbo(hp, n, (sum_y2, s, proj, means[-1], moments[-1]), group_covs,
+        elbo, b_rate = _elbo(n, (sum_y2, s, proj, means[-1], moments[-1]), group_covs,
                              counts, c_terms, d_rate, a_terms)
-        e_tau = a_shape / b_rate
 
         pruned = False
         keep = e_lam <= PRUNE_RATIO * e_lam.min()
-        if prune and rank > 1 and not keep.all():
-            cut_means = [m[:, keep] for m in means]
-            cut_group_covs = [v[:, keep][:, :, keep] for v in group_covs]
-            cut_covs = [v[:, keep][:, :, keep] for v in covs]
-            cut_moments = _second_moments(cut_means, cut_covs)
-            cut_c_terms = tuple(term[keep] for term in c_terms)
-            cut_elbo, cut_b = _elbo(hp, n, (sum_y2, s[:, keep][:, :, keep], proj[:, keep],
-                                            cut_means[-1], cut_moments[-1]), cut_group_covs,
-                                    counts, cut_c_terms, d_rate[keep], a_terms)
+        if not keep.all():
+            # the last axis sliced first lays each moment out as m m^T + V on the cut means
+            # would, so the next sweep's sums run in the same order
+            cut = ([m[:, keep] for m in means], [v[:, :, keep][:, keep] for v in group_covs],
+                   [v[:, :, keep][:, keep] for v in moments])
+            cut_elbo, cut_b = _elbo(n, (sum_y2, s[:, keep][:, :, keep], proj[:, keep],
+                                        cut[0][-1], cut[2][-1]), cut[1],
+                                    counts, c_terms, d_rate[keep], a_terms)
             if cut_elbo >= elbo:
                 pruned = True
-                rank = int(keep.sum())
-                means, group_covs, covs, moments = cut_means, cut_group_covs, cut_covs, cut_moments
-                e_lam, c_terms, d_rate = e_lam[keep], cut_c_terms, d_rate[keep]
-                b_rate, e_tau, elbo = cut_b, a_shape / cut_b, cut_elbo
+                (means, group_covs, moments), e_lam, d_rate, b_rate, elbo = (
+                    cut, e_lam[keep], d_rate[keep], cut_b, cut_elbo)
+        e_tau = a_terms[0] / b_rate
 
         elbo_trace.append(elbo)
         if not pruned and elbo_trace.settled(hp.elbo_tol):  # a pruning sweep never stops the fit
             break
 
-    return LrtcPosterior(means, covs, (c_terms[0], d_rate), (a_shape, b_rate), elbo_trace)
+    covs = [v[index] for v, (_, index, _) in zip(group_covs, groups)]
+    return LrtcPosterior(means, covs, (np.full(d_rate.size, c_terms[0]), d_rate),
+                         (a_terms[0], b_rate), elbo_trace)
 
 
 @dataclass

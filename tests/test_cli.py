@@ -100,6 +100,14 @@ class TestConfigFile:
     def test_build_empty_matches_defaults(self):
         assert build_experiment_config({}) == ExperimentConfig()
 
+    def test_schema_keys_name_config_fields(self):
+        # a stale key would reach dataclasses.replace and raise TypeError, not a usage error
+        base = ExperimentConfig()
+        for key in cli._SCHEMA:
+            section, _, name = key.rpartition(".")
+            owner = getattr(base, section) if section else base
+            assert name in {f.name for f in dataclasses.fields(owner)}, key
+
     def test_build_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="'plan.order'"):
             build_experiment_config({"plan.order": "2"})

@@ -52,10 +52,6 @@ def fitted_posterior():
 
 def test_hyperparam_validation():
     with pytest.raises(ValueError):
-        LrtcHyperParams(a0=0.0)
-    with pytest.raises(ValueError):
-        LrtcHyperParams(d0=-1.0)
-    with pytest.raises(ValueError):
         LrtcHyperParams(max_rank=0)
     with pytest.raises(ValueError):
         LrtcHyperParams(max_iters=0)
@@ -158,15 +154,36 @@ def test_posterior_covariances_symmetric_psd():
         assert np.linalg.eigvalsh(v).min() >= -1e-10
 
 
-def test_pruning_does_not_cost_accuracy():
+def test_pruning_does_not_cost_accuracy(monkeypatch):
     y, truth, mask = rank2_scenario(seed=1, noise=0.01)
     hp = LrtcHyperParams(max_rank=8, max_iters=300, elbo_tol=1e-8, seed=1)
     pruned = lrtc_predict(lrtc_fit(y, mask, hp), mask, y)
-    kept = lrtc_predict(lrtc_fit(y, mask, hp, prune=False), mask, y)
+    monkeypatch.setattr(lrtc, "PRUNE_RATIO", np.inf)  # no component is ever weak enough
+    kept = lrtc_predict(lrtc_fit(y, mask, hp), mask, y)
     res_pruned = relative_residual(pruned.imputed[~mask], truth[~mask])
     res_kept = relative_residual(kept.imputed[~mask], truth[~mask])
     assert pruned.effective_rank <= kept.effective_rank
     assert res_pruned <= 1.1 * res_kept + 1e-12
+
+
+def test_pruned_posterior_agrees_with_itself():
+    # a fit cut at a pruning sweep returns the prune candidate as it was accepted, so a
+    # wrongly sliced candidate would leave the rates off the returned factors
+    y, _, mask = rank2_scenario(seed=0, noise=0.05)
+    hp = LrtcHyperParams(max_rank=6, seed=0)
+    sweeps = len(lrtc_fit(y, mask, hp).elbo)
+    posts = [lrtc_fit(y, mask, replace(hp, max_iters=k)) for k in range(1, sweeps + 1)]
+    assert posts[0].rank == 6 and posts[-1].rank == 2
+    for post in posts:
+        np.testing.assert_array_equal(post.lambda_post[0],
+                                      np.full(post.rank, lrtc.PRIOR + 0.5 * sum(y.shape)))
+        sum_sq = sum((m**2 + np.diagonal(v, axis1=1, axis2=2)).sum(axis=0)
+                     for m, v in zip(post.factor_means, post.factor_covs))
+        np.testing.assert_array_equal(post.lambda_post[1], lrtc.PRIOR + 0.5 * sum_sq)
+        moments = lrtc._second_moments(post.factor_means, post.factor_covs)
+        err = cellwise_statistics(y, mask, post.factor_means, moments, 0)[2]
+        assert post.tau_post[0] == lrtc.PRIOR + 0.5 * mask.sum()
+        assert post.tau_post[1] == pytest.approx(lrtc.PRIOR + 0.5 * err, rel=1e-10)
 
 
 def test_fit_is_seed_deterministic():
@@ -191,6 +208,11 @@ def test_fit_rejects_bad_input():
     mask = np.ones_like(y, dtype=bool)
     mask[0, 0, 0] = False
     lrtc_fit(y_bad, mask, LrtcHyperParams(max_rank=2, max_iters=5))
+
+
+def test_fit_rejects_a_one_way_tensor():
+    with pytest.raises(ValueError, match="at least 2 modes"):
+        lrtc_fit(np.ones(5), np.ones(5, dtype=bool), LrtcHyperParams())
 
 
 @pytest.mark.parametrize("level", [3.0, 250.0])
