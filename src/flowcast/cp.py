@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
-from scipy.linalg.lapack import dlange, dpocon, dpotrf, dpotrs
+from scipy.linalg.lapack import dlange, dpocon, dposv
 
 from .tensor_ops import (DegenerateSolveWarning, _error_from_statistics, _half_kr, _split,
                          _SweepTrace, _tree_mttkrps, as_mask, as_tensor, cp_reconstruct,
@@ -75,18 +75,18 @@ def _check_rank_feasible(shape, rank):
 def _solve_mode(mttkrp, g):
     """Weight-absorbed least-squares factor from its MTTKRP and Gram Hadamard ``g``.
 
-    Solves ``x @ g = mttkrp`` by a Cholesky factorization of ``g``.  Where that
+    Solves ``x @ g = mttkrp`` by one Cholesky factor-and-solve (``dposv``).  Where that
     factorization fails, or its reciprocal 1-norm condition estimate is at most
     ``100 * PINV_RCOND`` (which covers every ``g`` whose pseudo-inverse could
     truncate a singular value), the result is ``mttkrp @ pinv(g)`` instead, the
     minimum-norm solution.  Either way the result is C-contiguous.
     """
-    c, info = dpotrf(g)
+    c, x, info = dposv(g, mttkrp.T)
     if info == 0:
         rcond, info = dpocon(c, dlange("1", g))
     if info != 0 or rcond <= 100 * PINV_RCOND:
         return mttkrp @ np.linalg.pinv(g, rcond=PINV_RCOND)
-    return dpotrs(c, mttkrp.T)[0].T
+    return x.T
 
 
 def _normalize_columns(a):

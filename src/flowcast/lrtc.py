@@ -13,7 +13,10 @@ A row's posterior precision depends only on which of its cells are observed,
 so the rows of a mode that share a mask pattern share one covariance: each
 sweep inverts one precision per pattern and gathers it back to the rows, and
 the bound's entropy takes one log-determinant per pattern.  A suffix mask
-such as today's missing slots has one or two patterns per mode.
+such as today's missing slots has one or two patterns per mode.  The bound's
+terms that no sweep moves (the fixed Gamma shapes' digamma and gammaln, the
+priors' constants, the row count) are computed once per fit, and each sweep
+evaluates the rest on Python floats.
 
 Every Gamma prior is the fixed broad Gamma(``PRIOR``, ``PRIOR``) of Zhao, Zhang
 & Cichocki (2015), and pruning always runs: components whose posterior-mean
@@ -25,6 +28,7 @@ does not lower the bound, which keeps the ELBO trace monotone and turns
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -34,6 +38,9 @@ from scipy.special import digamma, gammaln
 from .tensor_ops import _error_from_statistics, _split, _SweepTrace, _tree_mttkrps, as_mask
 
 PRIOR = 1e-6  # shape and rate of every Gamma prior, on lambda and on tau
+LOG_2PI = math.log(2 * math.pi)
+# a Gamma(PRIOR, PRIOR) prior's E[ln p(x)] is this plus (PRIOR - 1) E[ln x] - PRIOR E[x]
+PRIOR_LOG_NORM = PRIOR * math.log(PRIOR) - math.lgamma(PRIOR)
 PRUNE_RATIO = 100.0
 
 
@@ -65,7 +72,8 @@ class LrtcPosterior:
     covariance per row), ``lambda_post`` is a (shapes, rates) pair of length-R
     arrays, ``tau_post`` a scalar (shape, rate) pair.  ``elbo`` lists the bound
     after every sweep in the record ``cp_fit`` returns as its history, and ``converged``,
-    read from it, is true only when the stop rule ended the fit, not the sweep budget.
+    read from it, is true only when the stop rule ended the fit, not the sweep budget.  A
+    fit with some mode's means all zero on observed cells that are not never converged.
     """
 
     factor_means: list
@@ -112,7 +120,7 @@ def _row_groups(mask):
 
 def _gamma_terms(shape):
     """A Gamma shape with its digamma and gammaln, which stay fixed while its rate moves."""
-    return shape, digamma(shape), gammaln(shape)
+    return shape, float(digamma(shape)), float(gammaln(shape))
 
 
 def _gathered_product(arrs, idx):
@@ -130,34 +138,31 @@ def _statistics(seen, filled, split, means, moments):
         flat[k] = moments[k].reshape(flat[k].shape)
 
 
-def _elbo(n, stats, group_covs, counts, c_terms, d_rate, a_terms):
+def _elbo(stats, group_covs, d_rate, e_lam, fixed):
     """The bound and tau's rate, from the last mode's ``stats`` for ``_error_from_statistics``;
-    ``group_covs`` holds one covariance per row group of every mode and ``counts`` the
-    rows in each, so the entropy takes one log-determinant per group."""
+    ``group_covs`` holds one covariance per row group of every mode, and ``fixed`` the
+    fit's cell count, rows per group, row count and lambda's and tau's ``_gamma_terms``,
+    so the entropy takes one log-determinant per group."""
+    n, counts, n_rows, (c_shape, digamma_c, gammaln_c), (a_shape, digamma_a, gammaln_a) = fixed
     err = _error_from_statistics(*stats)
     b_rate = PRIOR + 0.5 * err
     rank = d_rate.size
-    c_shape, digamma_c, gammaln_c = c_terms
-    a_shape, digamma_a, gammaln_a = a_terms
+    log_b = math.log(b_rate)
     e_tau = a_shape / b_rate
-    eln_tau = digamma_a - np.log(b_rate)
-    e_lam = c_shape / d_rate
-    eln_lam = digamma_c - np.log(d_rate)
-    n_rows = counts.sum()
+    eln_tau = digamma_a - log_b
+    sum_log_d = float(np.log(d_rate).sum())
+    sum_eln_lam = rank * digamma_c - sum_log_d
 
-    like = 0.5 * n * (eln_tau - np.log(2 * np.pi)) - 0.5 * e_tau * err
+    like = 0.5 * n * (eln_tau - LOG_2PI) - 0.5 * e_tau * err
     # factor prior; sum_k sum_i E[u^2] per component is 2 (d_rate - PRIOR)
-    prior_u = (0.5 * n_rows * (eln_lam.sum() - rank * np.log(2 * np.pi))
-               - np.sum(e_lam * (d_rate - PRIOR)))
-    prior_lam = np.sum(PRIOR * np.log(PRIOR) - gammaln(PRIOR)
-                       + (PRIOR - 1.0) * eln_lam - PRIOR * e_lam)
-    prior_tau = (PRIOR * np.log(PRIOR) - gammaln(PRIOR)
-                 + (PRIOR - 1.0) * eln_tau - PRIOR * e_tau)
+    prior_u = 0.5 * n_rows * (sum_eln_lam - rank * LOG_2PI) - float(e_lam @ (d_rate - PRIOR))
+    prior_lam = rank * PRIOR_LOG_NORM + (PRIOR - 1.0) * sum_eln_lam - PRIOR * float(e_lam.sum())
+    prior_tau = PRIOR_LOG_NORM + (PRIOR - 1.0) * eln_tau - PRIOR * e_tau
     logdets = np.linalg.slogdet(np.concatenate(group_covs))[1]
-    ent_u = 0.5 * (n_rows * rank * (1.0 + np.log(2 * np.pi)) + counts @ logdets)
-    ent_lam = np.sum(c_shape - np.log(d_rate) + gammaln_c + (1.0 - c_shape) * digamma_c)
-    ent_tau = a_shape - np.log(b_rate) + gammaln_a + (1.0 - a_shape) * digamma_a
-    return float(like + prior_u + prior_lam + prior_tau + ent_u + ent_lam + ent_tau), b_rate
+    ent_u = 0.5 * (n_rows * rank * (1.0 + LOG_2PI) + float(counts @ logdets))
+    ent_lam = rank * (c_shape + gammaln_c + (1.0 - c_shape) * digamma_c) - sum_log_d
+    ent_tau = a_shape - log_b + gammaln_a + (1.0 - a_shape) * digamma_a
+    return like + prior_u + prior_lam + prior_tau + ent_u + ent_lam + ent_tau, b_rate
 
 
 def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
@@ -190,31 +195,33 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
     groups = _row_groups(mask)
     counts = np.concatenate([c for _, _, c in groups])
     group_covs = [None] * y.ndim  # each sweep sets one covariance per mask-pattern group
-    moments = [m[:, :, None] * m[:, None, :] + scale**2 * np.eye(rank) for m in means]
+    eye = np.eye(rank)
+    moments = [np.einsum("ir,is->irs", m, m) + scale**2 * eye for m in means]
     e_lam = np.ones(rank)
     var = float(y_obs.var())
     e_tau = 1.0 / var if var > 0 else 1.0
     # every lambda_r has the same Gamma shape, and tau's shape is fixed by the cell count
     c_terms = _gamma_terms(PRIOR + 0.5 * sum(extents))
     a_terms = _gamma_terms(PRIOR + 0.5 * n)
+    fixed = (n, counts, int(counts.sum()), c_terms, a_terms)
 
     elbo_trace = _SweepTrace()
     for _ in range(hp.max_iters):
         for k, s, proj in _statistics(seen, filled, split, means, moments):
             first, index, _ = groups[k]
-            v = np.linalg.inv(np.diag(e_lam)[None, :, :] + e_tau * s[first])
+            v = np.linalg.inv(e_lam * eye + e_tau * s[first])
             group_covs[k] = 0.5 * (v + v.swapaxes(1, 2))
             cov = group_covs[k][index]
             means[k] = e_tau * np.einsum("irs,is->ir", cov, proj)
-            moments[k] = means[k][:, :, None] * means[k][:, None, :] + cov
+            moments[k] = np.einsum("ir,is->irs", means[k], means[k]) + cov
 
         # diag(m m^T + V) = m^2 + diag V, summed over every row of every mode
         d_rate = PRIOR + 0.5 * sum(np.diagonal(v, axis1=1, axis2=2).sum(axis=0) for v in moments)
         e_lam = c_terms[0] / d_rate
 
         # the last mode's statistics already hold every other mode's update
-        elbo, b_rate = _elbo(n, (sum_y2, s, proj, means[-1], moments[-1]), group_covs,
-                             counts, c_terms, d_rate, a_terms)
+        elbo, b_rate = _elbo((sum_y2, s, proj, means[-1], moments[-1]), group_covs, d_rate,
+                             e_lam, fixed)
 
         pruned = False
         keep = e_lam <= PRUNE_RATIO * e_lam.min()
@@ -223,18 +230,20 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
             # would, so the next sweep's sums run in the same order
             cut = ([m[:, keep] for m in means], [v[:, :, keep][:, keep] for v in group_covs],
                    [v[:, :, keep][:, keep] for v in moments])
-            cut_elbo, cut_b = _elbo(n, (sum_y2, s[:, keep][:, :, keep], proj[:, keep],
-                                        cut[0][-1], cut[2][-1]), cut[1],
-                                    counts, c_terms, d_rate[keep], a_terms)
+            cut_elbo, cut_b = _elbo((sum_y2, s[:, keep][:, :, keep], proj[:, keep], cut[0][-1],
+                                     cut[2][-1]), cut[1], d_rate[keep], e_lam[keep], fixed)
             if cut_elbo >= elbo:
                 pruned = True
                 (means, group_covs, moments), e_lam, d_rate, b_rate, elbo = (
                     cut, e_lam[keep], d_rate[keep], cut_b, cut_elbo)
+                eye = eye[keep][:, keep]
         e_tau = a_terms[0] / b_rate
 
         elbo_trace.append(elbo)
         if not pruned and elbo_trace.settled(hp.elbo_tol):  # a pruning sweep never stops the fit
             break
+    if sum_y2 > 0 and not all(m.any() for m in means):  # a zero fit of nonzero data is no fit
+        elbo_trace.converged = False
 
     covs = [v[index] for v, (_, index, _) in zip(group_covs, groups)]
     return LrtcPosterior(means, covs, (np.full(d_rate.size, c_terms[0]), d_rate),

@@ -12,6 +12,7 @@ All functions here are pure and never mutate their inputs.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,7 +86,7 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("khatri_rao expects two matrices")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
-    return (a[:, None, :] * b[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
+    return np.einsum("ir,jr->ijr", a, b).reshape(a.shape[0] * b.shape[0], a.shape[1])
 
 
 def khatri_rao_all(factors, skip: int | None = None) -> np.ndarray:
@@ -116,6 +117,21 @@ def _half_kr(factors, half):
     return khatri_rao_all([factors[k] for k in reversed(half)])
 
 
+@lru_cache(maxsize=64)
+def _tree_plan(shape, split):
+    """Per half of the tree at ``split``: the other half's modes, and per mode ``(mode, I_k,
+    a, b, rest)``, where ``a`` and ``b`` multiply the half's extents before and after the
+    mode and ``rest`` lists its other modes in decreasing order."""
+    left, right = tuple(range(split)), tuple(range(split, len(shape)))
+    plan = []
+    for half, other in ((left, right), (right, left)):
+        steps = tuple((mode, shape[mode], math.prod(shape[half[0]:mode]),
+                       math.prod(shape[mode + 1:half[-1] + 1]),
+                       tuple(k for k in reversed(half) if k != mode)) for mode in half)
+        plan.append((other, steps))
+    return tuple(plan)
+
+
 def _tree_mttkrps(t, factors, split):
     """Yield ``(mode, MTTKRP)`` for every mode in order, from a dimension tree (Phan,
     Tichavsky & Cichocki 2013) on the C-order view ``x`` of ``t`` with modes ``[0, split)``
@@ -126,22 +142,21 @@ def _tree_mttkrps(t, factors, split):
     R x the half's rows (``KR.T @ x.T`` on the left, ``KR.T @ x`` on the right), and a
     mode that leads or ends its half is finished by one matmul batched over the R
     components; only a mode between two others of its half takes an ``einsum``.  Each
-    MTTKRP is yielded as the I_k x R transposed view of its R x I_k result."""
-    x = t.reshape(math.prod(f.shape[0] for f in factors[:split]), -1)
-    left, right = list(range(split)), list(range(split, len(factors)))
-    for half, other, rows in ((left, right, x.T), (right, left, x)):
+    MTTKRP is yielded as the I_k x R transposed view of its R x I_k result.  The tree's
+    plan depends only on the extents and ``split``, so it is worked out once per pair."""
+    shape = tuple(f.shape[0] for f in factors)
+    x = t.reshape(math.prod(shape[:split]), -1)
+    for (other, steps), rows in zip(_tree_plan(shape, split), (x.T, x)):
         p = _half_kr(factors, other).T @ rows  # the half's product with the other half
         rank = p.shape[0]
-        for mode in half:
-            if len(half) == 1:
+        for mode, n, a, b, rest in steps:
+            if not rest:
                 yield mode, p.T
                 continue
-            n = factors[mode].shape[0]
-            a = math.prod(factors[k].shape[0] for k in half if k < mode)
-            kr = khatri_rao_all([factors[k] for k in reversed(half) if k != mode]).T
+            kr = khatri_rao_all([factors[k] for k in rest]).T
             if a == 1:  # the mode leads its half
                 out = p.reshape(rank, n, -1) @ kr[:, :, None]
-            elif a == kr.shape[1]:  # the mode ends its half
+            elif b == 1:  # the mode ends its half
                 out = kr[:, None, :] @ p.reshape(rank, a, n)
             else:
                 out = np.einsum("raib,rab->ri", p.reshape(rank, a, n, -1), kr.reshape(rank, a, -1))
@@ -150,7 +165,7 @@ def _tree_mttkrps(t, factors, split):
 
 def _error_from_statistics(sum_y2, s, proj, mean, moment):
     """Gram-identity squared error (Kolda & Bader 2009) from one mode's statistics, at least 0."""
-    return max(float(sum_y2 - 2.0 * np.sum(proj * mean) + np.sum(s * moment)), 0.0)
+    return max(float(sum_y2 - 2.0 * (proj * mean).sum() + (s * moment).sum()), 0.0)
 
 
 class _SweepTrace(list):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from flowcast import cp, tensor_ops
 from flowcast.cp import AlsConfig, CpModel, _solve_mode, cp_fit, cp_rank_select, cp_solve_mode
@@ -191,6 +191,23 @@ def test_tree_mttkrp_matches_the_unfolding_product(shape, split):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         modes.append(mode)
     assert modes == list(range(len(shape)))
+
+
+def test_tree_plans_are_kept_apart_by_extents_and_split():
+    # one process, alternating orders, extents and splits: a plan looked up under the
+    # wrong key would finish some mode with another tensor's extents
+    cases = [((7, 5), 1), ((5, 7), 1), ((2, 3, 4, 5), 2), ((4, 6, 3), 1), ((2, 3, 4, 5), 1),
+             ((6, 4, 3), 2), ((3, 2, 5, 4), 2), ((2, 3, 4, 5), 3), ((4, 6, 3), 2)]
+    rng = np.random.default_rng(33)
+    for shape, split in cases + cases[::-1] + cases:
+        t = rng.normal(size=shape)
+        factors = [rng.normal(size=(n, 3)) for n in shape]
+        modes = []
+        for mode, got in tensor_ops._tree_mttkrps(t, factors, split):
+            want = unfold(t, mode) @ khatri_rao_all(factors, mode)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (shape, split)
+            modes.append(mode)
+        assert modes == list(range(len(shape)))
 
 
 @pytest.mark.parametrize("rank", [1, 64])
@@ -382,6 +399,16 @@ def test_solve_mode_matches_pinv_on_well_conditioned_grams(cond):
             assert got.flags.c_contiguous
 
 
+@pytest.mark.parametrize("rank", [1, 2, 6, 8])
+def test_solve_mode_is_the_cholesky_solve_bit_for_bit(rank):
+    rng = np.random.default_rng(rank)
+    g, mttkrp = conditioned_gram(rng, rank, 1e3), rng.normal(size=(30, rank))
+    c, info = dpotrf(g)
+    assert info == 0
+    got = _solve_mode(mttkrp, g)
+    assert np.array_equal(got, dpotrs(c, mttkrp.T)[0].T) and got.flags.c_contiguous
+
+
 def degenerate_grams():
     rng = np.random.default_rng(30)
     repeated = [np.repeat(rng.normal(size=(n, 1)), 2, axis=1) for n in (3, 5)]
@@ -398,6 +425,14 @@ def degenerate_grams():
     assert info == 0 and pivots.min() > cp.PINV_RCOND * pivots.max()
     assert np.linalg.matrix_rank(g, tol=cp.PINV_RCOND * np.linalg.norm(g, 2)) == 5
     yield "cond 1e13", g
+    # Cholesky succeeds and pinv truncates nothing, but the condition estimate is
+    # within the 100x margin of PINV_RCOND
+    g = conditioned_gram(np.random.default_rng(1), 6, 3e10)
+    c, info = dpotrf(g)
+    rcond, _ = dpocon(c, np.abs(g).sum(axis=0).max())
+    assert info == 0 and cp.PINV_RCOND < rcond <= 100 * cp.PINV_RCOND
+    assert np.linalg.matrix_rank(g, tol=cp.PINV_RCOND * np.linalg.norm(g, 2)) == 6
+    yield "rcond under 1e-10", g
 
 
 @pytest.mark.parametrize("name, g", list(degenerate_grams()))

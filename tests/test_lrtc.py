@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import digamma, gammaln
 
 from flowcast import lrtc, tensor_ops
 from flowcast.cp import CpModel
@@ -184,6 +185,89 @@ def test_pruned_posterior_agrees_with_itself():
         err = cellwise_statistics(y, mask, post.factor_means, moments, 0)[2]
         assert post.tau_post[0] == lrtc.PRIOR + 0.5 * mask.sum()
         assert post.tau_post[1] == pytest.approx(lrtc.PRIOR + 0.5 * err, rel=1e-10)
+
+
+def textbook_elbo(y, mask, post):
+    """The mean-field bound of a returned posterior, term by term from its definition:
+    one log-determinant per row covariance, and the expected squared error cell by cell."""
+    prior, log_2pi = lrtc.PRIOR, np.log(2 * np.pi)
+    (c, d), (a, b) = post.lambda_post, post.tau_post
+    e_lam, eln_lam = c / d, digamma(c) - np.log(d)
+    e_tau, eln_tau = a / b, digamma(a) - np.log(b)
+    rank, n_rows = post.rank, sum(y.shape)
+    moments = [m[:, :, None] * m[:, None, :] + v
+               for m, v in zip(post.factor_means, post.factor_covs)]
+    err = cellwise_statistics(y, mask, post.factor_means, moments, 0)[2]
+    e_u2 = sum(np.einsum("irr->r", v) for v in moments)
+
+    def gamma_prior(eln, e):
+        return prior * np.log(prior) - gammaln(prior) + (prior - 1) * eln - prior * e
+
+    def gamma_entropy(shape, rate):
+        return shape - np.log(rate) + gammaln(shape) + (1 - shape) * digamma(shape)
+
+    like = 0.5 * mask.sum() * (eln_tau - log_2pi) - 0.5 * e_tau * err
+    prior_u = 0.5 * n_rows * (eln_lam.sum() - rank * log_2pi) - 0.5 * np.sum(e_lam * e_u2)
+    ent_u = sum(0.5 * (rank * (1 + log_2pi) + np.linalg.slogdet(v)[1]).sum()
+                for v in post.factor_covs)
+    return (like + prior_u + gamma_prior(eln_lam, e_lam).sum() + gamma_prior(eln_tau, e_tau)
+            + ent_u + gamma_entropy(c, d).sum() + gamma_entropy(a, b))
+
+
+def noisy_block(shape, seed):
+    rng = np.random.default_rng(seed)
+    factors = [rng.normal(size=(n, 2)) for n in shape]
+    truth = cp_reconstruct(CpModel(np.array([3.0, 2.0]), factors))
+    return truth + 0.05 * truth.std() * rng.normal(size=shape), rng
+
+
+def tail_mask(shape, rng):
+    mask = np.ones(shape, dtype=bool)
+    mask[..., -1, shape[-1] // 3:] = False
+    return mask
+
+
+def block_mask(shape, rng):
+    mask = np.ones(shape, dtype=bool)
+    mask[tuple(slice(n // 3, n // 3 + max(1, n // 3)) for n in shape)] = False
+    return mask
+
+
+def random_mask(shape, rng):
+    return rng.random(shape) < 0.7
+
+
+@pytest.mark.parametrize("masked", [tail_mask, block_mask, random_mask])
+@pytest.mark.parametrize("shape", [(20, 16), (9, 8, 10), (5, 6, 4, 7)])
+def test_elbo_is_the_textbook_bound_of_the_returned_posterior(shape, masked):
+    y, rng = noisy_block(shape, len(shape))
+    mask = masked(shape, rng)
+    post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=5, max_iters=40, seed=1))
+    assert post.elbo[-1] == pytest.approx(textbook_elbo(y, mask, post), rel=1e-10)
+
+
+def test_elbo_of_a_fit_cut_at_a_pruning_sweep_is_the_textbook_bound():
+    y, _, mask = rank2_scenario(seed=0, noise=0.05)
+    hp = LrtcHyperParams(max_rank=6, seed=0)
+    k = 1
+    while lrtc_fit(y, mask, replace(hp, max_iters=k)).rank == hp.max_rank:
+        k += 1
+    post = lrtc_fit(y, mask, replace(hp, max_iters=k))  # its last sweep accepted a cut
+    assert post.rank < hp.max_rank
+    assert post.elbo[-1] == pytest.approx(textbook_elbo(y, mask, post), rel=1e-10)
+
+
+def test_a_fit_settled_at_zero_on_nonzero_data_does_not_report_converged():
+    # a rank-2 block on which the fit shrinks every factor mean to exactly zero and its
+    # bound then settles; the zero tensor's zero fit is tested above
+    y, rng = noisy_block((12, 12, 12), 2)
+    mask = rng.random(y.shape) < 0.7
+    post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=6, max_iters=2000, elbo_tol=1e-9, seed=2))
+    last, prev = post.elbo[-1], post.elbo[-2]
+    assert len(post.elbo) < 2000 and abs(last - prev) < 1e-9 * abs(prev)  # the stop rule fired
+    assert any(not m.any() for m in post.factor_means)
+    assert not post.converged
+    assert not lrtc_predict(post, mask, y).converged
 
 
 def test_fit_is_seed_deterministic():

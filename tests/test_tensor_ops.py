@@ -101,6 +101,21 @@ def test_khatri_rao_ones_row_is_neutral():
     np.testing.assert_array_equal(khatri_rao(np.ones((1, 3)), b), b)
 
 
+@pytest.mark.parametrize("rank", [1, 3, 6, 64])
+@pytest.mark.parametrize("rows", [(5, 4), (1, 4), (5, 1), (1, 1)])
+def test_khatri_rao_is_the_broadcast_product_bit_for_bit(rows, rank):
+    # every entry is one product, however the kernel lays out its loops
+    rng = np.random.default_rng(rank)
+    a, b = rng.normal(size=(rows[0], rank)), rng.normal(size=(rows[1], rank))
+    want = (a[:, None, :] * b[None, :, :]).reshape(-1, rank)
+    got = khatri_rao(a, b)
+    assert np.array_equal(got, want) and got.flags.c_contiguous
+    # a transposed, strided operand too
+    a_view = rng.normal(size=(rank, 2 * rows[0]))[:, ::2].T
+    want = (a_view[:, None, :] * b[None, :, :]).reshape(-1, rank)
+    assert np.array_equal(khatri_rao(a_view, b), want)
+
+
 def test_khatri_rao_column_mismatch():
     with pytest.raises(ValueError):
         khatri_rao(np.ones((2, 2)), np.ones((2, 3)))
