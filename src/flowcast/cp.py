@@ -159,6 +159,7 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
                 np.copyto(x, recon, where=~seen)
         history.append(0.0 if norm_t == 0 else float(err / norm_t))
         if history.settled(cfg.tol):
+            history.converged = True
             break
     units, norms = zip(*map(_normalize_columns, factors))
     return _sorted_model(reduce(np.multiply, norms), list(units)), history

@@ -6,14 +6,17 @@ lambda_r has a Gamma prior, observation noise is Gaussian with Gamma
 precision tau, and the likelihood touches observed cells only.  All
 conditionals are conjugate, so coordinate ascent gives closed-form Gaussian
 row posteriors and Gamma posteriors for lambda and tau, with a monotone
-evidence lower bound.  Each sweep's observed-cell statistics are MTTKRPs on
-the dimension tree ``cp_fit`` sweeps with (``tensor_ops._tree_mttkrps``).
+evidence lower bound.
 
 A row's posterior precision depends only on which of its cells are observed,
 so the rows of a mode that share a mask pattern share one covariance: each
 sweep inverts one precision per pattern and gathers it back to the rows, and
 the bound's entropy takes one log-determinant per pattern.  A suffix mask
-such as today's missing slots has one or two patterns per mode.  The bound's
+such as today's missing slots has one or two patterns per mode.  Each sweep's
+sums of y times the other modes' means are MTTKRPs of the zero-filled data on
+the dimension tree ``cp_fit`` sweeps with (``tensor_ops._tree_mttkrps``); the
+rank-R² sums of their second moments are formed at each pattern's first row
+alone, from mask rows cut once per fit (``_pattern_inputs``).  The bound's
 terms that no sweep moves (the fixed Gamma shapes' digamma and gammaln, the
 priors' constants, the row count) are computed once per fit, and each sweep
 evaluates the rest on Python floats.
@@ -35,7 +38,8 @@ from functools import reduce
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .tensor_ops import _error_from_statistics, _split, _SweepTrace, _tree_mttkrps, as_mask
+from .tensor_ops import (_error_from_statistics, _finish_mode, _split, _SweepTrace,
+                         _tree_mttkrps, _tree_plan, as_mask)
 
 PRIOR = 1e-6  # shape and rate of every Gamma prior, on lambda and on tau
 LOG_2PI = math.log(2 * math.pi)
@@ -105,16 +109,18 @@ def _second_moments(means, covs):
 
 
 def _row_groups(mask):
-    """Per mode, ``(first, index, counts)`` over the rows that share a mask pattern:
-    each group's first row, each row's group and the group sizes.  Each row's packed
-    bits are one byte-string key, which ``np.unique`` sorts far faster than rows."""
+    """Per mode, ``(first, index, counts)`` over the rows that share a mask pattern, in
+    first-row order: each group's first row, each row's group and the group sizes.  Each
+    row's packed bits are one byte-string key, which ``np.unique`` sorts far faster."""
     groups = []
     for k, extent in enumerate(mask.shape):
         rows = np.ascontiguousarray(np.moveaxis(mask, k, 0)).reshape(extent, -1)
         bits = np.packbits(rows, axis=1)
         keys = bits.view(f"V{bits.shape[1]}").ravel()
-        groups.append(np.unique(keys, return_index=True, return_inverse=True,
-                                return_counts=True)[1:])
+        first, index, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                         return_counts=True)[1:]
+        order = np.argsort(first)
+        groups.append((first[order], np.argsort(order)[index.ravel()], counts[order]))
     return groups
 
 
@@ -127,14 +133,40 @@ def _gathered_product(arrs, idx):
     return reduce(np.multiply, [a[i] for a, i in zip(arrs, idx)])
 
 
-def _statistics(seen, filled, split, means, moments):
-    """Yield ``(k, s, proj)`` per mode k, the observed-cell sums of the other modes' second
-    moments and of y times their means: the tree MTTKRPs of the float mask ``seen`` and
-    the zero-filled ``filled``.  Updates to ``means[k]`` and ``moments[k]`` reach mode k+1."""
+def _pattern_inputs(mask, groups):
+    """``_statistics``'s fixed view of the mask: as floats in row order, the rows over modes
+    ``[0, N-1)`` a mode k < N-1 reads (its index at k one of k's first rows); each such mode's
+    positions among them (``None`` for all, so rows that all differ take no gather); the last
+    mode's slab of first rows, longest earlier mode ``j`` on its rows; per mode its step."""
+    *lead, last = mask.shape
+    firsts = [first for first, _, _ in groups]
+    read = np.zeros(lead, dtype=bool)
+    for k, first in enumerate(firsts[:-1]):
+        read[(slice(None),) * k + (first,)] = True
+    union = mask.reshape(-1, last)[read.ravel()].astype(np.float64)
+    position = np.cumsum(read).reshape(read.shape) - 1
+    picks = [np.take(position, first, axis=k).ravel() for k, first in enumerate(firsts[:-1])]
+    picks = [None if pick.size == len(union) else pick for pick in picks] + [None]
+    j = int(np.argmax(lead))  # contracted first, which keeps the slab's product least
+    slab = np.moveaxis(mask[..., firsts[-1]], j, 0).reshape(lead[j], -1).astype(np.float64)
+    steps = [_tree_plan(mask.shape[:k] + (f.size,) + mask.shape[k + 1:], len(lead))[0][1][k]
+             for k, f in enumerate(firsts[:-1])]
+    rest = tuple(m for m in reversed(range(len(lead))) if m != j)
+    steps.append((len(lead), firsts[-1].size, slab.shape[1] // firsts[-1].size, 1, rest))
+    return union, picks, (j, slab), steps
+
+
+def _statistics(inputs, filled, split, means, moments):
+    """Yield ``(k, s, proj)`` per mode k: ``s`` sums the other modes' second moments over the
+    observed cells of each of mode k's first rows, and ``proj`` y times their means at every
+    row, the tree MTTKRPs of the zero-filled ``filled``.  ``inputs`` is ``_pattern_inputs``'s.
+    Updates to ``means[k]`` and ``moments[k]`` reach mode k+1."""
+    union, picks, (j, slab), steps = inputs
     flat = [v.reshape(v.shape[0], -1) for v in moments]
-    for (k, s), (_, proj) in zip(_tree_mttkrps(seen, flat, split),
-                                 _tree_mttkrps(filled, means, split)):
-        yield k, s.reshape(moments[k].shape), proj
+    p = flat[-1].T @ union.T  # every earlier mode finishes it, as the tree finishes a mode
+    for (k, proj), pick, step in zip(_tree_mttkrps(filled, means, split), picks, steps):
+        q = flat[j].T @ slab if k == len(steps) - 1 else p if pick is None else p[:, pick]
+        yield k, _finish_mode(q, flat, step).T.reshape((-1,) + moments[0].shape[1:]), proj
         flat[k] = moments[k].reshape(flat[k].shape)
 
 
@@ -184,7 +216,7 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
     rank = hp.max_rank
     extents = y.shape
     split = _split(extents)
-    seen, filled = mask.astype(np.float64), np.where(mask, y, 0.0)  # a missing cell may hold nan
+    filled = np.where(mask, y, 0.0)  # a missing cell may hold nan
     sum_y2 = float(np.sum(y_obs**2))
 
     rng = np.random.default_rng(hp.seed)
@@ -193,6 +225,7 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
     scale = (max(std, 1e-12) / np.sqrt(rank)) ** (1.0 / y.ndim)
     means = [rng.normal(0.0, scale, size=(i, rank)) for i in extents]
     groups = _row_groups(mask)
+    inputs = _pattern_inputs(mask, groups)
     counts = np.concatenate([c for _, _, c in groups])
     group_covs = [None] * y.ndim  # each sweep sets one covariance per mask-pattern group
     eye = np.eye(rank)
@@ -207,11 +240,10 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
 
     elbo_trace = _SweepTrace()
     for _ in range(hp.max_iters):
-        for k, s, proj in _statistics(seen, filled, split, means, moments):
-            first, index, _ = groups[k]
-            v = np.linalg.inv(e_lam * eye + e_tau * s[first])
+        for k, s, proj in _statistics(inputs, filled, split, means, moments):
+            v = np.linalg.inv(e_lam * eye + e_tau * s)
             group_covs[k] = 0.5 * (v + v.swapaxes(1, 2))
-            cov = group_covs[k][index]
+            cov = group_covs[k][groups[k][1]]
             means[k] = e_tau * np.einsum("irs,is->ir", cov, proj)
             moments[k] = np.einsum("ir,is->irs", means[k], means[k]) + cov
 
@@ -219,7 +251,8 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
         d_rate = PRIOR + 0.5 * sum(np.diagonal(v, axis1=1, axis2=2).sum(axis=0) for v in moments)
         e_lam = c_terms[0] / d_rate
 
-        # the last mode's statistics already hold every other mode's update
+        # the last mode's statistics, back on its rows, already hold every other mode's update
+        s = s[groups[-1][1]]
         elbo, b_rate = _elbo((sum_y2, s, proj, means[-1], moments[-1]), group_covs, d_rate,
                              e_lam, fixed)
 
@@ -241,9 +274,9 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
 
         elbo_trace.append(elbo)
         if not pruned and elbo_trace.settled(hp.elbo_tol):  # a pruning sweep never stops the fit
+            # a fit that settles at zero factors on nonzero data has not converged
+            elbo_trace.converged = sum_y2 == 0 or all(m.any() for m in means)
             break
-    if sum_y2 > 0 and not all(m.any() for m in means):  # a zero fit of nonzero data is no fit
-        elbo_trace.converged = False
 
     covs = [v[index] for v, (_, index, _) in zip(group_covs, groups)]
     return LrtcPosterior(means, covs, (np.full(d_rate.size, c_terms[0]), d_rate),

@@ -148,19 +148,25 @@ def _tree_mttkrps(t, factors, split):
     x = t.reshape(math.prod(shape[:split]), -1)
     for (other, steps), rows in zip(_tree_plan(shape, split), (x.T, x)):
         p = _half_kr(factors, other).T @ rows  # the half's product with the other half
-        rank = p.shape[0]
-        for mode, n, a, b, rest in steps:
-            if not rest:
-                yield mode, p.T
-                continue
-            kr = khatri_rao_all([factors[k] for k in rest]).T
-            if a == 1:  # the mode leads its half
-                out = p.reshape(rank, n, -1) @ kr[:, :, None]
-            elif b == 1:  # the mode ends its half
-                out = kr[:, None, :] @ p.reshape(rank, a, n)
-            else:
-                out = np.einsum("raib,rab->ri", p.reshape(rank, a, n, -1), kr.reshape(rank, a, -1))
-            yield mode, out.reshape(rank, n).T
+        for step in steps:
+            yield step[0], _finish_mode(p, factors, step).T
+
+
+def _finish_mode(p, factors, step):
+    """One mode's R x I_k MTTKRP from ``p``, its half's R x rows product with the other half,
+    for the ``_tree_plan`` step ``(mode, I_k, a, b, rest)``; it reads ``factors`` at ``rest``."""
+    _, n, a, b, rest = step
+    if not rest:
+        return p
+    rank = p.shape[0]
+    kr = khatri_rao_all([factors[k] for k in rest]).T
+    if a == 1:  # the mode leads its half
+        out = p.reshape(rank, n, -1) @ kr[:, :, None]
+    elif b == 1:  # the mode ends its half
+        out = kr[:, None, :] @ p.reshape(rank, a, n)
+    else:
+        out = np.einsum("raib,rab->ri", p.reshape(rank, a, n, -1), kr.reshape(rank, a, -1))
+    return out.reshape(rank, n)
 
 
 def _error_from_statistics(sum_y2, s, proj, mean, moment):
@@ -169,14 +175,14 @@ def _error_from_statistics(sum_y2, s, proj, mean, moment):
 
 
 class _SweepTrace(list):
-    """A fit's value after each sweep.  ``settled``, the stop rule both CP fits share, says and
-    keeps in ``converged`` whether the last two differ by under ``tol * max(1, |previous|)``."""
+    """A fit's value after each sweep.  ``settled``, the stop rule both CP fits share, says
+    whether the last two differ by under ``tol * max(1, |previous|)``; a fit sets
+    ``converged`` when that rule ends its sweeps."""
 
     converged = False
 
     def settled(self, tol):
-        self.converged = len(self) > 1 and abs(self[-1] - self[-2]) < tol * max(1.0, abs(self[-2]))
-        return self.converged
+        return len(self) > 1 and abs(self[-1] - self[-2]) < tol * max(1.0, abs(self[-2]))
 
 
 def cp_reconstruct(model) -> np.ndarray:

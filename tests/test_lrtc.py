@@ -267,6 +267,8 @@ def test_a_fit_settled_at_zero_on_nonzero_data_does_not_report_converged():
     assert len(post.elbo) < 2000 and abs(last - prev) < 1e-9 * abs(prev)  # the stop rule fired
     assert any(not m.any() for m in post.factor_means)
     assert not post.converged
+    # asking the stop rule again is a query: it leaves the fit's flag as it was
+    assert post.elbo.settled(1e-9) and not post.converged
     assert not lrtc_predict(post, mask, y).converged
 
 
@@ -332,32 +334,51 @@ def cellwise_statistics(y, mask, means, moments, k):
     return s, proj, err
 
 
-@pytest.mark.parametrize("shape", [(5, 7, 6), (4, 3, 5, 6), (20, 4, 3)])
-def test_dense_statistics_match_cellwise_sums(shape):
+def statistics_mask(shape, kind, rng):
+    mask = np.ones(shape, dtype=bool)
+    if kind == "random":
+        mask = rng.random(shape) < 0.6
+        mask[1] = False  # one station never observed
+    elif kind == "tail":
+        mask[..., -1, 2:] = False  # the last day from its third slot on
+    elif kind == "block":
+        mask[:2, :3] = False
+    return mask
+
+
+@pytest.mark.parametrize("shape, kind", [
+    ((5, 7, 6), "random"), ((4, 3, 5, 6), "random"), ((20, 4, 3), "random"), ((9, 7), "random"),
+    ((5, 7, 6), "tail"), ((4, 3, 5, 6), "tail"), ((9, 7), "tail"),
+    ((5, 7, 6), "block"), ((4, 3, 5, 6), "block"), ((20, 4, 3), "full"), ((9, 7), "full"),
+])
+def test_dense_statistics_match_cellwise_sums(shape, kind):
     rng = np.random.default_rng(len(shape))
     rank = 3
     y = rng.normal(size=shape) + 1.0
-    mask = rng.random(shape) < 0.6
-    mask[1] = False  # one station never observed
-    y[1].flat[0] = np.nan  # a nan behind a missing cell
+    mask = statistics_mask(shape, kind, rng)
+    y[~mask] = np.nan  # nan behind every missing cell
 
     def random_moments(i):
         mean, a = rng.normal(size=(i, rank)), rng.normal(size=(i, rank, rank))
         return mean, lrtc._second_moments([mean], [0.1 * a @ a.swapaxes(1, 2)])[0]
 
     means, moments = map(list, zip(*(random_moments(i) for i in shape)))
-    seen, filled = mask.astype(np.float64), np.where(mask, y, 0.0)
+    groups = lrtc._row_groups(mask)
+    inputs, filled = lrtc._pattern_inputs(mask, groups), np.where(mask, y, 0.0)
     split = tensor_ops._split(shape)  # (20, 4, 3): one-mode left half; (5, 7, 6): one-mode right
     sum_y2 = np.sum(y[mask] ** 2)
     # the second pass overwrites each mode's means and moments once its statistics
     # are out, as a sweep does: the next mode's statistics must see the new values
     for update in (False, True):
         modes = []
-        for k, s, proj in lrtc._statistics(seen, filled, split, means, moments):
+        for k, s, proj in lrtc._statistics(inputs, filled, split, means, moments):
+            first, index, counts = groups[k]
+            assert np.all(np.diff(first) > 0) and s.shape[0] == first.size == counts.size
+            s = s[index]  # each row's sums are its group's
             want_s, want_proj, want_err = cellwise_statistics(y, mask, means, moments, k)
             np.testing.assert_allclose(s, want_s, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(proj, want_proj, rtol=1e-12, atol=1e-12)
-            if k == 0:
+            if k == 0 and kind == "random":
                 np.testing.assert_array_equal(s[1], 0.0)
                 np.testing.assert_array_equal(proj[1], 0.0)
             err = lrtc._error_from_statistics(sum_y2, s, proj, means[k], moments[k])
@@ -399,6 +420,23 @@ def test_fit_memory_stays_under_ten_tensors():
     finally:
         tracemalloc.stop()
     assert peak < 10 * y.nbytes
+
+
+def test_fit_memory_stays_under_four_tensors_at_rank_eight():
+    # statistics at each mask pattern's first rows need no float copy of the mask and
+    # no rank-R^2 product over every row
+    rng = np.random.default_rng(0)
+    factors = [rng.uniform(0.5, 1.5, size=(n, 3)) for n in (12, 56, 48)]
+    y = cp_reconstruct(CpModel(np.ones(3), factors))
+    mask = np.ones(y.shape, dtype=bool)
+    mask[:, -1, 15:] = False
+    tracemalloc.start()
+    try:
+        lrtc_fit(y, mask, LrtcHyperParams(max_rank=8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * y.nbytes
 
 
 def test_fit_copies_no_unfolding(monkeypatch):
