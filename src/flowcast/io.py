@@ -6,11 +6,16 @@ Stations are ordered by first appearance; cells absent from the file are
 zero-filled and counted rather than interpolated, since completion is a
 modeling step, not an ingest step.
 
-A well-formed file is parsed in one ``np.loadtxt`` call and checked with
-array operations (index ranges, finite non-negative counts, no duplicate
-cell).  Any file those checks cannot vouch for is read again by the row
-loop, which is the parser of record: it names the line of the first bad
-row, or accepts what only Python's ``int``/``float`` accept (``1_0``).
+A well-formed file is parsed in blocks of ``BLOCK_ROWS`` rows, one
+``np.loadtxt`` call each on the same handle.  Each block is checked with
+array operations (index ranges, finite non-negative counts, no cell twice
+in the block or already marked in a per-cell ``seen`` mask) and scattered
+into a station-major tensor that grows in place as new ids appear, so
+ingest holds the tensor, its mask and one block, never an array or object
+per row of the whole file.  Any file those checks cannot vouch for is read
+again by the row loop, which is the parser of record: it names the line of
+the first bad row, or accepts what only Python's ``int``/``float`` accept
+(``1_0``).
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ HEADER = ["station_id", "day_index", "slot_index", "count"]
 # object, not U<n>: a fixed-width string dtype would cut long ids short
 _RECORD = np.dtype([("sid", object), ("day", np.int64), ("slot", np.int64),
                     ("count", np.float64)])
+# rows per np.loadtxt call: one block of records costs about 0.7 MB
+BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -94,34 +101,76 @@ def _check_header(rows):
         raise ValueError(f"expected header {','.join(HEADER)!r}, got {header!r}")
 
 
-def _ingest_array(path, n_days, n_slots):
-    """Parse and check the whole file at once; None where the row loop must decide."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        _check_header(_csv_rows(fh))
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is the row loop's "no records found"
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rec = np.loadtxt(fh, dtype=_RECORD, delimiter=",", comments=None,
-                                 quotechar='"', ndmin=1)
-        except (ValueError, OverflowError):
-            return None
+def _station_codes(sids, station_row):
+    """Each id's station row, numbered in order of first appearance.
+
+    One dict lookup per run of equal ids; one per row where runs are too
+    short for the run bookkeeping to pay.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], sids[1:] != sids[:-1])))
+    if 2 * len(starts) > len(sids):
+        return np.array([station_row.setdefault(sid, len(station_row)) for sid in sids],
+                        dtype=np.int64)
+    runs = [station_row.setdefault(sid, len(station_row)) for sid in sids[starts]]
+    return np.repeat(np.array(runs, dtype=np.int64), np.diff(starts, append=len(sids)))
+
+
+def _scatter_block(fh, n_days, n_slots, station_row, tensor, seen):
+    """Parse and check the next block of rows, then scatter it into ``tensor``.
+
+    Returns the block's row count, or None where the row loop must decide.
+    The block's arrays die on return, so the next block's parse never
+    overlaps this one.
+    """
+    try:
+        rec = np.loadtxt(fh, dtype=_RECORD, delimiter=",", comments=None, quotechar='"',
+                         ndmin=1, max_rows=BLOCK_ROWS)
+    except (ValueError, OverflowError):
+        return None
+    if not len(rec):
+        return 0
     day, slot, count = rec["day"], rec["slot"], rec["count"]
-    if (not len(rec) or day.min() < 0 or day.max() >= n_days
-            or slot.min() < 0 or slot.max() >= n_slots
+    if (day.min() < 0 or day.max() >= n_days or slot.min() < 0 or slot.max() >= n_slots
             or not np.isfinite(count).all() or count.min() < 0):
         return None
-    station_row = {}
-    codes = np.array([station_row.setdefault(sid, len(station_row)) for sid in rec["sid"]],
-                     dtype=np.int64)
-    size = len(station_row) * n_days * n_slots
+    codes = _station_codes(rec["sid"], station_row)
+    if len(station_row) > len(tensor):
+        # in place, station-major: the new stations' cells are appended as zeros;
+        # no view of either buffer outlives the block that made it
+        tensor.resize((len(station_row), n_days, n_slots), refcheck=False)
+        seen.resize((len(station_row), n_days, n_slots), refcheck=False)
     cell = (codes * n_days + day) * n_slots + slot
-    if np.bincount(cell, minlength=size).max() > 1:
+    in_order = np.sort(cell)
+    if (in_order[1:] == in_order[:-1]).any() or seen.reshape(-1)[cell].any():
         return None
-    tensor = np.zeros((len(station_row), n_days, n_slots))
+    seen.reshape(-1)[cell] = True
     tensor.reshape(-1)[cell] = count
-    report = LoadReport(n_rows=len(rec), n_stations=len(station_row),
-                        missing_count=size - len(rec))
+    return len(rec)
+
+
+def _ingest_array(path, n_days, n_slots):
+    """Parse and check the file block by block; None where the row loop must decide."""
+    station_row = {}
+    tensor = np.zeros((0, n_days, n_slots))
+    seen = np.zeros((0, n_days, n_slots), dtype=bool)
+    n_rows = 0
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        _check_header(_csv_rows(fh))
+        # blank lines are skipped, as by csv.reader; a header-only file is the
+        # row loop's "no records found"
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        while True:
+            rows = _scatter_block(fh, n_days, n_slots, station_row, tensor, seen)
+            if rows is None:
+                return None
+            n_rows += rows
+            if rows < BLOCK_ROWS:
+                break
+    if not n_rows:
+        return None
+    report = LoadReport(n_rows=n_rows, n_stations=len(station_row),
+                        missing_count=tensor.size - n_rows)
     return tensor, list(station_row), report
 
 
@@ -154,13 +203,19 @@ def _ingest_rows(path, n_days, n_slots):
     return tensor, station_ids, report
 
 
+def _whole(extent):
+    if not float(extent).is_integer():
+        raise ValueError(f"declared extents must be whole numbers, got {extent!r}")
+    return int(extent)
+
+
 def ingest(path, extents):
     """Read records into a dense (stations, days, slots) tensor.
 
     ``extents`` declares (n_days, n_slots); the station extent is discovered.
     Returns ``(tensor, station_ids, LoadReport)``.
     """
-    n_days, n_slots = (int(e) for e in extents)
+    n_days, n_slots = (_whole(e) for e in extents)
     if n_days < 1 or n_slots < 1:
         raise ValueError("declared extents must be positive")
     loaded = _ingest_array(path, n_days, n_slots)
@@ -171,13 +226,21 @@ def export(path, tensor, station_ids):
     """Write every cell in canonical (station, day, slot) order.
 
     Counts are written with full precision so an export re-ingests to an
-    equal tensor.
+    equal tensor.  A negative or non-finite count, which ingest would
+    refuse, raises ``ValueError`` naming its cell before the file is opened.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim != 3:
         raise ValueError("tensor must be 3-way (stations, days, slots)")
     if len(station_ids) != tensor.shape[0]:
         raise ValueError("one id per station required")
+    bad = ~np.isfinite(tensor) | (tensor < 0)
+    if bad.any():
+        # the first cell ingest would refuse on re-reading; -0.0 is not below zero
+        l, day, slot = np.unravel_index(np.argmax(bad), bad.shape)
+        count = float(tensor[l, day, slot])
+        kind = "negative" if count < 0 else "non-finite"
+        raise ValueError(f"{kind} count {count!r} for ({station_ids[l]}, {day}, {slot})")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)

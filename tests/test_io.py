@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -118,6 +119,22 @@ class TestIngest:
         with pytest.raises(ValueError, match="extents"):
             ingest(path, (0, 1))
 
+    @pytest.mark.parametrize("extents", [(3.9, 4.2), (2, 3.5), (float("inf"), 3),
+                                         (float("nan"), 3)])
+    def test_non_integral_extents_are_rejected(self, tmp_path, extents):
+        path = tmp_path / "flows.csv"
+        write_csv(path, full_grid_rows())
+        with pytest.raises(ValueError, match="extents must be whole numbers"):
+            ingest(path, extents)
+
+    @pytest.mark.parametrize("extents", [(np.int64(2), np.int32(3)), (2.0, np.float32(3)),
+                                         (np.uint8(2), 3)])
+    def test_integral_extents_of_any_numeric_type(self, tmp_path, extents):
+        path = tmp_path / "flows.csv"
+        write_csv(path, full_grid_rows())
+        tensor, _, _ = ingest(path, extents)
+        assert tensor.shape == (2, 2, 3)
+
 
 # (body after the header, whether the array parse must vouch for it)
 EDGE_CASES = {
@@ -172,6 +189,41 @@ class TestArrayParseMatchesRowLoop:
         if not bom:
             assert (io._ingest_array(path, 2, 3) is not None) == vouched
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_same_outcome_at_every_block_size(self, tmp_path, monkeypatch, case, block_rows):
+        monkeypatch.setattr(io, "BLOCK_ROWS", block_rows)
+        body, vouched = EDGE_CASES[case]
+        path = tmp_path / "flows.csv"
+        path.write_text("station_id,day_index,slot_index,count\n" + body, encoding="utf-8")
+        assert outcome(lambda p: ingest(p, (2, 3)), path) == outcome(
+            lambda p: io._ingest_rows(p, 2, 3), path)
+        assert (io._ingest_array(path, 2, 3) is not None) == vouched
+
+    # (rows after the header, whether the array parse must vouch for it); each case
+    # puts its point in a later block than the file's first row at block sizes 1-3
+    LATER_BLOCK_CASES = {
+        "duplicate cell": (["a,0,0,1", "a,0,1,2", "b,0,0,3", "a,0,0,4"], False),
+        "new station": (["a,0,0,1", "a,0,1,2", "a,1,0,3", "c,0,0,4", "a,1,1,5"], True),
+        "malformed row": (["a,0,0,1", "a,0,1,2", "a,1,0,3", "a,zero,1,4"], False),
+        "quoted newline": (["a,0,0,1", '"x\ny",0,1,2', '"x\ny",0,2,3', "b,1,2,4"], True),
+    }
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(LATER_BLOCK_CASES))
+    def test_later_block_matches_the_row_loop(self, tmp_path, monkeypatch, case, block_rows):
+        monkeypatch.setattr(io, "BLOCK_ROWS", block_rows)
+        rows, vouched = self.LATER_BLOCK_CASES[case]
+        path = tmp_path / "flows.csv"
+        write_csv(path, rows)
+        got = outcome(lambda p: ingest(p, (2, 3)), path)
+        assert got == outcome(lambda p: io._ingest_rows(p, 2, 3), path)
+        assert (io._ingest_array(path, 2, 3) is not None) == vouched
+        if case == "duplicate cell":
+            assert got == "line 5: duplicate record for ('a', 0, 0)"
+        if case == "new station":
+            assert got[2] == ["a", "c"] and got[3].n_stations == 2
+
     def test_underscore_index_is_read_by_the_row_loop(self, tmp_path):
         path = tmp_path / "flows.csv"
         write_csv(path, ["a,1_0,0,1.5"])
@@ -222,6 +274,34 @@ class TestRoundTripAtSize:
             ingest(path, (56, 48))
 
 
+class TestIngestMemory:
+    @pytest.fixture(scope="class")
+    def exported(self, tmp_path_factory):
+        tensor, _ = generate_synthetic(SyntheticSpec(extents=(60, 56, 48), seed=0))
+        path = tmp_path_factory.mktemp("io") / "written.csv"
+        export(path, tensor, [f"st{l:02d}" for l in range(60)])
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        order = np.random.default_rng(5).permutation(len(rows))
+        shuffled = path.with_name("shuffled.csv")
+        shuffled.write_text("\n".join([header] + [rows[i] for i in order]) + "\n",
+                            encoding="utf-8")
+        return tensor, {"written": path, "shuffled": shuffled}
+
+    @pytest.mark.parametrize("order", ["written", "shuffled"])
+    def test_peak_stays_under_four_tensors(self, exported, order):
+        # the tensor, its seen-cell mask and one block of records; no per-row
+        # array or object over the whole file
+        tensor, paths = exported
+        tracemalloc.start()
+        try:
+            back, _, report = ingest(paths[order], (56, 48))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.n_rows == tensor.size and back.shape == tensor.shape
+        assert peak < 4 * tensor.nbytes
+
+
 class TestExport:
     def test_round_trip_preserves_the_tensor(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -243,6 +323,17 @@ class TestExport:
                                      b"a,0,1,0.0\r\n"
                                      b"a,1,0,-0.0\r\n"
                                      b"a,1,1,1e-300\r\n")
+
+    @pytest.mark.parametrize("count, kind", [(-1.0, "negative"), (-np.inf, "negative"),
+                                             (np.inf, "non-finite"), (np.nan, "non-finite")])
+    def test_refuses_a_count_ingest_would_refuse(self, tmp_path, count, kind):
+        tensor = np.ones((2, 3, 4))
+        tensor[1, 2, 0] = count
+        tensor[1, 2, 3] = -5.0  # a later bad cell is not the one named
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=rf"^{kind} count .* for \(s1, 2, 0\)$"):
+            export(path, tensor, ["s0", "s1"])
+        assert not path.exists()
 
     def test_shape_and_id_validation(self, tmp_path):
         with pytest.raises(ValueError):
