@@ -101,20 +101,6 @@ def _check_header(rows):
         raise ValueError(f"expected header {','.join(HEADER)!r}, got {header!r}")
 
 
-def _station_codes(sids, station_row):
-    """Each id's station row, numbered in order of first appearance.
-
-    One dict lookup per run of equal ids; one per row where runs are too
-    short for the run bookkeeping to pay.
-    """
-    starts = np.flatnonzero(np.concatenate(([True], sids[1:] != sids[:-1])))
-    if 2 * len(starts) > len(sids):
-        return np.array([station_row.setdefault(sid, len(station_row)) for sid in sids],
-                        dtype=np.int64)
-    runs = [station_row.setdefault(sid, len(station_row)) for sid in sids[starts]]
-    return np.repeat(np.array(runs, dtype=np.int64), np.diff(starts, append=len(sids)))
-
-
 def _scatter_block(fh, n_days, n_slots, station_row, tensor, seen):
     """Parse and check the next block of rows, then scatter it into ``tensor``.
 
@@ -133,7 +119,8 @@ def _scatter_block(fh, n_days, n_slots, station_row, tensor, seen):
     if (day.min() < 0 or day.max() >= n_days or slot.min() < 0 or slot.max() >= n_slots
             or not np.isfinite(count).all() or count.min() < 0):
         return None
-    codes = _station_codes(rec["sid"], station_row)
+    codes = np.array([station_row.setdefault(sid, len(station_row)) for sid in rec["sid"]],
+                     dtype=np.int64)
     if len(station_row) > len(tensor):
         # in place, station-major: the new stations' cells are appended as zeros;
         # no view of either buffer outlives the block that made it

@@ -179,26 +179,18 @@ def outcome(read, path):
 class TestArrayParseMatchesRowLoop:
     @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-    def test_same_tensor_or_same_message(self, tmp_path, case, bom):
+    def test_same_tensor_or_same_message(self, tmp_path, monkeypatch, case, bom):
         body, vouched = EDGE_CASES[case]
         path = tmp_path / "flows.csv"
         text = "station_id,day_index,slot_index,count\n" + body
         path.write_bytes(("\ufeff" * bom + text).encode("utf-8"))
-        got = outcome(lambda p: ingest(p, (2, 3)), path)
-        assert got == outcome(lambda p: io._ingest_rows(p, 2, 3), path)
-        if not bom:
-            assert (io._ingest_array(path, 2, 3) is not None) == vouched
-
-    @pytest.mark.parametrize("block_rows", [1, 2, 3])
-    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-    def test_same_outcome_at_every_block_size(self, tmp_path, monkeypatch, case, block_rows):
-        monkeypatch.setattr(io, "BLOCK_ROWS", block_rows)
-        body, vouched = EDGE_CASES[case]
-        path = tmp_path / "flows.csv"
-        path.write_text("station_id,day_index,slot_index,count\n" + body, encoding="utf-8")
-        assert outcome(lambda p: ingest(p, (2, 3)), path) == outcome(
-            lambda p: io._ingest_rows(p, 2, 3), path)
-        assert (io._ingest_array(path, 2, 3) is not None) == vouched
+        want = outcome(lambda p: io._ingest_rows(p, 2, 3), path)
+        # block sizes that split every case's rows across blocks, then the default
+        for block_rows in (1, 2, 3, io.BLOCK_ROWS):
+            monkeypatch.setattr(io, "BLOCK_ROWS", block_rows)
+            assert outcome(lambda p: ingest(p, (2, 3)), path) == want
+            if not bom:
+                assert (io._ingest_array(path, 2, 3) is not None) == vouched
 
     # (rows after the header, whether the array parse must vouch for it); each case
     # puts its point in a later block than the file's first row at block sizes 1-3
