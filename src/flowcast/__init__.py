@@ -15,7 +15,7 @@ from .cp import AlsConfig, CpModel, cp_fit, cp_rank_select, cp_solve_mode
 from .experiments import (ExperimentConfig, ExperimentReport, load_input,
                           longterm_report, shortterm_report, update_report,
                           write_report)
-from .io import FlowRecord, LoadReport, export, ingest
+from .io import LoadReport, export, ingest
 from .lrtc import (CompletionResult, LrtcHyperParams, LrtcPosterior, lrtc_fit,
                    lrtc_predict, short_term_predict)
 from .pipeline import (DayPrediction, ForecastPlan, forecast_from_model,
@@ -39,7 +39,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "Field2D",
-    "FlowRecord",
     "ForecastPlan",
     "LoadReport",
     "LrtcHyperParams",

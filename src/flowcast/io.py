@@ -38,24 +38,6 @@ BLOCK_ROWS = 8192
 
 
 @dataclass
-class FlowRecord:
-    """One observed (station, day, slot) count."""
-
-    station_id: str
-    day_index: int
-    slot_index: int
-    count: float
-
-    def __post_init__(self):
-        if self.day_index < 0 or self.slot_index < 0:
-            raise ValueError("indices must be non-negative")
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
-        if not math.isfinite(self.count):
-            raise ValueError("count must be finite")
-
-
-@dataclass
 class LoadReport:
     """Ingest bookkeeping: rows read, stations found, cells zero-filled."""
 
@@ -86,17 +68,19 @@ def _parse_row(row, line_no, n_days, n_slots):
 
 
 def _csv_rows(fh):
-    """``csv.reader`` rows, with csv's own errors (a field past
-    ``csv.field_size_limit()``, say) raised as ``ValueError`` naming the line."""
+    """``csv.reader`` rows, each with the file line it ends on (a quoted newline spans
+    two), and csv's own errors (a field past ``csv.field_size_limit()``, say) raised
+    as ``ValueError`` naming the line."""
     reader = csv.reader(fh)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
 
 
 def _check_header(rows):
-    header = next(rows, None)
+    header = next(rows, (0, None))[1]
     if header != HEADER:
         raise ValueError(f"expected header {','.join(HEADER)!r}, got {header!r}")
 
@@ -168,7 +152,7 @@ def _ingest_rows(path, n_days, n_slots):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = _csv_rows(fh)
         _check_header(rows)
-        for line_no, row in enumerate(rows, start=2):
+        for line_no, row in rows:
             if not row:
                 continue
             sid, day, slot, count = _parse_row(row, line_no, n_days, n_slots)

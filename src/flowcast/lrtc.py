@@ -16,7 +16,8 @@ such as today's missing slots has one or two patterns per mode.  Each sweep's
 sums of y times the other modes' means are MTTKRPs of the zero-filled data on
 the dimension tree ``cp_fit`` sweeps with (``tensor_ops._tree_mttkrps``); the
 rank-R² sums of their second moments are formed at each pattern's first row
-alone, from mask rows cut once per fit (``_pattern_inputs``).  The bound's
+alone, by contracting that row's boolean mask slice, cut once per fit, with
+the other modes' moments one mode at a time.  The bound's
 terms that no sweep moves (the fixed Gamma shapes' digamma and gammaln, the
 priors' constants, the row count) are computed once per fit, and each sweep
 evaluates the rest on Python floats.
@@ -38,8 +39,7 @@ from functools import reduce
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .tensor_ops import (_error_from_statistics, _finish_mode, _split, _SweepTrace,
-                         _tree_mttkrps, _tree_plan, as_mask)
+from .tensor_ops import _error_from_statistics, _split, _SweepTrace, _tree_mttkrps, as_mask
 
 PRIOR = 1e-6  # shape and rate of every Gamma prior, on lambda and on tau
 LOG_2PI = math.log(2 * math.pi)
@@ -133,41 +133,25 @@ def _gathered_product(arrs, idx):
     return reduce(np.multiply, [a[i] for a, i in zip(arrs, idx)])
 
 
-def _pattern_inputs(mask, groups):
-    """``_statistics``'s fixed view of the mask: as floats in row order, the rows over modes
-    ``[0, N-1)`` a mode k < N-1 reads (its index at k one of k's first rows); each such mode's
-    positions among them (``None`` for all, so rows that all differ take no gather); the last
-    mode's slab of first rows, longest earlier mode ``j`` on its rows; per mode its step."""
-    *lead, last = mask.shape
-    firsts = [first for first, _, _ in groups]
-    read = np.zeros(lead, dtype=bool)
-    for k, first in enumerate(firsts[:-1]):
-        read[(slice(None),) * k + (first,)] = True
-    union = mask.reshape(-1, last)[read.ravel()].astype(np.float64)
-    position = np.cumsum(read).reshape(read.shape) - 1
-    picks = [np.take(position, first, axis=k).ravel() for k, first in enumerate(firsts[:-1])]
-    picks = [None if pick.size == len(union) else pick for pick in picks] + [None]
-    j = int(np.argmax(lead))  # contracted first, which keeps the slab's product least
-    slab = np.moveaxis(mask[..., firsts[-1]], j, 0).reshape(lead[j], -1).astype(np.float64)
-    steps = [_tree_plan(mask.shape[:k] + (f.size,) + mask.shape[k + 1:], len(lead))[0][1][k]
-             for k, f in enumerate(firsts[:-1])]
-    rest = tuple(m for m in reversed(range(len(lead))) if m != j)
-    steps.append((len(lead), firsts[-1].size, slab.shape[1] // firsts[-1].size, 1, rest))
-    return union, picks, (j, slab), steps
+def _pattern_rows(mask, groups):
+    """Per mode k, the boolean mask rows at k's first rows, mode k leading, the others in
+    order: cut once per fit, they are all ``_statistics`` reads of the mask."""
+    return [np.moveaxis(mask, k, 0)[first] for k, (first, _, _) in enumerate(groups)]
 
 
-def _statistics(inputs, filled, split, means, moments):
+def _statistics(rows, filled, split, means, moments):
     """Yield ``(k, s, proj)`` per mode k: ``s`` sums the other modes' second moments over the
-    observed cells of each of mode k's first rows, and ``proj`` y times their means at every
-    row, the tree MTTKRPs of the zero-filled ``filled``.  ``inputs`` is ``_pattern_inputs``'s.
-    Updates to ``means[k]`` and ``moments[k]`` reach mode k+1."""
-    union, picks, (j, slab), steps = inputs
-    flat = [v.reshape(v.shape[0], -1) for v in moments]
-    p = flat[-1].T @ union.T  # every earlier mode finishes it, as the tree finishes a mode
-    for (k, proj), pick, step in zip(_tree_mttkrps(filled, means, split), picks, steps):
-        q = flat[j].T @ slab if k == len(steps) - 1 else p if pick is None else p[:, pick]
-        yield k, _finish_mode(q, flat, step).T.reshape((-1,) + moments[0].shape[1:]), proj
-        flat[k] = moments[k].reshape(flat[k].shape)
+    observed cells of each of mode k's first rows, ``rows[k]`` (``_pattern_rows``) contracted
+    with their moments flattened to I_j x R², one mode at a time from the last, and ``proj``
+    y times their means at every row, the tree MTTKRPs of the zero-filled ``filled``.  Each
+    mode's moments are read at its turn, so updates to ``means[k]`` and ``moments[k]``
+    reach mode k+1."""
+    for k, proj in _tree_mttkrps(filled, means, split):
+        *rest, last = (v.reshape(v.shape[0], -1) for j, v in enumerate(moments) if j != k)
+        s = rows[k] @ last
+        for f in reversed(rest):
+            s = np.einsum("...jq,jq->...q", s, f)
+        yield k, s.reshape((-1,) + moments[k].shape[1:]), proj
 
 
 def _elbo(stats, group_covs, d_rate, e_lam, fixed):
@@ -225,7 +209,7 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
     scale = (max(std, 1e-12) / np.sqrt(rank)) ** (1.0 / y.ndim)
     means = [rng.normal(0.0, scale, size=(i, rank)) for i in extents]
     groups = _row_groups(mask)
-    inputs = _pattern_inputs(mask, groups)
+    rows = _pattern_rows(mask, groups)
     counts = np.concatenate([c for _, _, c in groups])
     group_covs = [None] * y.ndim  # each sweep sets one covariance per mask-pattern group
     eye = np.eye(rank)
@@ -240,7 +224,7 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
 
     elbo_trace = _SweepTrace()
     for _ in range(hp.max_iters):
-        for k, s, proj in _statistics(inputs, filled, split, means, moments):
+        for k, s, proj in _statistics(rows, filled, split, means, moments):
             v = np.linalg.inv(e_lam * eye + e_tau * s)
             group_covs[k] = 0.5 * (v + v.swapaxes(1, 2))
             cov = group_covs[k][groups[k][1]]

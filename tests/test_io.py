@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flowcast import io
-from flowcast.io import FlowRecord, export, ingest
+from flowcast.io import export, ingest
 from flowcast.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -68,6 +68,12 @@ class TestIngest:
         write_csv(path, ["a,0,3,1.0"])
         with pytest.raises(ValueError, match="slot_index 3"):
             ingest(path, (2, 3))
+        write_csv(path, ["a,-1,0,1.0"])
+        with pytest.raises(ValueError, match="day_index -1"):
+            ingest(path, (2, 3))
+        write_csv(path, ["a,0,-2,1.0"])
+        with pytest.raises(ValueError, match="slot_index -2"):
+            ingest(path, (2, 3))
 
     def test_negative_count_is_rejected(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -93,6 +99,16 @@ class TestIngest:
         write_csv(path, ["a,0,0,1.0", f"a,0,1,{count}"])
         with pytest.raises(ValueError, match=r"^line 3: non-finite count for \(a, 0, 1\)$"):
             ingest(path, (1, 2))
+
+    @pytest.mark.parametrize("rows, line", [
+        (['"x\ny",0,0,1', "a,5,0,1"], 4),  # the quoted id spans lines 2 and 3
+        (["", '"x\ny",0,0,1', "", "a,5,0,1"], 6),  # blank lines count as lines
+    ], ids=["quoted newline", "and blank lines"])
+    def test_row_after_a_quoted_newline_is_named_by_its_line(self, tmp_path, rows, line):
+        path = tmp_path / "flows.csv"
+        write_csv(path, rows)
+        with pytest.raises(ValueError, match=rf"^line {line}: day_index 5 outside \[0, 2\)$"):
+            ingest(path, (2, 3))
 
     def test_negative_infinity_stays_a_negative_count(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -332,20 +348,3 @@ class TestExport:
             export(tmp_path / "x.csv", np.zeros((2, 2)), ["a", "b"])
         with pytest.raises(ValueError):
             export(tmp_path / "x.csv", np.zeros((2, 2, 2)), ["a"])
-
-
-class TestFlowRecord:
-    def test_accepts_valid_and_rejects_invalid(self):
-        rec = FlowRecord("a", 0, 5, 2.5)
-        assert rec.count == 2.5
-        with pytest.raises(ValueError):
-            FlowRecord("a", -1, 0, 1.0)
-        with pytest.raises(ValueError):
-            FlowRecord("a", 0, -2, 1.0)
-        with pytest.raises(ValueError):
-            FlowRecord("a", 0, 0, -0.5)
-
-    @pytest.mark.parametrize("count", [float("nan"), float("inf")])
-    def test_rejects_non_finite_count(self, count):
-        with pytest.raises(ValueError, match="finite"):
-            FlowRecord("a", 0, 0, count)

@@ -364,14 +364,14 @@ def test_dense_statistics_match_cellwise_sums(shape, kind):
 
     means, moments = map(list, zip(*(random_moments(i) for i in shape)))
     groups = lrtc._row_groups(mask)
-    inputs, filled = lrtc._pattern_inputs(mask, groups), np.where(mask, y, 0.0)
+    rows, filled = lrtc._pattern_rows(mask, groups), np.where(mask, y, 0.0)
     split = tensor_ops._split(shape)  # (20, 4, 3): one-mode left half; (5, 7, 6): one-mode right
     sum_y2 = np.sum(y[mask] ** 2)
     # the second pass overwrites each mode's means and moments once its statistics
     # are out, as a sweep does: the next mode's statistics must see the new values
     for update in (False, True):
         modes = []
-        for k, s, proj in lrtc._statistics(inputs, filled, split, means, moments):
+        for k, s, proj in lrtc._statistics(rows, filled, split, means, moments):
             first, index, counts = groups[k]
             assert np.all(np.diff(first) > 0) and s.shape[0] == first.size == counts.size
             s = s[index]  # each row's sums are its group's
@@ -406,8 +406,8 @@ def test_fit_memory_stays_off_the_observed_cell_count():
 
 
 def test_fit_memory_stays_under_ten_tensors():
-    # the tree holds one float copy each of the mask and the zero-filled data;
-    # per-mode unfoldings of both would hold 2N
+    # the proj tree holds one float copy of the zero-filled data;
+    # per-mode unfoldings of it and of the mask would hold 2N
     rng = np.random.default_rng(0)
     factors = [rng.uniform(0.5, 1.5, size=(n, 3)) for n in (12, 56, 48)]
     y = cp_reconstruct(CpModel(np.ones(3), factors))
@@ -437,6 +437,22 @@ def test_fit_memory_stays_under_four_tensors_at_rank_eight():
     finally:
         tracemalloc.stop()
     assert peak < 4 * y.nbytes
+
+
+def test_fit_memory_stays_under_six_tensors_on_a_random_mask():
+    # every row of every mode is its own pattern here, so each mode's pattern rows are a
+    # boolean copy of the whole mask; no float copy of it is kept for the fit
+    rng = np.random.default_rng(0)
+    factors = [rng.uniform(0.5, 1.5, size=(n, 3)) for n in (12, 56, 48)]
+    y = cp_reconstruct(CpModel(np.ones(3), factors))
+    mask = rng.random(y.shape) < 0.7
+    tracemalloc.start()
+    try:
+        lrtc_fit(y, mask, LrtcHyperParams(max_rank=8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * y.nbytes
 
 
 def test_fit_copies_no_unfolding(monkeypatch):
