@@ -19,8 +19,7 @@ from .io import LoadReport, export, ingest
 from .lrtc import (CompletionResult, LrtcHyperParams, LrtcPosterior, lrtc_fit,
                    lrtc_predict, short_term_predict)
 from .pipeline import (DayPrediction, ForecastPlan, forecast_from_model,
-                       lean_update, rolling_update_evaluation,
-                       two_step_forecast, update_location_factor)
+                       lean_update, two_step_forecast, update_location_factor)
 from .synthetic import SyntheticSpec, generate_synthetic, planted_labels
 from .tensor_ops import (DegenerateSolveWarning, cp_reconstruct, fold,
                          khatri_rao, khatri_rao_all, relative_residual,
@@ -70,7 +69,6 @@ __all__ = [
     "planted_labels",
     "relative_residual",
     "reshape_to_field",
-    "rolling_update_evaluation",
     "short_term_predict",
     "shortterm_report",
     "simulate_field",

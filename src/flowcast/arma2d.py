@@ -157,8 +157,10 @@ def _checked_orders(days, weeks, orders):
     return p1, p2, q1, q2
 
 
-def check_orders(valid, orders) -> None:
-    """Raise, without fitting, the ``ValueError`` :func:`arma2d_fit` raises on these cells."""
+def check_orders(n_days, orders, days_per_week: int = DAYS_PER_WEEK) -> None:
+    """Raise, without fitting, the ``ValueError`` :func:`arma2d_fit` raises on the
+    field :func:`reshape_to_field` lays out from ``n_days`` daily values."""
+    valid = reshape_to_field(np.zeros(n_days), days_per_week).valid
     p1, p2, q1, q2 = _checked_orders(*valid.shape, orders)
     ar_offs = _lag_offsets(p1, p2)
     n_par = len(ar_offs) + len(_lag_offsets(q1, q2))

@@ -53,7 +53,6 @@ _SCHEMA = {
     "split_day": (int, "first held-out day index"),
     "n_baseline_lags": (int, "lag count of the 1-D AR baseline"),
     "n_clusters": (int, "fixed cluster count (default: automatic)", "--clusters"),
-    "variance_retained": (float, "embedding variance fraction"),
     "suffix_start": (int, "first masked slot of the final day "
                            "(default: 30%% into the day)"),
     "output_dir": (str, "directory for report files"),
@@ -258,7 +257,7 @@ def _cmd_cluster(args):
     tensor, station_ids = _load_tensor(args.tensor)
     cfg.check_n_clusters(len(station_ids))
     model, _ = cp_fit(tensor, cfg.plan.als)
-    embedding = embed_stations(model, cfg.variance_retained, station_ids=station_ids)
+    embedding = embed_stations(model, station_ids=station_ids)
     k = cfg.n_clusters if cfg.n_clusters is not None else choose_cluster_count(embedding)
     assign = agglomerate(embedding, k)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -332,7 +331,7 @@ def build_parser():
 
     p = sub.add_parser("cluster", help="embed stations and write cluster labels")
     p.add_argument("--tensor", required=True, metavar="PATH", help="input .npz archive")
-    _add_config_options(p, ["plan.rank", "n_clusters", "variance_retained"])
+    _add_config_options(p, ["plan.rank", "n_clusters"])
     p.add_argument("--out", required=True, metavar="PATH", help="output CSV")
     p.set_defaults(func=_cmd_cluster)
 

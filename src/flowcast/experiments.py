@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arma2d import check_orders, reshape_to_field
+from .arma2d import check_orders
 from .clustering import agglomerate, choose_cluster_count, embed_stations
 from .cp import cp_fit
 from .io import ingest
 from .lrtc import LrtcHyperParams, short_term_predict
 from .pipeline import (ForecastPlan, _forecast, forecast_from_model, lean_update,
-                       rolling_update_evaluation, two_step_forecast)
+                       two_step_forecast)
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tensor_ops import residual_or_nan
 
@@ -37,9 +37,10 @@ class ExperimentConfig:
     ``extents`` (days, slots); otherwise the synthetic spec is used with
     ``seed`` overriding its seed so one flag controls the scenario.
 
-    ``plan.horizon_days`` applies to the long-term report only; the update
-    and short-term reports forecast one day with the plan's rank, ARMA
-    orders and ALS settings.
+    Each report works out its own horizon: the long-term report forecasts
+    every day from ``split_day`` on, and the update and short-term reports
+    forecast one day, all with the plan's rank, ARMA orders and ALS
+    settings.  Only ``flowcast forecast`` reads ``plan.horizon_days``.
     """
 
     data_path: str | None = None
@@ -50,7 +51,6 @@ class ExperimentConfig:
     lrtc: LrtcHyperParams = field(default_factory=lambda: LrtcHyperParams(max_rank=8))
     n_baseline_lags: int = 8
     n_clusters: int | None = None
-    variance_retained: float = 0.9
     suffix_start: int | None = None
     output_dir: str = "."
     seed: int = 0
@@ -62,8 +62,6 @@ class ExperimentConfig:
             raise ValueError("n_baseline_lags must be >= 1")
         if self.n_clusters is not None and self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
-        if not 0.0 < self.variance_retained <= 1.0:
-            raise ValueError("variance_retained must lie in (0, 1]")
         if self.extents is not None and len(self.extents) != 2:
             raise ValueError("extents must declare (n_days, n_slots)")
 
@@ -118,7 +116,8 @@ def _check_split(split_day, n_days):
 def longterm_report(tensor, station_ids, cfg: ExperimentConfig) -> ExperimentReport:
     """Two-step 2D-ARMA forecast vs a per-rank scalar AR on the same CP fit.
 
-    The baseline is the same 2D-ARMA path on a one-row field, orders
+    Both forecast every held-out day, from ``cfg.split_day`` on.  The
+    baseline is the same 2D-ARMA path on a one-row field, orders
     ``(0, n_baseline_lags, 0, 0)``: identical factorization and lag-count
     parity, so the comparison isolates the day-of-week by week structure.
     """
@@ -126,21 +125,17 @@ def longterm_report(tensor, station_ids, cfg: ExperimentConfig) -> ExperimentRep
     n_days = tensor.shape[1]
     _check_split(cfg.split_day, n_days)
     try:
-        check_orders(reshape_to_field(np.zeros(cfg.split_day), 1).valid,
-                     (0, cfg.n_baseline_lags, 0, 0))
+        check_orders(cfg.split_day, (0, cfg.n_baseline_lags, 0, 0), 1)
     except ValueError as exc:
         raise ValueError(f"split_day {cfg.split_day} is too short for the AR baseline with "
                          f"n_baseline_lags ({cfg.n_baseline_lags}): {exc}") from exc
+    check_orders(cfg.split_day, cfg.plan.arma_orders)
     horizon = n_days - cfg.split_day
-    if cfg.plan.horizon_days != horizon:
-        raise ValueError(
-            f"plan horizon {cfg.plan.horizon_days} must equal held-out days {horizon}")
-    check_orders(reshape_to_field(np.zeros(cfg.split_day)).valid, cfg.plan.arma_orders)
     train = tensor[:, :cfg.split_day, :]
     truth = tensor[:, cfg.split_day:, :]
 
     model, _ = cp_fit(train, cfg.plan.als)
-    prediction = forecast_from_model(model, cfg.plan)
+    prediction = forecast_from_model(model, dataclasses.replace(cfg.plan, horizon_days=horizon))
     baseline = _forecast(model, horizon, (0, cfg.n_baseline_lags, 0, 0), 1).tensor
 
     rows = []
@@ -197,13 +192,14 @@ def update_report(tensor, cfg: ExperimentConfig, observed_fraction: float,
                          f"to score, too few to split into early and late blocks")
 
     prediction, updated = _forecast_and_update(tensor, cfg, cfg.split_day, n_obs)
-    blocks = rolling_update_evaluation(tensor[:, cfg.split_day, :], prediction, updated,
-                                       start_slot=n_obs, window=window)
-    rows = [
-        (start, min(start + window, n_slots) - start, res_long, res_upd,
-         _improvement(res_long, res_upd))
-        for start, res_long, res_upd in blocks
-    ]
+    truth = tensor[:, cfg.split_day, :]
+    rows = []
+    for start in range(n_obs, n_slots, window):
+        block = slice(start, min(start + window, n_slots))
+        res_long = residual_or_nan(prediction.tensor[:, 0, block], truth[:, block])
+        res_upd = residual_or_nan(updated.tensor[:, 0, block], truth[:, block])
+        rows.append((start, block.stop - start, res_long, res_upd,
+                     _improvement(res_long, res_upd)))
     early_cut = n_obs + (n_slots - n_obs) // 2
     scored = _require([r for r in rows if not np.isnan(r[2])], "update", "blocks")
     early = _require([r for r in scored if r[0] < early_cut], "update", "early blocks")
@@ -252,8 +248,7 @@ def shortterm_report(tensor, station_ids, cfg: ExperimentConfig,
     prediction, lean = _forecast_and_update(tensor, cfg, n_days - 1, start)
 
     if use_clustering:
-        embedding = embed_stations(prediction.source_model, cfg.variance_retained,
-                                   station_ids=station_ids)
+        embedding = embed_stations(prediction.source_model, station_ids=station_ids)
         k = cfg.n_clusters if cfg.n_clusters is not None else choose_cluster_count(embedding)
         labels = agglomerate(embedding, k).labels
     else:

@@ -15,7 +15,8 @@ ingest holds the tensor, its mask and one block, never an array or object
 per row of the whole file.  Any file those checks cannot vouch for is read
 again by the row loop, which is the parser of record: it names the line of
 the first bad row, or accepts what only Python's ``int``/``float`` accept
-(``1_0``).
+(``1_0``).  It scatters each row straight into a tensor and ``seen`` mask
+that double in place as stations appear, so it too holds no object per row.
 """
 
 from __future__ import annotations
@@ -146,9 +147,10 @@ def _ingest_array(path, n_days, n_slots):
 
 
 def _ingest_rows(path, n_days, n_slots):
-    station_ids = []
     station_row = {}
-    cells = {}
+    tensor = np.zeros((1, n_days, n_slots))
+    seen = np.zeros((1, n_days, n_slots), dtype=bool)
+    n_rows = 0
     with open(path, newline="", encoding="utf-8") as fh:
         rows = _csv_rows(fh)
         _check_header(rows)
@@ -156,22 +158,22 @@ def _ingest_rows(path, n_days, n_slots):
             if not row:
                 continue
             sid, day, slot, count = _parse_row(row, line_no, n_days, n_slots)
-            if sid not in station_row:
-                station_row[sid] = len(station_ids)
-                station_ids.append(sid)
-            key = (sid, day, slot)
-            if key in cells:
-                raise ValueError(f"line {line_no}: duplicate record for {key}")
-            cells[key] = count
+            l = station_row.setdefault(sid, len(station_row))
+            if l == len(tensor):
+                tensor.resize((2 * l, n_days, n_slots), refcheck=False)
+                seen.resize((2 * l, n_days, n_slots), refcheck=False)
+            if seen[l, day, slot]:
+                raise ValueError(f"line {line_no}: duplicate record for {(sid, day, slot)}")
+            seen[l, day, slot] = True
+            tensor[l, day, slot] = count
+            n_rows += 1
 
-    if not station_ids:
+    if not station_row:
         raise ValueError("no records found")
-    tensor = np.zeros((len(station_ids), n_days, n_slots))
-    for (sid, day, slot), count in cells.items():
-        tensor[station_row[sid], day, slot] = count
-    report = LoadReport(n_rows=len(cells), n_stations=len(station_ids),
-                        missing_count=tensor.size - len(cells))
-    return tensor, station_ids, report
+    tensor.resize((len(station_row), n_days, n_slots), refcheck=False)
+    report = LoadReport(n_rows=n_rows, n_stations=len(station_row),
+                        missing_count=tensor.size - n_rows)
+    return tensor, list(station_row), report
 
 
 def _whole(extent):

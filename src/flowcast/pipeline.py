@@ -26,7 +26,7 @@ import numpy as np
 from .arma2d import (DAYS_PER_WEEK, arma2d_fit, arma2d_forecast, check_orders,
                      field_to_vector, reshape_to_field)
 from .cp import AlsConfig, CpModel, _normalize_columns, _solve_mode, cp_fit
-from .tensor_ops import as_tensor, cp_reconstruct, residual_or_nan
+from .tensor_ops import as_tensor, cp_reconstruct
 
 PROVENANCE_TAGS = ("long_term", "updated")
 
@@ -82,7 +82,7 @@ def two_step_forecast(t, plan: ForecastPlan) -> DayPrediction:
     t = as_tensor(t, min_modes=3)
     if t.ndim != 3:
         raise ValueError("expected a 3-way tensor (locations x days x slots)")
-    check_orders(reshape_to_field(np.zeros(t.shape[1])).valid, plan.arma_orders)
+    check_orders(t.shape[1], plan.arma_orders)
     model, _ = cp_fit(t, plan.als)
     return forecast_from_model(model, plan)
 
@@ -182,32 +182,3 @@ def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpMo
     location, norms = _normalize_columns(weighted)
     source = CpModel(norms, [location, row[None, :], u_p])
     return DayPrediction(out[:, None, :], source, "updated")
-
-
-def rolling_update_evaluation(truth, long_prediction: DayPrediction,
-                              updated_prediction: DayPrediction,
-                              start_slot: int, window: int):
-    """Blockwise RES of both predictions over the post-update part of a day.
-
-    Returns ``(block_start, res_long, res_updated)`` triples for consecutive
-    ``window``-slot blocks from ``start_slot`` on; a shorter trailing block
-    is scored on its own, and a block whose truth is all zero scores ``nan``.
-    """
-    if long_prediction.horizon_days != 1 or updated_prediction.horizon_days != 1:
-        raise ValueError("evaluation expects single-day predictions")
-    n_loc, _, n_slots = long_prediction.tensor.shape
-    day_true = _as_day_slice(truth, n_loc, n_slots, "truth")
-    if not 0 <= start_slot < n_slots:
-        raise ValueError("start_slot out of range")
-    if window < 1 or window > n_slots - start_slot:
-        raise ValueError("window must fit inside the evaluation suffix")
-
-    rows = []
-    for s in range(start_slot, n_slots, window):
-        block = slice(s, min(s + window, n_slots))
-        rows.append((
-            s,
-            residual_or_nan(long_prediction.tensor[:, 0, block], day_true[:, block]),
-            residual_or_nan(updated_prediction.tensor[:, 0, block], day_true[:, block]),
-        ))
-    return rows

@@ -191,17 +191,19 @@ def test_fit_skips_cells_whose_lags_fall_in_a_hole():
                                     (2, 2, 1, 1), (1, 2, 1, 0), (0, 8, 0, 0)])
 def test_check_orders_raises_exactly_when_the_fit_does(orders):
     rng = np.random.default_rng(sum(orders))
-    for n_days in range(1, 50):
-        f = reshape_to_field(rng.normal(size=n_days))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateSolveWarning)
-                arma2d_fit(f, orders)
-        except ValueError as err:
-            with pytest.raises(ValueError, match=re.escape(str(err))):
-                check_orders(f.valid, orders)
-        else:
-            check_orders(f.valid, orders)
+    # the week grid of the forecast and the one-row field of the AR baseline
+    for days_per_week in (7, 1):
+        for n_days in range(1, 50):
+            f = reshape_to_field(rng.normal(size=n_days), days_per_week)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateSolveWarning)
+                    arma2d_fit(f, orders)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    check_orders(n_days, orders, days_per_week)
+            else:
+                check_orders(n_days, orders, days_per_week)
 
 
 def test_constant_field_degenerates_to_mean():

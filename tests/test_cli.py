@@ -85,11 +85,11 @@ class TestConfigFile:
 
     def test_build_nested_sections(self):
         cfg = build_experiment_config({
-            "seed": "4", "variance_retained": "0.8", "output_dir": "rep",
+            "seed": "4", "split_day": "42", "output_dir": "rep",
             "plan.rank": "3", "plan.arma_orders": "1,2,0,0",
             "lrtc.max_rank": "5", "synth.extents": "6,14,8"})
         assert cfg.seed == 4
-        assert cfg.variance_retained == 0.8
+        assert cfg.split_day == 42
         assert cfg.output_dir == "rep"
         assert cfg.plan.rank == 3
         assert cfg.plan.horizon_days == 7
@@ -468,6 +468,13 @@ class TestEvaluate:
         stdout = capsys.readouterr().out
         assert stdout.startswith("longterm:")
         assert stdout.count("wrote ") == 2
+
+    def test_longterm_forecasts_every_held_out_day(self, tmp_path):
+        # the plan's 7-day default horizon does not bind the report
+        assert run_cli("evaluate", "--experiment", "longterm", "--split-day", 42,
+                       "--output-dir", tmp_path) == 0
+        summary = json.loads((tmp_path / "longterm_summary.json").read_text())
+        assert summary["horizon_days"] == 14
 
     def test_update_experiment_runs(self, tmp_path):
         out_dir = tmp_path / "rep"

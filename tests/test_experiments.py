@@ -18,10 +18,9 @@ from flowcast.experiments import (
 from flowcast.cp import AlsConfig, CpModel, cp_fit
 from flowcast.io import export
 from flowcast.lrtc import LrtcHyperParams, short_term_predict
-from flowcast.pipeline import (ForecastPlan, _forecast, lean_update,
-                               rolling_update_evaluation, two_step_forecast)
+from flowcast.pipeline import ForecastPlan, _forecast, lean_update, two_step_forecast
 from flowcast.synthetic import SyntheticSpec, generate_synthetic
-from flowcast.tensor_ops import DegenerateSolveWarning, residual_or_nan
+from flowcast.tensor_ops import DegenerateSolveWarning, relative_residual, residual_or_nan
 
 pytestmark = pytest.mark.filterwarnings("ignore::flowcast.tensor_ops.DegenerateSolveWarning")
 
@@ -58,8 +57,6 @@ class TestConfig:
             ExperimentConfig(split_day=0)
         with pytest.raises(ValueError):
             ExperimentConfig(n_baseline_lags=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(variance_retained=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(extents=(56,))
         with pytest.raises(ValueError, match="n_clusters must be >= 1"):
@@ -216,9 +213,12 @@ class TestLongterm:
         assert report.columns[0] == "station"
         assert report.summary["n_stations"] == 12
         assert report.summary["horizon_days"] == 7
-        with pytest.raises(ValueError, match="horizon"):
-            cfg = weekly_cfg(0, split_day=50)
-            longterm_report(*load_input(cfg), cfg)
+        # the report forecasts every held-out day, whatever plan.horizon_days says
+        cfg = weekly_cfg(0, split_day=50)
+        report = longterm_report(*load_input(cfg), cfg)
+        assert report.summary["horizon_days"] == 6
+        cfg.plan.horizon_days = 1
+        assert longterm_report(*load_input(cfg), cfg).rows == report.rows
 
     def test_reports_are_deterministic(self):
         cfg = weekly_cfg(1)
@@ -289,6 +289,29 @@ class TestUpdate:
         assert sum(1 for row in report.rows if row[1] == 5) == 34
         assert report.rows[-1][:2] == (245, 2)
 
+    def test_unchanged_prediction_ties_on_every_block_of_a_24_slot_day(self, monkeypatch):
+        # 28% of 24 slots rounds up to 7 observed; an update that changes
+        # nothing scores the same RES as the forecast on every block
+        monkeypatch.setattr("flowcast.experiments.lean_update",
+                            lambda prediction, *args: prediction)
+        cfg = ExperimentConfig(
+            seed=0, synth=SyntheticSpec(extents=(10, 50, 24), rank=2),
+            plan=ForecastPlan(horizon_days=1, rank=2, arma_orders=(1, 2, 0, 0)))
+        report = update_report(load_input(cfg)[0], cfg, 0.28)
+        assert [row[:2] for row in report.rows] == [(7, 5), (12, 5), (17, 5), (22, 2)]
+        for _, _, res_long, res_updated, improvement in report.rows:
+            assert res_long == res_updated and improvement == 0.0
+
+    def test_window_over_the_whole_remainder_scores_one_block(self):
+        cfg = short_als_cfg()
+        tensor, _ = load_input(cfg)
+        report = update_report(tensor, cfg, 0.3, window=33)
+        prediction, updated = one_day_prediction(tensor[:, :49], cfg, tensor[:, 49], 15)
+        res_long = relative_residual(prediction.tensor[:, 0, 15:], tensor[:, 49, 15:])
+        res_updated = relative_residual(updated.tensor[:, 0, 15:], tensor[:, 49, 15:])
+        assert report.rows == [(15, 33, res_long, res_updated,
+                                (res_long - res_updated) / res_long)]
+
     def test_degenerate_fractions_are_rejected(self):
         cfg = weekly_cfg(0)
         tensor, _ = load_input(cfg)
@@ -316,9 +339,9 @@ class TestUpdate:
         cfg = short_als_cfg()
         tensor, _ = load_input(cfg)
         report = update_report(tensor, cfg, 0.3)
-        prediction, updated = one_day_prediction(tensor[:, :49], cfg, tensor[:, 49], 15)
-        blocks = rolling_update_evaluation(tensor[:, 49], prediction, updated, 15, 5)
-        want = np.mean([res_long for _, res_long, _ in blocks])
+        prediction, _ = one_day_prediction(tensor[:, :49], cfg, tensor[:, 49], 15)
+        want = np.mean([residual_or_nan(prediction.tensor[:, 0, s:s + 5], tensor[:, 49, s:s + 5])
+                        for s in range(15, 48, 5)])
         assert report.summary["mean_res_longterm"] == want
         default = update_report(tensor, weekly_cfg(0), 0.3)
         assert default.summary["mean_res_longterm"] != want

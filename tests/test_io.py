@@ -293,20 +293,28 @@ class TestIngestMemory:
         shuffled = path.with_name("shuffled.csv")
         shuffled.write_text("\n".join([header] + [rows[i] for i in order]) + "\n",
                             encoding="utf-8")
-        return tensor, {"written": path, "shuffled": shuffled}
+        # only Python's int() reads slot 4_7, so the whole file goes to the row loop
+        sid, day, slot, count = rows[-1].split(",")
+        assert slot == "47"
+        row_loop = path.with_name("row_loop.csv")
+        row_loop.write_text("\n".join([header] + rows[:-1] + [f"{sid},{day},4_7,{count}"])
+                            + "\n", encoding="utf-8")
+        return tensor, {"written": path, "shuffled": shuffled, "row_loop": row_loop}
 
-    @pytest.mark.parametrize("order", ["written", "shuffled"])
+    @pytest.mark.parametrize("order", ["written", "shuffled", "row_loop"])
     def test_peak_stays_under_four_tensors(self, exported, order):
-        # the tensor, its seen-cell mask and one block of records; no per-row
-        # array or object over the whole file
+        # the tensor, its seen-cell mask and one block of records (the row
+        # loop: both doubled as stations appear); no per-row array or object
+        # over the whole file
         tensor, paths = exported
         tracemalloc.start()
         try:
-            back, _, report = ingest(paths[order], (56, 48))
+            back, ids, report = ingest(paths[order], (56, 48))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.n_rows == tensor.size and back.shape == tensor.shape
+        assert report.n_rows == tensor.size
+        assert np.array_equal(back, tensor[[int(sid[2:]) for sid in ids]])
         assert peak < 4 * tensor.nbytes
 
 

@@ -17,7 +17,6 @@ from flowcast.pipeline import (
     DayPrediction,
     ForecastPlan,
     lean_update,
-    rolling_update_evaluation,
     two_step_forecast,
     update_location_factor,
 )
@@ -270,42 +269,3 @@ def test_update_location_factor_recovers_weighted_factor():
     w_hat = update_location_factor(day, row, u_p)
     np.testing.assert_allclose(
         np.einsum("lr,r,pr->lp", w_hat, row, u_p), day, atol=1e-10)
-
-
-# --- rolling evaluation -----------------------------------------------------
-
-
-def test_rolling_evaluation_equal_predictions_tie():
-    prediction, model, truth_day = update_scenario(seed=4)
-    rows = rolling_update_evaluation(truth_day, prediction, prediction, 7, 5)
-    assert [s for s, _, _ in rows] == [7, 12, 17, 22]
-    for _, res_long, res_updated in rows:
-        assert res_long == res_updated
-
-
-def test_rolling_evaluation_single_block_matches_residual():
-    prediction, model, truth_day = update_scenario(seed=5)
-    rows = rolling_update_evaluation(truth_day, prediction, prediction, 7, 17)
-    assert len(rows) == 1
-    start, res_long, _ = rows[0]
-    assert start == 7
-    assert res_long == relative_residual(prediction.tensor[:, 0, 7:], truth_day[:, 7:])
-
-
-def test_rolling_evaluation_majority_of_blocks_improve():
-    prediction, model, truth_day = update_scenario(seed=0)
-    observed = np.arange(24) < 7
-    updated = lean_update(prediction, truth_day, observed, model)
-    rows = rolling_update_evaluation(truth_day, prediction, updated, 7, 4)
-    improved = sum(res_updated < res_long for _, res_long, res_updated in rows)
-    assert improved > len(rows) / 2
-
-
-def test_rolling_evaluation_rejects_bad_windows():
-    prediction, model, truth_day = update_scenario(seed=6)
-    with pytest.raises(ValueError):
-        rolling_update_evaluation(truth_day, prediction, prediction, 7, 0)
-    with pytest.raises(ValueError):
-        rolling_update_evaluation(truth_day, prediction, prediction, 7, 18)
-    with pytest.raises(ValueError):
-        rolling_update_evaluation(truth_day, prediction, prediction, 24, 1)
