@@ -15,9 +15,10 @@ dotted keys of ``_SCHEMA`` map onto
 :class:`~flowcast.experiments.ExperimentConfig` and the dataclasses it holds,
 which are the only home of their defaults.  A key's flag is the key with
 dots and underscores turned into dashes (``--plan-rank``); some keys also
-keep a short spelling (``--rank``).  ``synth`` and ``evaluate`` also read a
-``key=value`` file (``--config``); command line flags take precedence over
-file entries.
+keep a short spelling (``--rank``).  Each command registers only the keys
+it reads.  ``synth`` and ``evaluate`` also read a ``key=value`` file
+(``--config``) of those keys; command line flags take precedence over file
+entries.
 """
 
 import argparse
@@ -73,8 +74,9 @@ _SCHEMA = {
 }
 
 
-def load_config(path):
-    """Read ``key=value`` settings; ``#`` starts a comment, blanks ignored."""
+def load_config(path, keys=_SCHEMA):
+    """Read ``key=value`` settings; ``#`` starts a comment, blanks ignored.  A key
+    outside ``keys``, the settings the command reads, is an error naming it."""
     settings = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -84,7 +86,7 @@ def load_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _SCHEMA:
+            if key not in keys:
                 raise ValueError(f"{path}: line {lineno}: unknown setting {key!r}")
             settings[key] = value
     return settings
@@ -119,7 +121,8 @@ def build_experiment_config(settings) -> ExperimentConfig:
 
 def _config(args):
     """The command's ExperimentConfig: ``--config`` entries, then the flags given."""
-    settings = load_config(args.config) if getattr(args, "config", None) is not None else {}
+    config = getattr(args, "config", None)
+    settings = load_config(config, args.config_keys) if config is not None else {}
     settings.update({k: v for k, v in vars(args).items() if k in _SCHEMA and v is not None})
     return build_experiment_config(settings)
 
@@ -128,6 +131,7 @@ def _add_config_options(parser, keys, config_file=False):
     if config_file:
         parser.add_argument("--config", metavar="PATH",
                             help="key=value settings file (flags take precedence)")
+        parser.set_defaults(config_keys=frozenset(keys))
     for key in keys:
         _, text, *short = _SCHEMA[key]
         flag = "--" + key.replace(".", "-").replace("_", "-")
@@ -341,7 +345,8 @@ def build_parser():
     _add_update_options(p)
     p.add_argument("--use-clustering", action="store_true",
                    help="complete per cluster in the shortterm experiment")
-    _add_config_options(p, list(_SCHEMA), config_file=True)
+    # each report works out its own horizon
+    _add_config_options(p, [k for k in _SCHEMA if k != "plan.horizon_days"], config_file=True)
     p.set_defaults(func=_cmd_evaluate)
 
     return parser

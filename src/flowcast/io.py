@@ -6,17 +6,18 @@ Stations are ordered by first appearance; cells absent from the file are
 zero-filled and counted rather than interpolated, since completion is a
 modeling step, not an ingest step.
 
-A well-formed file is parsed in blocks of ``BLOCK_ROWS`` rows, one
-``np.loadtxt`` call each on the same handle.  Each block is checked with
-array operations (index ranges, finite non-negative counts, no cell twice
-in the block or already marked in a per-cell ``seen`` mask) and scattered
-into a station-major tensor that grows in place as new ids appear, so
-ingest holds the tensor, its mask and one block, never an array or object
-per row of the whole file.  Any file those checks cannot vouch for is read
-again by the row loop, which is the parser of record: it names the line of
-the first bad row, or accepts what only Python's ``int``/``float`` accept
-(``1_0``).  It scatters each row straight into a tensor and ``seen`` mask
-that double in place as stations appear, so it too holds no object per row.
+Ingest reads the file once, in blocks of ``BLOCK_ROWS`` (1,024) lines, and
+holds the tensor and one block, never an array or object per row of the
+whole file.  Each block is one ``np.loadtxt`` call, checked with array
+operations (index ranges, finite non-negative counts, no cell twice in the
+block or already written) and scattered into a station-major tensor that
+grows in place as new ids appear.  Unwritten cells are NaN: counts are
+finite, so a cell has been seen iff it is not NaN, and the unseen cells are
+zero-filled at the end, one station slab at a time.  The first block those
+checks cannot vouch for goes, with the rest of the file, to the row loop,
+which is the parser of record: it names the line of the first bad row, or
+accepts what only Python's ``int``/``float`` accept (``1_0``), and scatters
+each row into the same tensor, doubling it in place as stations appear.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -34,8 +35,8 @@ HEADER = ["station_id", "day_index", "slot_index", "count"]
 # object, not U<n>: a fixed-width string dtype would cut long ids short
 _RECORD = np.dtype([("sid", object), ("day", np.int64), ("slot", np.int64),
                     ("count", np.float64)])
-# rows per np.loadtxt call: one block of records costs about 0.7 MB
-BLOCK_ROWS = 8192
+# lines per np.loadtxt call: a block's lines, records and str ids cost about 0.2 MB
+BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -68,34 +69,61 @@ def _parse_row(row, line_no, n_days, n_slots):
     return sid, day, slot, count
 
 
-def _csv_rows(fh):
+def _csv_rows(lines, offset=0):
     """``csv.reader`` rows, each with the file line it ends on (a quoted newline spans
-    two), and csv's own errors (a field past ``csv.field_size_limit()``, say) raised
-    as ``ValueError`` naming the line."""
-    reader = csv.reader(fh)
+    two) when ``offset`` lines came before ``lines``, and csv's own errors (a field past
+    ``csv.field_size_limit()``, say) raised as ``ValueError`` naming the line."""
+    reader = csv.reader(lines)
     try:
         for row in reader:
-            yield reader.line_num, row
+            yield offset + reader.line_num, row
     except csv.Error as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
+        raise ValueError(f"line {offset + reader.line_num}: {exc}") from None
 
 
-def _check_header(rows):
-    header = next(rows, (0, None))[1]
+def _check_header(fh):
+    header = next(_csv_rows(fh), (0, None))[1]
     if header != HEADER:
         raise ValueError(f"expected header {','.join(HEADER)!r}, got {header!r}")
 
 
-def _scatter_block(fh, n_days, n_slots, station_row, tensor, seen):
-    """Parse and check the next block of rows, then scatter it into ``tensor``.
+def _resize(tensor, n_stations):
+    """Resize ``tensor`` in place to ``n_stations`` station slabs, any new ones unseen
+    (NaN).  No reference check: no view of its buffer may be alive across the call."""
+    old = len(tensor)
+    tensor.resize((n_stations,) + tensor.shape[1:], refcheck=False)
+    tensor[old:] = np.nan
 
-    Returns the block's row count, or None where the row loop must decide.
-    The block's arrays die on return, so the next block's parse never
-    overlaps this one.
+
+def _open_quote(lines):
+    """Whether ``lines`` end inside a quoted field, so that csv would read the next
+    line into that field rather than as a record of its own."""
+    try:
+        *_, last = csv.reader(chain(lines, ["x\n"]))
+    except csv.Error:  # the row loop names it, if its block gets there
+        return False
+    return last != ["x"]
+
+
+def _next_block(fh):
+    """The next ``BLOCK_ROWS`` lines, and more while the last leaves a quoted field
+    open, so that every block ends where a record does."""
+    lines = list(islice(fh, BLOCK_ROWS))
+    if '"' in "".join(lines):
+        while _open_quote(lines) and (line := next(fh, None)) is not None:
+            lines.append(line)
+    return lines
+
+
+def _scatter_block(lines, n_days, n_slots, station_row, tensor):
+    """Parse and check a block of lines, then scatter it into ``tensor``.
+
+    Returns the block's row count, or None where the row loop must decide;
+    then no cell of the block has been written.
     """
     try:
-        rec = np.loadtxt(fh, dtype=_RECORD, delimiter=",", comments=None, quotechar='"',
-                         ndmin=1, max_rows=BLOCK_ROWS)
+        rec = np.loadtxt(lines, dtype=_RECORD, delimiter=",", comments=None, quotechar='"',
+                         ndmin=1)
     except (ValueError, OverflowError):
         return None
     if not len(rec):
@@ -107,73 +135,79 @@ def _scatter_block(fh, n_days, n_slots, station_row, tensor, seen):
     codes = np.array([station_row.setdefault(sid, len(station_row)) for sid in rec["sid"]],
                      dtype=np.int64)
     if len(station_row) > len(tensor):
-        # in place, station-major: the new stations' cells are appended as zeros;
-        # no view of either buffer outlives the block that made it
-        tensor.resize((len(station_row), n_days, n_slots), refcheck=False)
-        seen.resize((len(station_row), n_days, n_slots), refcheck=False)
+        _resize(tensor, len(station_row))
     cell = (codes * n_days + day) * n_slots + slot
     in_order = np.sort(cell)
-    if (in_order[1:] == in_order[:-1]).any() or seen.reshape(-1)[cell].any():
+    flat = tensor.reshape(-1)
+    if (in_order[1:] == in_order[:-1]).any() or not np.isnan(flat[cell]).all():
         return None
-    seen.reshape(-1)[cell] = True
-    tensor.reshape(-1)[cell] = count
+    flat[cell] = count
     return len(rec)
 
 
-def _ingest_array(path, n_days, n_slots):
-    """Parse and check the file block by block; None where the row loop must decide."""
+def _scatter_rows(lines, offset, n_days, n_slots, station_row, tensor):
+    """The row loop over ``lines``, which follow the file's first ``offset`` lines:
+    scatter each row into ``tensor`` and return the rows read."""
+    n_rows = 0
+    for line_no, row in _csv_rows(lines, offset):
+        if not row:
+            continue
+        sid, day, slot, count = _parse_row(row, line_no, n_days, n_slots)
+        l = station_row.setdefault(sid, len(station_row))
+        if l == len(tensor):
+            _resize(tensor, 2 * l + 1)
+        if not math.isnan(tensor[l, day, slot]):
+            raise ValueError(f"line {line_no}: duplicate record for {(sid, day, slot)}")
+        tensor[l, day, slot] = count
+        n_rows += 1
+    return n_rows
+
+
+def _ingest(path, n_days, n_slots, blocks=True, row_loop=True):
+    """Blocks until one fails its checks, then the row loop from that block's first
+    line on.  Without ``blocks`` the row loop reads the whole file; without
+    ``row_loop`` the result is None where the row loop would have to decide."""
     station_row = {}
-    tensor = np.zeros((0, n_days, n_slots))
-    seen = np.zeros((0, n_days, n_slots), dtype=bool)
+    tensor = np.empty((0, n_days, n_slots))
     n_rows = 0
     with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
-        _check_header(_csv_rows(fh))
-        # blank lines are skipped, as by csv.reader; a header-only file is the
-        # row loop's "no records found"
+        _check_header(fh)
+        line_no = 1  # a header that checks out is one line
+        # blank lines are skipped, as by csv.reader
         warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        while True:
-            rows = _scatter_block(fh, n_days, n_slots, station_row, tensor, seen)
+        rest = fh
+        while blocks and (lines := _next_block(fh)):
+            rows = _scatter_block(lines, n_days, n_slots, station_row, tensor)
             if rows is None:
-                return None
-            n_rows += rows
-            if rows < BLOCK_ROWS:
+                if not row_loop:
+                    return None
+                rest = chain(lines, fh)
                 break
-    if not n_rows:
-        return None
+            n_rows += rows
+            line_no += len(lines)
+        n_rows += _scatter_rows(rest, line_no, n_days, n_slots, station_row, tensor)
+
+    if not station_row:
+        if not row_loop:
+            return None
+        raise ValueError("no records found")
+    _resize(tensor, len(station_row))
+    for slab in tensor:
+        slab[np.isnan(slab)] = 0.0
     report = LoadReport(n_rows=n_rows, n_stations=len(station_row),
                         missing_count=tensor.size - n_rows)
     return tensor, list(station_row), report
+
+
+def _ingest_array(path, n_days, n_slots):
+    """The block parse alone: None where the row loop must decide."""
+    return _ingest(path, n_days, n_slots, row_loop=False)
 
 
 def _ingest_rows(path, n_days, n_slots):
-    station_row = {}
-    tensor = np.zeros((1, n_days, n_slots))
-    seen = np.zeros((1, n_days, n_slots), dtype=bool)
-    n_rows = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = _csv_rows(fh)
-        _check_header(rows)
-        for line_no, row in rows:
-            if not row:
-                continue
-            sid, day, slot, count = _parse_row(row, line_no, n_days, n_slots)
-            l = station_row.setdefault(sid, len(station_row))
-            if l == len(tensor):
-                tensor.resize((2 * l, n_days, n_slots), refcheck=False)
-                seen.resize((2 * l, n_days, n_slots), refcheck=False)
-            if seen[l, day, slot]:
-                raise ValueError(f"line {line_no}: duplicate record for {(sid, day, slot)}")
-            seen[l, day, slot] = True
-            tensor[l, day, slot] = count
-            n_rows += 1
-
-    if not station_row:
-        raise ValueError("no records found")
-    tensor.resize((len(station_row), n_days, n_slots), refcheck=False)
-    report = LoadReport(n_rows=n_rows, n_stations=len(station_row),
-                        missing_count=tensor.size - n_rows)
-    return tensor, list(station_row), report
+    """The row loop alone, over the whole file."""
+    return _ingest(path, n_days, n_slots, blocks=False)
 
 
 def _whole(extent):
@@ -191,8 +225,7 @@ def ingest(path, extents):
     n_days, n_slots = (_whole(e) for e in extents)
     if n_days < 1 or n_slots < 1:
         raise ValueError("declared extents must be positive")
-    loaded = _ingest_array(path, n_days, n_slots)
-    return loaded if loaded is not None else _ingest_rows(path, n_days, n_slots)
+    return _ingest(path, n_days, n_slots)
 
 
 def export(path, tensor, station_ids):

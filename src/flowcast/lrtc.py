@@ -192,20 +192,22 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
     if y.ndim < 2:
         raise ValueError(f"tensor must have at least 2 modes, got {y.ndim}")
     mask = as_mask(mask, y.shape)
-    if not np.all(np.isfinite(y[mask])):
+    y_obs = y[mask]
+    if not np.all(np.isfinite(y_obs)):
         raise ValueError("observed values must be finite")
 
-    y_obs = y[mask]
     n = y_obs.size
+    var = float(y_obs.var())
+    sum_y2 = float(np.sum(np.square(y_obs, out=y_obs)))  # the one copy, squared in place
+    del y_obs
     rank = hp.max_rank
     extents = y.shape
     split = _split(extents)
     filled = np.where(mask, y, 0.0)  # a missing cell may hold nan
-    sum_y2 = float(np.sum(y_obs**2))
 
     rng = np.random.default_rng(hp.seed)
     # a constant block has zero std; its RMS keeps the initial factors off zero
-    std = float(y_obs.std()) or float(np.sqrt(np.mean(y_obs**2)))
+    std = math.sqrt(var) or math.sqrt(sum_y2 / n)
     scale = (max(std, 1e-12) / np.sqrt(rank)) ** (1.0 / y.ndim)
     means = [rng.normal(0.0, scale, size=(i, rank)) for i in extents]
     groups = _row_groups(mask)
@@ -215,7 +217,6 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
     eye = np.eye(rank)
     moments = [np.einsum("ir,is->irs", m, m) + scale**2 * eye for m in means]
     e_lam = np.ones(rank)
-    var = float(y_obs.var())
     e_tau = 1.0 / var if var > 0 else 1.0
     # every lambda_r has the same Gamma shape, and tau's shape is fixed by the cell count
     c_terms = _gamma_terms(PRIOR + 0.5 * sum(extents))

@@ -77,6 +77,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"line 2.*'bogus'"):
             load_config(path)
 
+    def test_key_outside_the_commands_keys_reports_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed=1\nplan.rank=3\n")
+        assert load_config(path, {"seed", "plan.rank"}) == {"seed": "1", "plan.rank": "3"}
+        with pytest.raises(ValueError, match=r"line 2.*'plan\.rank'"):
+            load_config(path, {"seed"})
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("just words\n")
@@ -498,6 +505,22 @@ class TestEvaluate:
         summary = json.loads((out_dir / "shortterm_summary.json").read_text())
         assert summary["use_clustering"] is False
         assert summary["n_clusters"] == 1
+
+    def test_horizon_flag_is_not_an_evaluate_option(self, capsys):
+        # each report works out its own horizon, so the setting would be ignored
+        with pytest.raises(SystemExit) as stop:
+            main(["evaluate", "--experiment", "longterm", "--horizon-days", "3"])
+        assert stop.value.code == 2
+        assert "--horizon-days" in capsys.readouterr().err
+
+    def test_config_file_setting_the_command_does_not_read_is_rejected(self, tmp_path,
+                                                                        capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"output_dir={tmp_path / 'rep'}\nplan.horizon_days=3\n")
+        rc = run_cli("evaluate", "--experiment", "longterm", "--config", cfg_path)
+        assert rc == 1
+        assert re.search(r"line 2: .*'plan\.horizon_days'", capsys.readouterr().err)
+        assert not (tmp_path / "rep").exists()
 
     def test_missing_data_path_fails(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
