@@ -20,8 +20,8 @@ tensor, _ = generate_synthetic(spec)
 truth_labels = planted_labels(spec)
 
 model, _ = cp_fit(tensor, AlsConfig(rank=4, seed=0))
-embedding = embed_stations(model, variance_retained=0.9)
-print(f"embedding: {embedding.n_stations} stations in "
+embedding = embed_stations(model)
+print(f"embedding: {len(embedding.coords)} stations in "
       f"{embedding.coords.shape[1]} principal dimensions")
 
 k = choose_cluster_count(embedding)
@@ -31,8 +31,8 @@ print("labels: ", assign.labels)
 print("planted:", truth_labels)
 
 print("\nlast merges of the linkage trace (id_a, id_b, distance, size):")
-for a, b, dist, size in assign.linkage_trace[-3:]:
-    print(f"  ({a:2d}, {b:2d}, {dist:8.4f}, {size:2d})")
+for a, b, dist, size in embedding.upgma_trace[-3:]:
+    print(f"  ({a:2.0f}, {b:2.0f}, {dist:8.4f}, {size:2.0f})")
 
 # Per-cluster completion of a masked evening suffix vs one joint run.
 future = np.zeros(tensor.shape, dtype=bool)

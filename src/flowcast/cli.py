@@ -24,6 +24,7 @@ entries.
 import argparse
 import csv
 import dataclasses
+import re
 import sys
 import zipfile
 
@@ -75,12 +76,13 @@ _SCHEMA = {
 
 
 def load_config(path, keys=_SCHEMA):
-    """Read ``key=value`` settings; ``#`` starts a comment, blanks ignored.  A key
-    outside ``keys``, the settings the command reads, is an error naming it."""
+    """Read ``key=value`` settings; ``#`` at the start of a line or after whitespace
+    starts a comment, blanks ignored.  A key outside ``keys``, the settings the
+    command reads, is an error naming it."""
     settings = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -261,7 +263,7 @@ def _cmd_cluster(args):
     tensor, station_ids = _load_tensor(args.tensor)
     cfg.check_n_clusters(len(station_ids))
     model, _ = cp_fit(tensor, cfg.plan.als)
-    embedding = embed_stations(model, station_ids=station_ids)
+    embedding = embed_stations(model)
     k = cfg.n_clusters if cfg.n_clusters is not None else choose_cluster_count(embedding)
     assign = agglomerate(embedding, k)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

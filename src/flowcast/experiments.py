@@ -248,7 +248,7 @@ def shortterm_report(tensor, station_ids, cfg: ExperimentConfig,
     prediction, lean = _forecast_and_update(tensor, cfg, n_days - 1, start)
 
     if use_clustering:
-        embedding = embed_stations(prediction.source_model, station_ids=station_ids)
+        embedding = embed_stations(prediction.source_model)
         k = cfg.n_clusters if cfg.n_clusters is not None else choose_cluster_count(embedding)
         labels = agglomerate(embedding, k).labels
     else:

@@ -1,6 +1,6 @@
 """Delimited-text ingest and export for passenger-flow records.
 
-The on-disk format is a UTF-8 CSV with header
+The on-disk format is a UTF-8 CSV, a leading byte-order mark allowed, with header
 ``station_id,day_index,slot_index,count``, one observed cell per row.
 Stations are ordered by first appearance; cells absent from the file are
 zero-filled and counted rather than interpolated, since completion is a
@@ -97,22 +97,30 @@ def _resize(tensor, n_stations):
 
 def _open_quote(lines):
     """Whether ``lines`` end inside a quoted field, so that csv would read the next
-    line into that field rather than as a record of its own."""
-    try:
-        *_, last = csv.reader(chain(lines, ["x\n"]))
-    except csv.Error:  # the row loop names it, if its block gets there
-        return False
+    line into that field rather than as a record of its own; csv.Error where csv
+    refuses them."""
+    *_, last = csv.reader(chain(lines, ["x\n"]))
     return last != ["x"]
 
 
 def _next_block(fh):
     """The next ``BLOCK_ROWS`` lines, and more while the last leaves a quoted field
-    open, so that every block ends where a record does."""
+    open, so that every block ends where a record does; and whether csv reads them.
+    A block with a quote is read with csv anyway; any other only when one of its
+    lines, and so the block, is longer than ``csv.field_size_limit()``, since an
+    unquoted field is no longer than its line."""
     lines = list(islice(fh, BLOCK_ROWS))
-    if '"' in "".join(lines):
-        while _open_quote(lines) and (line := next(fh, None)) is not None:
-            lines.append(line)
-    return lines
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    try:
+        if '"' in text:
+            while _open_quote(lines) and (line := next(fh, None)) is not None:
+                lines.append(line)
+        elif len(text) > limit and max(map(len, lines)) > limit:
+            list(csv.reader(lines))
+    except csv.Error:
+        return lines, False
+    return lines, True
 
 
 def _scatter_block(lines, n_days, n_slots, station_row, tensor):
@@ -170,15 +178,17 @@ def _ingest(path, n_days, n_slots, blocks=True, row_loop=True):
     station_row = {}
     tensor = np.empty((0, n_days, n_slots))
     n_rows = 0
-    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+    with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
         _check_header(fh)
         line_no = 1  # a header that checks out is one line
         # blank lines are skipped, as by csv.reader
         warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         rest = fh
-        while blocks and (lines := _next_block(fh)):
-            rows = _scatter_block(lines, n_days, n_slots, station_row, tensor)
+        while blocks and (block := _next_block(fh))[0]:
+            lines, csv_reads = block
+            rows = (_scatter_block(lines, n_days, n_slots, station_row, tensor)
+                    if csv_reads else None)
             if rows is None:
                 if not row_loop:
                     return None

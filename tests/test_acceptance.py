@@ -164,7 +164,7 @@ def test_criterion_7_clustered_completion_and_partition():
     noisy = clean + 0.01 * clean.std() * rng.standard_normal(clean.shape)
 
     model, _ = cp_fit(noisy, AlsConfig(rank=4, seed=0))
-    embedding = embed_stations(model, 0.9)
+    embedding = embed_stations(model)
     coords = embedding.coords
     halves = coords[:8], coords[8:]
     between = np.linalg.norm(halves[0].mean(axis=0) - halves[1].mean(axis=0))

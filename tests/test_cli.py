@@ -71,6 +71,16 @@ class TestConfigFile:
         assert load_config(path) == {"seed": "4", "plan.rank": "3",
                                      "synth.extents": "6,14,8"}
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("output_dir = reports#2\nseed = 4\t# tab note\n")
+        assert load_config(path) == {"output_dir": "reports#2", "seed": "4"}
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfseed = 4\nplan.rank=3\n")
+        assert load_config(path) == {"seed": "4", "plan.rank": "3"}
+
     def test_unknown_key_reports_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed=1\nbogus=2\n")

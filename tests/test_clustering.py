@@ -47,17 +47,25 @@ def two_group_model(seed=0, n_per=6, jitter=0.05):
 
 class TestEmbedding:
     def test_component_count_is_minimal_for_retained_variance(self):
-        model = spectrum_model([10.0, 5.0, 1.0, 0.1])
-        # variance shares: 100, 25, 1, 0.01 out of 126.01
-        assert embed_stations(model, variance_retained=0.79).coords.shape[1] == 1
-        assert embed_stations(model, variance_retained=0.9).coords.shape[1] == 2
-        assert embed_stations(model, variance_retained=0.999).coords.shape[1] == 3
-        assert embed_stations(model, variance_retained=1.0).coords.shape[1] == 4
+        # variance shares 100, 25, 1, 0.01 of 126.01: 0.79 after one component
+        assert embed_stations(spectrum_model([10.0, 5.0, 1.0, 0.1])).coords.shape[1] == 2
+        assert embed_stations(spectrum_model([10.0, 1.0])).coords.shape[1] == 1
+        assert embed_stations(spectrum_model([3.0, 2.0, 2.0, 1.0])).coords.shape[1] == 3
+        assert embed_stations(spectrum_model([1.0, 1.0, 1.0, 1.0])).coords.shape[1] == 4
+
+    def test_retained_variance_is_a_fixed_ninety_percent(self):
+        assert clustering.VARIANCE_RETAINED == 0.9
+        # one component explains 9/10 exactly, then 8.41/9.41 just short of it
+        assert embed_stations(spectrum_model([3.0, 1.0])).coords.shape[1] == 1
+        assert embed_stations(spectrum_model([2.9, 1.0])).coords.shape[1] == 2
+        with pytest.raises(TypeError):
+            embed_stations(two_group_model(), 0.9)
 
     def test_full_retention_preserves_pairwise_distances(self):
-        rng = np.random.default_rng(3)
-        model = model_with_location(rng.normal(size=(12, 5)), weights=rng.uniform(0.5, 3.0, 5))
-        e = embed_stations(model, variance_retained=1.0)
+        # a flat spectrum: the first four components explain 0.84, so all five are kept
+        model = spectrum_model([2.0, 1.9, 1.8, 1.7, 1.6], n=12, seed=3)
+        e = embed_stations(model)
+        assert e.coords.shape[1] == 5
         folded = model.factors[0] * model.weights
         for i, j in itertools.combinations(range(12), 2):
             want = np.linalg.norm(folded[i] - folded[j])
@@ -67,36 +75,20 @@ class TestEmbedding:
     def test_weights_fold_into_the_embedding(self):
         rng = np.random.default_rng(7)
         u_l = rng.normal(size=(8, 2))
-        flat = embed_stations(model_with_location(u_l), variance_retained=1.0)
-        tilted = embed_stations(
-            model_with_location(u_l, weights=np.array([10.0, 1.0])), variance_retained=1.0
-        )
+        flat = embed_stations(model_with_location(u_l))
+        tilted = embed_stations(model_with_location(u_l, weights=np.array([10.0, 1.0])))
 
         def pairwise(coords):
             return np.linalg.norm(coords[:, None] - coords[None, :], axis=-1)
 
         assert not np.allclose(pairwise(flat.coords), pairwise(tilted.coords))
 
-    def test_zero_variance_factor_is_flagged_degenerate(self):
-        model = model_with_location(np.ones((6, 3)))
-        e = embed_stations(model)
-        assert e.degenerate
+    def test_zero_variance_factor_embeds_every_station_at_zero(self):
+        e = embed_stations(model_with_location(np.ones((6, 3))))
         assert e.coords.shape == (6, 1)
         assert np.all(e.coords == 0.0)
-        assert not embed_stations(two_group_model()).degenerate
-
-    def test_retained_variance_bounds_are_enforced(self):
-        model = two_group_model()
-        for bad in (0.0, -0.3, 1.2):
-            with pytest.raises(ValueError):
-                embed_stations(model, variance_retained=bad)
-
-    def test_custom_station_ids_are_carried(self):
-        ids = [f"s{i:02d}" for i in range(12)]
-        e = embed_stations(two_group_model(), station_ids=ids)
-        assert e.station_ids == ids
-        with pytest.raises(ValueError):
-            embed_stations(two_group_model(), station_ids=ids[:-1])
+        assert choose_cluster_count(e) == 1
+        assert np.array_equal(agglomerate(e, 1).labels, np.zeros(6))
 
     def test_planted_groups_are_well_separated(self):
         e = embed_stations(two_group_model(seed=1))
@@ -137,8 +129,8 @@ def upgma_oracle(coords):
 def trace_member_sets(n, trace):
     members = {i: [i] for i in range(n)}
     out = []
-    for step, (a, b, d, size) in enumerate(trace):
-        merged = sorted(members[a] + members[b])
+    for step, (a, b, d, size) in enumerate(trace.tolist()):
+        merged = sorted(members[int(a)] + members[int(b)])
         assert size == len(merged)
         members[n + step] = merged
         out.append((merged, d))
@@ -165,8 +157,7 @@ class TestAgglomerate:
         for seed in range(8):
             rng = np.random.default_rng(seed)
             coords = rng.normal(size=(11, 3))
-            e = StationEmbedding(list(range(11)), coords)
-            got = trace_member_sets(11, agglomerate(e, 1).linkage_trace)
+            got = trace_member_sets(11, StationEmbedding(coords).upgma_trace)
             want = upgma_oracle(coords)
             for (gm, gd), (wm, wd) in zip(got, want):
                 assert gm == wm
@@ -175,17 +166,14 @@ class TestAgglomerate:
     def test_matches_scipy_average_linkage(self):
         def assert_scipy_rows(coords):
             n = coords.shape[0]
-            e = StationEmbedding(list(range(n)), coords)
+            e = StationEmbedding(coords)
             z = sch.linkage(pdist(coords), method="average")
-            trace = agglomerate(e, 1).linkage_trace
-            assert len(trace) == len(z)
-            for row, (a, b, d, size) in zip(z, trace):
-                assert (a, b) == (int(row[0]), int(row[1]))
-                assert size == int(row[3])
-                assert d == pytest.approx(row[2], rel=1e-12)
-            rows = [(int(a), int(b), float(d), int(size)) for a, b, d, size in z]
+            trace = e.upgma_trace
+            assert trace.shape == z.shape == (n - 1, 4)
+            assert np.array_equal(trace[:, [0, 1, 3]], z[:, [0, 1, 3]])
+            assert trace[:, 2] == pytest.approx(z[:, 2], rel=1e-12)
             for k in range(1, n + 1):
-                want = clustering._labels_from_trace(n, rows, k)
+                want = clustering._labels_from_trace(n, z, k)
                 assert np.array_equal(agglomerate(e, k).labels, want), k
             return e, z
 
@@ -207,43 +195,37 @@ class TestAgglomerate:
         coords = np.array([[0.0], [1.0], [2.0], [3.0]])
         coords[3, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            agglomerate(StationEmbedding(list(range(4)), coords), 2)
+            agglomerate(StationEmbedding(coords), 2)
         with pytest.raises(ValueError, match="finite"):
-            choose_cluster_count(StationEmbedding(list(range(4)), coords))
+            choose_cluster_count(StationEmbedding(coords))
 
     def test_square_symmetric_embedding_is_clustered_as_coordinates(self):
         # a zero-diagonal symmetric matrix looks like a distance matrix to
         # scipy's linkage; the rows here are still station coordinates
-        e = StationEmbedding([0, 1], np.array([[0.0, 1.0], [1.0, 0.0]]))
+        e = StationEmbedding(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = agglomerate(e, 1).linkage_trace
-        assert trace == [(0, 1, pytest.approx(np.sqrt(2.0), rel=1e-15), 2)]
+            trace = e.upgma_trace.tolist()
+        assert trace == [[0, 1, pytest.approx(np.sqrt(2.0), rel=1e-15), 2]]
 
     def test_tied_merges_prefer_the_lowest_station_index(self):
-        e = StationEmbedding(list(range(4)), np.array([[0.0], [1.0], [10.0], [11.0]]))
-        trace = agglomerate(e, 1).linkage_trace
-        assert trace[0] == (0, 1, 1.0, 2)
-        assert trace[1] == (2, 3, 1.0, 2)
-        assert trace[2] == (4, 5, 10.0, 4)
+        e = StationEmbedding(np.array([[0.0], [1.0], [10.0], [11.0]]))
+        assert e.upgma_trace.tolist() == [[0, 1, 1.0, 2], [2, 3, 1.0, 2], [4, 5, 10.0, 4]]
 
         # station 0 wins the tie even when its pair sits between two others
-        chain = StationEmbedding(list(range(3)), np.array([[0.0], [1.0], [2.0]]))
-        trace = agglomerate(chain, 1).linkage_trace
-        assert trace[0] == (0, 1, 1.0, 2)
-        assert trace[1] == (2, 3, 1.5, 3)
+        chain = StationEmbedding(np.array([[0.0], [1.0], [2.0]]))
+        assert chain.upgma_trace.tolist() == [[0, 1, 1.0, 2], [2, 3, 1.5, 3]]
 
     def test_trivial_cuts(self):
         rng = np.random.default_rng(5)
-        e = StationEmbedding(list(range(7)), rng.normal(size=(7, 2)))
-        singletons = agglomerate(e, 7)
-        assert np.array_equal(singletons.labels, np.arange(7))
-        assert len(singletons.linkage_trace) == 6
+        e = StationEmbedding(rng.normal(size=(7, 2)))
+        assert np.array_equal(agglomerate(e, 7).labels, np.arange(7))
+        assert e.upgma_trace.shape == (6, 4)
         assert np.array_equal(agglomerate(e, 1).labels, np.zeros(7, dtype=int))
 
-        one = agglomerate(StationEmbedding([0], np.zeros((1, 2))), 1)
-        assert one.linkage_trace == []
-        assert np.array_equal(one.labels, [0])
+        lone = StationEmbedding(np.zeros((1, 2)))
+        assert lone.upgma_trace.shape == (0, 4)
+        assert np.array_equal(agglomerate(lone, 1).labels, [0])
 
     def test_planted_two_group_partition_is_recovered_exactly(self):
         e = embed_stations(two_group_model(seed=2))
@@ -253,13 +235,13 @@ class TestAgglomerate:
     def test_labels_are_numbered_by_smallest_member(self):
         # group around x=10 holds station 0, group around x=0 holds the rest
         coords = np.array([[10.0], [0.1], [0.2], [10.2], [0.0]])
-        assign = agglomerate(StationEmbedding(list(range(5)), coords), 2)
+        assign = agglomerate(StationEmbedding(coords), 2)
         assert np.array_equal(assign.labels, [0, 1, 1, 0, 1])
 
     def test_every_cut_numbers_clusters_by_their_smallest_station(self):
         for seed in range(10):
             rng = np.random.default_rng(200 + seed)
-            e = StationEmbedding(list(range(12)), rng.normal(size=(12, 2)))
+            e = StationEmbedding(rng.normal(size=(12, 2)))
             for k in range(1, 13):
                 labels = agglomerate(e, k).labels
                 firsts = [int(np.flatnonzero(labels == c)[0]) for c in range(k)]
@@ -267,20 +249,18 @@ class TestAgglomerate:
 
     def test_merge_distances_never_decrease(self):
         rng = np.random.default_rng(11)
-        e = StationEmbedding(list(range(20)), rng.normal(size=(20, 4)))
-        d = [row[2] for row in agglomerate(e, 1).linkage_trace]
-        assert all(b >= a - 1e-12 for a, b in zip(d, d[1:]))
+        d = StationEmbedding(rng.normal(size=(20, 4))).upgma_trace[:, 2]
+        assert np.all(np.diff(d) >= -1e-12)
 
     def test_repeat_runs_are_identical(self):
         rng = np.random.default_rng(13)
-        e = StationEmbedding(list(range(10)), rng.normal(size=(10, 3)))
-        first = agglomerate(e, 3)
-        second = agglomerate(e, 3)
-        assert np.array_equal(first.labels, second.labels)
-        assert first.linkage_trace == second.linkage_trace
+        coords = rng.normal(size=(10, 3))
+        first, second = StationEmbedding(coords), StationEmbedding(coords.copy())
+        assert np.array_equal(agglomerate(first, 3).labels, agglomerate(second, 3).labels)
+        assert np.array_equal(first.upgma_trace, second.upgma_trace)
 
     def test_cluster_count_bounds(self):
-        e = StationEmbedding(list(range(5)), np.arange(5.0)[:, None])
+        e = StationEmbedding(np.arange(5.0)[:, None])
         for bad in (0, 6, -1):
             with pytest.raises(ValueError):
                 agglomerate(e, bad)
@@ -301,48 +281,50 @@ class TestChooseClusterCount:
         coords = np.concatenate(
             [c + 0.1 * rng.standard_normal((5, 2)) for c in centers]
         )
-        assert choose_cluster_count(StationEmbedding(list(range(15)), coords)) == 3
+        assert choose_cluster_count(StationEmbedding(coords)) == 3
 
     def test_tiny_inputs_collapse_to_one_cluster(self):
-        assert choose_cluster_count(StationEmbedding([0], np.zeros((1, 1)))) == 1
-        two = StationEmbedding([0, 1], np.array([[0.0], [9.0]]))
+        assert choose_cluster_count(StationEmbedding(np.zeros((1, 1)))) == 1
+        two = StationEmbedding(np.array([[0.0], [9.0]]))
         assert choose_cluster_count(two) == 1
 
     def test_homogeneous_cloud_is_one_population(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
-            e = StationEmbedding(list(range(14)), rng.normal(size=(14, 3)))
+            e = StationEmbedding(rng.normal(size=(14, 3)))
             assert choose_cluster_count(e) == 1
 
     def test_identical_stations_are_one_population(self):
-        e = StationEmbedding(list(range(5)), np.zeros((5, 2)))
+        e = StationEmbedding(np.zeros((5, 2)))
         assert choose_cluster_count(e) == 1
 
 
 class TestSharedTrace:
     def test_count_then_cut_builds_the_trace_once(self, monkeypatch):
         e = embed_stations(two_group_model(seed=4))
-        want = clustering._upgma_trace(e.coords)
+        want = sch.linkage(pdist(e.coords), "average")
         calls = []
 
-        def counted(coords):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return want
+            return sch.linkage(*args, **kwargs)
 
-        monkeypatch.setattr(clustering, "_upgma_trace", counted)
+        monkeypatch.setattr(clustering, "linkage", counted)
         k = choose_cluster_count(e)
         assign = agglomerate(e, k)
         assert len(calls) == 1
         assert k == 2
-        assert assign.linkage_trace == want
+        assert np.array_equal(e.upgma_trace, want)
         assert np.array_equal(assign.labels, clustering._labels_from_trace(12, want, 2))
 
     def test_cuts_do_not_share_a_mutable_trace(self):
         rng = np.random.default_rng(9)
-        e = StationEmbedding(list(range(8)), rng.normal(size=(8, 2)))
+        e = StationEmbedding(rng.normal(size=(8, 2)))
         first = agglomerate(e, 3)
-        first.linkage_trace.clear()
-        assert agglomerate(e, 3).linkage_trace == clustering._upgma_trace(e.coords)
+        with pytest.raises(ValueError, match="read-only"):
+            e.upgma_trace[0, 2] = 0.0
+        assert np.array_equal(e.upgma_trace, sch.linkage(pdist(e.coords), "average"))
+        assert np.array_equal(agglomerate(e, 3).labels, first.labels)
 
 
 def two_population_tensor(seed):

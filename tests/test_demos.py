@@ -20,6 +20,9 @@ def test_demo_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    # the warning filters pyproject.toml gives pytest, which a subprocess escapes
+    filters = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+               "-W", "error::PendingDeprecationWarning"]
+    done = subprocess.run([sys.executable, *filters, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

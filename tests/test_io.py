@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 import warnings
 
@@ -117,15 +118,41 @@ class TestIngest:
             ingest(path, (1, 1))
 
     def test_field_over_the_csv_limit_is_a_value_error_with_its_line(self, tmp_path):
-        # the duplicate sends the file to the row loop, whose csv.reader stops at the id
+        # with or without a duplicate, the row loop's csv.reader stops at the id
         long_id = "x" * 140_000
         path = tmp_path / "flows.csv"
         write_csv(path, ["a,0,0,1.0", f"{long_id},0,0,2.0", f"{long_id},0,0,3.0"])
         with pytest.raises(ValueError, match=r"^line 3: field larger than field limit"):
             ingest(path, (1, 1))
+        for sid in (long_id, f'"{long_id}"'):
+            write_csv(path, ["a,0,0,1.0", f"{sid},0,0,2.0"])
+            with pytest.raises(ValueError, match=r"^line 3: field larger than field limit"):
+                ingest(path, (1, 1))
+            assert io._ingest_array(path, 1, 1) is None
         write_csv(path, ["a,0,0,1.0"], header=f"station_id,day_index,slot_index,{long_id}")
         with pytest.raises(ValueError, match=r"^line 1: field larger than field limit"):
             ingest(path, (1, 1))
+
+    def test_only_a_line_past_the_csv_limit_sends_its_block_to_the_row_loop(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        old = csv.field_size_limit(20)
+        try:
+            # the block is longer than the limit, but none of its lines is
+            write_csv(path, full_grid_rows())
+            assert io._ingest_array(path, 2, 3) is not None
+            write_csv(path, full_grid_rows() + ["x" * 21 + ",1,2,3.0"])
+            assert io._ingest_array(path, 2, 3) is None
+            with pytest.raises(ValueError, match=r"^line 14: field larger than field limit"):
+                ingest(path, (2, 3))
+        finally:
+            csv.field_size_limit(old)
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(plain, full_grid_rows())
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert outcome(lambda p: ingest(p, (2, 3)), marked) == \
+            outcome(lambda p: ingest(p, (2, 3)), plain)
 
     def test_empty_file_and_bad_extents_are_rejected(self, tmp_path):
         path = tmp_path / "flows.csv"
