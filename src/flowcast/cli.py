@@ -58,7 +58,8 @@ _SCHEMA = {
     "suffix_start": (int, "first masked slot of the final day "
                            "(default: 30%% into the day)"),
     "output_dir": (str, "directory for report files"),
-    "seed": (int, "random seed for synthetic scenarios"),
+    "seed": (int, "random seed of generated data; for complete, of the "
+                  "completion's starting factors"),
     "plan.horizon_days": (int, "forecast horizon in days", "--horizon-days"),
     "plan.rank": (int, "CP rank of the forecast model", "--rank"),
     "plan.arma_orders": (_int_tuple, "AR/MA orders p1,p2,q1,q2", "--arma-orders"),

@@ -225,7 +225,7 @@ def final_day_suffix(shape, suffix_start=None):
     n_slots = shape[2]
     start = suffix_start if suffix_start is not None else int(np.ceil(0.3 * n_slots))
     if not 0 < start < n_slots:
-        raise ValueError("suffix start must lie strictly inside the day")
+        raise ValueError(f"suffix_start {start} must lie in [1, {n_slots})")
     future = np.zeros(shape, dtype=bool)
     future[:, -1, start:] = True
     return start, future

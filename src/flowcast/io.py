@@ -6,9 +6,10 @@ Stations are ordered by first appearance; cells absent from the file are
 zero-filled and counted rather than interpolated, since completion is a
 modeling step, not an ingest step.
 
-Ingest reads the file once, in blocks of ``BLOCK_ROWS`` (1,024) lines, and
+Ingest reads the file once, in blocks of ``BLOCK_ROWS`` (1,024) records, and
 holds the tensor and one block, never an array or object per row of the
-whole file.  Each block is one ``np.loadtxt`` call, checked with array
+whole file.  Each block is one ``np.loadtxt`` call, which ends it at a record
+(reading on past a quoted newline or a blank line), checked with array
 operations (index ranges, finite non-negative counts, no cell twice in the
 block or already written) and scattered into a station-major tensor that
 grows in place as new ids appear.  Unwritten cells are NaN: counts are
@@ -17,7 +18,10 @@ zero-filled at the end, one station slab at a time.  The first block those
 checks cannot vouch for goes, with the rest of the file, to the row loop,
 which is the parser of record: it names the line of the first bad row, or
 accepts what only Python's ``int``/``float`` accept (``1_0``), and scatters
-each row into the same tensor, doubling it in place as stations appear.
+each row into the same tensor, doubling it in place as stations appear.  So
+does a block with a field ``csv`` refuses for its length; ``csv`` reads a
+block only where that can happen: the block is longer than
+``csv.field_size_limit()`` and holds a line that long or a quote.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ HEADER = ["station_id", "day_index", "slot_index", "count"]
 # object, not U<n>: a fixed-width string dtype would cut long ids short
 _RECORD = np.dtype([("sid", object), ("day", np.int64), ("slot", np.int64),
                     ("count", np.float64)])
-# lines per np.loadtxt call: a block's lines, records and str ids cost about 0.2 MB
+# records per np.loadtxt call: a block's lines, records and str ids cost about 0.2 MB
 BLOCK_ROWS = 1024
 
 
@@ -95,45 +99,34 @@ def _resize(tensor, n_stations):
     tensor[old:] = np.nan
 
 
-def _open_quote(lines):
-    """Whether ``lines`` end inside a quoted field, so that csv would read the next
-    line into that field rather than as a record of its own; csv.Error where csv
-    refuses them."""
-    *_, last = csv.reader(chain(lines, ["x\n"]))
-    return last != ["x"]
+def _recorded(fh, lines):
+    """The lines of ``fh``, each appended to ``lines`` as it is read."""
+    for line in fh:
+        lines.append(line)
+        yield line
 
 
-def _next_block(fh):
-    """The next ``BLOCK_ROWS`` lines, and more while the last leaves a quoted field
-    open, so that every block ends where a record does; and whether csv reads them.
-    A block with a quote is read with csv anyway; any other only when one of its
-    lines, and so the block, is longer than ``csv.field_size_limit()``, since an
-    unquoted field is no longer than its line."""
-    lines = list(islice(fh, BLOCK_ROWS))
-    text = "".join(lines)
-    limit = csv.field_size_limit()
-    try:
-        if '"' in text:
-            while _open_quote(lines) and (line := next(fh, None)) is not None:
-                lines.append(line)
-        elif len(text) > limit and max(map(len, lines)) > limit:
-            list(csv.reader(lines))
-    except csv.Error:
-        return lines, False
-    return lines, True
-
-
-def _scatter_block(lines, n_days, n_slots, station_row, tensor):
-    """Parse and check a block of lines, then scatter it into ``tensor``.
+def _scatter_block(lines, fh, n_days, n_slots, station_row, tensor):
+    """Parse ``BLOCK_ROWS`` records from ``lines`` and then ``fh``, check them, then
+    scatter them into ``tensor``.  Every line read from ``fh`` is appended to ``lines``;
+    numpy reads none past its last record, so a block ends where a record does.
 
     Returns the block's row count, or None where the row loop must decide;
     then no cell of the block has been written.
     """
     try:
-        rec = np.loadtxt(lines, dtype=_RECORD, delimiter=",", comments=None, quotechar='"',
-                         ndmin=1)
+        rec = np.loadtxt(chain(lines, _recorded(fh, lines)), dtype=_RECORD, delimiter=",",
+                         comments=None, quotechar='"', ndmin=1, max_rows=BLOCK_ROWS)
     except (ValueError, OverflowError):
         return None
+    # csv can refuse a field for its length only in such a block: an unquoted field
+    # is no longer than its line, a quoted one no longer than its block
+    if len("".join(lines)) > csv.field_size_limit() and any(
+            len(line) > csv.field_size_limit() or '"' in line for line in lines):
+        try:
+            list(csv.reader(lines))
+        except csv.Error:
+            return None
     if not len(rec):
         return 0
     day, slot, count = rec["day"], rec["slot"], rec["count"]
@@ -185,10 +178,8 @@ def _ingest(path, n_days, n_slots, blocks=True, row_loop=True):
         warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         rest = fh
-        while blocks and (block := _next_block(fh))[0]:
-            lines, csv_reads = block
-            rows = (_scatter_block(lines, n_days, n_slots, station_row, tensor)
-                    if csv_reads else None)
+        while blocks and (lines := list(islice(fh, BLOCK_ROWS))):
+            rows = _scatter_block(lines, fh, n_days, n_slots, station_row, tensor)
             if rows is None:
                 if not row_loop:
                     return None

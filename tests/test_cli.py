@@ -407,7 +407,18 @@ class TestComplete:
         rc = run_cli("complete", "--tensor", base_archive, "--suffix-start", 12,
                      "--out", tmp_path / "done.npz")
         assert rc == 1
-        assert "suffix start" in capsys.readouterr().err
+        assert "suffix_start 12 must lie in [1, 12)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, start, n_slots", [("complete", 0, 12),
+                                                          ("evaluate", 60, 48)])
+    def test_suffix_start_outside_the_day_names_value_and_range(self, tmp_path, base_archive,
+                                                                 capsys, command, start, n_slots):
+        argv = (["complete", "--tensor", base_archive, "--out", tmp_path / "done.npz"]
+                if command == "complete"
+                else ["evaluate", "--experiment", "shortterm", "--output-dir", tmp_path])
+        assert run_cli(*argv, "--suffix-start", start) == 1
+        assert capsys.readouterr().err == \
+            f"flowcast: error: suffix_start {start} must lie in [1, {n_slots})\n"
 
 
 class TestCluster:

@@ -1,4 +1,5 @@
 import csv
+import random
 import tracemalloc
 import warnings
 
@@ -147,6 +148,19 @@ class TestIngest:
         finally:
             csv.field_size_limit(old)
 
+    def test_quoted_field_past_the_csv_limit_sends_its_block_to_the_row_loop(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        old = csv.field_size_limit(20)
+        try:
+            # no line is longer than the limit, but the quoted id over lines 13-15 is
+            long_id = "\n".join(["x" * 9] * 3)
+            write_csv(path, full_grid_rows()[:-1] + [f'"{long_id}",1,2,3.0'])
+            assert io._ingest_array(path, 2, 3) is None
+            with pytest.raises(ValueError, match=r"^line 15: field larger than field limit"):
+                ingest(path, (2, 3))
+        finally:
+            csv.field_size_limit(old)
+
     def test_leading_byte_order_mark_is_skipped(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         write_csv(plain, full_grid_rows())
@@ -258,6 +272,39 @@ class TestArrayParseMatchesRowLoop:
             assert got == "line 5: duplicate record for ('a', 0, 0)"
         if case == "new station":
             assert got[2] == ["a", "c"] and got[3].n_stations == 2
+
+    # ids and values a generated row draws now and then; rows repeat cells often
+    TRICKY_IDS = ['"a,b"', '"x\ny"', '"x\r\ny"', '"a""b"', 'a"b', '"a"']
+    TRICKY_VALUES = ["1_0", "nan", "-1"]
+
+    def random_body(self, rng):
+        """Up to 8 lines ended by \\n or \\r\\n: blank, whitespace-only, or a row."""
+        lines = []
+        for _ in range(rng.randint(1, 8)):
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "  "]))
+                continue
+            sid = rng.choice(self.TRICKY_IDS) if rng.random() < 0.4 else rng.choice("ab")
+            values = [rng.choice(self.TRICKY_VALUES) if rng.random() < 0.04
+                      else str(rng.randrange(n)) for n in (2, 3, 9)]
+            lines.append(",".join([sid] + values))
+        return "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+
+    def test_random_tricky_files_match_the_row_loop(self, tmp_path, monkeypatch):
+        rng = random.Random(28)
+        path = tmp_path / "flows.csv"
+        accepted = vouched = 0
+        for _ in range(300):
+            path.write_bytes(("station_id,day_index,slot_index,count\n"
+                              + self.random_body(rng)).encode("utf-8"))
+            want = outcome(lambda p: io._ingest_rows(p, 2, 3), path)
+            accepted += not isinstance(want, str)
+            vouched += io._ingest_array(path, 2, 3) is not None
+            for block_rows in (1, 2, 3, 1024):
+                monkeypatch.setattr(io, "BLOCK_ROWS", block_rows)
+                assert outcome(lambda p: ingest(p, (2, 3)), path) == want, path.read_bytes()
+        # both outcomes occur, and the array parse vouches for most accepted files
+        assert 50 < accepted < 250 and accepted / 2 < vouched <= accepted
 
     def test_underscore_index_is_read_by_the_row_loop(self, tmp_path):
         path = tmp_path / "flows.csv"
@@ -411,9 +458,14 @@ class TestIngestMemory:
         row_loop = path.with_name("row_loop.csv")
         row_loop.write_text("\n".join([header] + rows[:-1] + [f"{sid},{day},4_7,{count}"])
                             + "\n", encoding="utf-8")
-        return tensor, {"written": path, "shuffled": shuffled, "row_loop": row_loop}
+        # every id in quotes, as csv.QUOTE_NONNUMERIC writers emit it
+        quoted = path.with_name("quoted.csv")
+        quoted.write_text("\n".join([header] + ['"{}",{}'.format(*row.split(",", 1))
+                                             for row in rows]) + "\n", encoding="utf-8")
+        return tensor, {"written": path, "shuffled": shuffled, "row_loop": row_loop,
+                        "quoted": quoted}
 
-    @pytest.mark.parametrize("order", ["written", "shuffled", "row_loop"])
+    @pytest.mark.parametrize("order", ["written", "shuffled", "row_loop", "quoted"])
     def test_peak_stays_under_four_tensors(self, exported, order):
         # the tensor, whose NaN cells mark the unseen ones, and one block of
         # lines and records; no mask, and no per-row array or object over the
