@@ -16,9 +16,12 @@ dotted keys of ``_SCHEMA`` map onto
 which are the only home of their defaults.  A key's flag is the key with
 dots and underscores turned into dashes (``--plan-rank``); some keys also
 keep a short spelling (``--rank``).  Each command registers only the keys
-it reads.  ``synth`` and ``evaluate`` also read a ``key=value`` file
+it reads, except ``evaluate``: it registers every key that any of its three
+experiments reads, so each experiment ignores the flags meant for the
+others.  ``synth`` and ``evaluate`` also read a ``key=value`` file
 (``--config``) of those keys; command line flags take precedence over file
-entries.
+entries.  Each command's handler returns the paths it wrote, and ``main``
+reports them.
 """
 
 import argparse
@@ -32,7 +35,7 @@ import numpy as np
 
 from .cp import cp_fit
 from .clustering import agglomerate, choose_cluster_count, embed_stations
-from .experiments import (ExperimentConfig, final_day_suffix, load_input,
+from .experiments import (ExperimentConfig, _format_cell, final_day_suffix, load_input,
                           longterm_report, shortterm_report, update_report,
                           write_report)
 from .io import ingest
@@ -130,7 +133,14 @@ def _config(args):
     return build_experiment_config(settings)
 
 
-def _add_config_options(parser, keys, config_file=False):
+def _command(sub, name, help, func, keys=(), tensor=False, out=None, config_file=False):
+    """Declare subcommand ``name`` run by ``func``: its ``--tensor`` input archive
+    if ``tensor``, a ``--config`` file if ``config_file``, a flag for each
+    ``_SCHEMA`` key in ``keys``, and its ``--out`` path, described by ``out``, if
+    given.  Returns the parser, for the arguments the command alone reads."""
+    parser = sub.add_parser(name, help=help)
+    if tensor:
+        parser.add_argument("--tensor", required=True, metavar="PATH", help="input .npz archive")
     if config_file:
         parser.add_argument("--config", metavar="PATH",
                             help="key=value settings file (flags take precedence)")
@@ -139,6 +149,10 @@ def _add_config_options(parser, keys, config_file=False):
         _, text, *short = _SCHEMA[key]
         flag = "--" + key.replace(".", "-").replace("_", "-")
         parser.add_argument(flag, *short, dest=key, metavar="VALUE", help=text)
+    if out is not None:
+        parser.add_argument("--out", required=True, metavar="PATH", help=out)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _add_update_options(parser):
@@ -173,14 +187,8 @@ def _load_tensor(path):
 
 
 def _summary_line(report):
-    parts = []
-    for key in sorted(report.summary):
-        value = report.summary[key]
-        if isinstance(value, float):
-            parts.append(f"{key}={value:.4f}")
-        else:
-            parts.append(f"{key}={value}")
-    return f"{report.name}: " + "  ".join(parts)
+    return f"{report.name}: " + "  ".join(
+        f"{key}={_format_cell(report.summary[key])}" for key in sorted(report.summary))
 
 
 def _cmd_ingest(args):
@@ -189,8 +197,7 @@ def _cmd_ingest(args):
     print(f"ingested {report.n_rows} records: {report.n_stations} stations x "
           f"{args.days} days x {args.slots} slots, "
           f"{report.missing_count} cells zero-filled")
-    print(f"wrote {args.out}")
-    return 0
+    return [args.out]
 
 
 def _cmd_synth(args):
@@ -207,8 +214,7 @@ def _cmd_synth(args):
     n_loc, n_days, n_slots = tensor.shape
     print(f"generated {n_loc}x{n_days}x{n_slots} tensor "
           f"(rank {spec.rank}, {spec.n_clusters} planted clusters, seed {spec.seed})")
-    print(f"wrote {args.out}")
-    return 0
+    return [args.out]
 
 
 def _cmd_forecast(args):
@@ -219,8 +225,7 @@ def _cmd_forecast(args):
                  provenance=np.asarray(prediction.provenance))
     print(f"forecast {prediction.horizon_days} day(s) x {tensor.shape[2]} slots "
           f"for {len(station_ids)} stations (rank {cfg.plan.rank})")
-    print(f"wrote {args.out}")
-    return 0
+    return [args.out]
 
 
 def _cmd_update(args):
@@ -238,9 +243,7 @@ def _cmd_update(args):
     print(f"updated day {day} from {s['observed_slots']} observed slots: "
           f"mean block RES {s['mean_res_longterm']:.4f} -> {s['mean_res_updated']:.4f}, "
           f"{s['improved_fraction']:.0%} of {s['n_blocks']} blocks improved")
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
+    return paths
 
 
 def _cmd_complete(args):
@@ -255,8 +258,7 @@ def _cmd_complete(args):
     print(f"completed {int(future.sum())} masked cells (slots {start}.."
           f"{tensor.shape[2] - 1} of the final day), effective rank {result.effective_rank}, "
           + ("converged" if result.converged else "stopped at max_iters without converging"))
-    print(f"wrote {args.out}")
-    return 0
+    return [args.out]
 
 
 def _cmd_cluster(args):
@@ -274,8 +276,7 @@ def _cmd_cluster(args):
             writer.writerow([sid, int(label)])
     print(f"assigned {len(station_ids)} stations to {k} cluster(s) "
           f"from a {embedding.coords.shape[1]}-dimensional embedding")
-    print(f"wrote {args.out}")
-    return 0
+    return [args.out]
 
 
 def _cmd_evaluate(args):
@@ -286,12 +287,11 @@ def _cmd_evaluate(args):
     elif args.experiment == "update":
         report = update_report(tensor, cfg, args.observed_fraction, window=args.window)
     else:
-        report = shortterm_report(tensor, station_ids, cfg, args.use_clustering)
+        report = shortterm_report(tensor, station_ids, cfg,
+                                  args.use_clustering or cfg.n_clusters is not None)
     paths = write_report(report, cfg.output_dir)
     print(_summary_line(report))
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
+    return paths
 
 
 def build_parser():
@@ -299,70 +299,56 @@ def build_parser():
         prog="flowcast",
         description="Tensor-based passenger-flow forecasting toolkit.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    archive = "output .npz archive"
 
-    p = sub.add_parser("ingest", help="load a flow-record CSV into a tensor archive")
+    p = _command(sub, "ingest", "load a flow-record CSV into a tensor archive", _cmd_ingest,
+                 out=archive)
     p.add_argument("--data", required=True, metavar="PATH", help="input CSV")
     p.add_argument("--days", required=True, type=int, help="day count of the grid")
     p.add_argument("--slots", required=True, type=int, help="slots per day")
-    p.add_argument("--out", required=True, metavar="PATH", help="output .npz archive")
-    p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("synth", help="generate a synthetic tensor archive")
-    _add_config_options(p, ["seed"] + [k for k in _SCHEMA if k.startswith("synth.")],
-                        config_file=True)
-    p.add_argument("--out", required=True, metavar="PATH", help="output .npz archive")
-    p.set_defaults(func=_cmd_synth)
+    _command(sub, "synth", "generate a synthetic tensor archive", _cmd_synth,
+             ["seed"] + [k for k in _SCHEMA if k.startswith("synth.")], out=archive,
+             config_file=True)
+    _command(sub, "forecast", "forecast the next days from a tensor archive", _cmd_forecast,
+             ["plan.horizon_days", "plan.rank", "plan.arma_orders"], tensor=True, out=archive)
 
-    p = sub.add_parser("forecast", help="forecast the next days from a tensor archive")
-    p.add_argument("--tensor", required=True, metavar="PATH", help="input .npz archive")
-    _add_config_options(p, ["plan.horizon_days", "plan.rank", "plan.arma_orders"])
-    p.add_argument("--out", required=True, metavar="PATH", help="output .npz archive")
-    p.set_defaults(func=_cmd_forecast)
-
-    p = sub.add_parser("update",
-                       help="forecast one day, reveal a slot prefix, update, "
-                            "and score the remainder block-wise")
-    p.add_argument("--tensor", required=True, metavar="PATH", help="input .npz archive")
+    p = _command(sub, "update", "forecast one day, reveal a slot prefix, update, "
+                                "and score the remainder block-wise", _cmd_update,
+                 ["plan.rank", "plan.arma_orders", "output_dir"], tensor=True)
     p.add_argument("--day-index", type=int, default=None,
                    help="day to update (default: last day)")
     _add_update_options(p)
-    _add_config_options(p, ["plan.rank", "plan.arma_orders", "output_dir"])
-    p.set_defaults(func=_cmd_update)
 
-    p = sub.add_parser("complete", help="impute a masked suffix of the final day")
-    p.add_argument("--tensor", required=True, metavar="PATH", help="input .npz archive")
-    _add_config_options(p, ["suffix_start", "seed", "lrtc.max_rank", "lrtc.max_iters",
-                            "lrtc.elbo_tol"])
-    p.add_argument("--out", required=True, metavar="PATH", help="output .npz archive")
-    p.set_defaults(func=_cmd_complete)
+    _command(sub, "complete", "impute a masked suffix of the final day", _cmd_complete,
+             ["suffix_start", "seed", "lrtc.max_rank", "lrtc.max_iters", "lrtc.elbo_tol"],
+             tensor=True, out=archive)
+    _command(sub, "cluster", "embed stations and write cluster labels", _cmd_cluster,
+             ["plan.rank", "n_clusters"], tensor=True, out="output CSV")
 
-    p = sub.add_parser("cluster", help="embed stations and write cluster labels")
-    p.add_argument("--tensor", required=True, metavar="PATH", help="input .npz archive")
-    _add_config_options(p, ["plan.rank", "n_clusters"])
-    p.add_argument("--out", required=True, metavar="PATH", help="output CSV")
-    p.set_defaults(func=_cmd_cluster)
-
-    p = sub.add_parser("evaluate", help="run a named experiment and write reports")
+    # each report works out its own horizon
+    p = _command(sub, "evaluate", "run a named experiment and write reports", _cmd_evaluate,
+                 [k for k in _SCHEMA if k != "plan.horizon_days"], config_file=True)
     p.add_argument("--experiment", required=True,
                    choices=("longterm", "update", "shortterm"))
     _add_update_options(p)
     p.add_argument("--use-clustering", action="store_true",
-                   help="complete per cluster in the shortterm experiment")
-    # each report works out its own horizon
-    _add_config_options(p, [k for k in _SCHEMA if k != "plan.horizon_days"], config_file=True)
-    p.set_defaults(func=_cmd_evaluate)
+                   help="complete per cluster in the shortterm experiment "
+                        "(implied by a fixed --clusters)")
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        paths = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"flowcast: error: {exc}", file=sys.stderr)
         return 1
+    for path in paths:
+        print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

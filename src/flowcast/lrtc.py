@@ -96,10 +96,6 @@ class LrtcPosterior:
         return int(self.factor_means[0].shape[1])
 
     @property
-    def lambda_mean(self) -> np.ndarray:
-        return self.lambda_post[0] / self.lambda_post[1]
-
-    @property
     def tau_mean(self) -> float:
         return float(self.tau_post[0] / self.tau_post[1])
 

@@ -36,7 +36,7 @@ class ForecastPlan:
     """Horizon, CP rank, ARMA orders, and ALS settings for one forecast run."""
 
     horizon_days: int
-    rank: int = 50
+    rank: int
     arma_orders: tuple = (2, 2, 1, 1)
     als: AlsConfig = None
 

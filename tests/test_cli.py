@@ -285,6 +285,26 @@ class TestForecast:
         assert "flowcast: error:" in err
         assert "not an .npz tensor archive" in err
 
+    @pytest.mark.parametrize("kind, message", [
+        ("no ids", "missing array 'station_ids'"),
+        ("2-way", "tensor must be 3-way, got 2 modes"),
+        ("short ids", "station ids do not match mode-0 extent"),
+    ])
+    def test_malformed_archive_fails_without_writing(self, tmp_path, kind, message, capsys):
+        bogus = tmp_path / "bad.npz"
+        tensor = np.ones((4, 14, 6))
+        if kind == "no ids":
+            np.savez(bogus, tensor=tensor)
+        elif kind == "2-way":
+            np.savez(bogus, tensor=tensor[:, :, 0], station_ids=np.array(["a", "b", "c", "d"]))
+        else:
+            np.savez(bogus, tensor=tensor, station_ids=np.array(["a", "b", "c"]))
+        out = tmp_path / "p.npz"
+        assert run_cli("forecast", "--tensor", bogus, "--horizon-days", 1,
+                       "--rank", 2, "--out", out) == 1
+        assert capsys.readouterr().err == f"flowcast: error: {bogus}: {message}\n"
+        assert not out.exists()
+
 
 class TestUpdate:
     def test_writes_block_report(self, tmp_path, base_archive):
@@ -526,6 +546,21 @@ class TestEvaluate:
         summary = json.loads((out_dir / "shortterm_summary.json").read_text())
         assert summary["use_clustering"] is False
         assert summary["n_clusters"] == 1
+
+    def test_fixed_cluster_count_completes_per_cluster(self, tmp_path):
+        settings = ("synth.extents=4,29,12\nsynth.rank=2\nplan.rank=2\n"
+                    "plan.arma_orders=1,2,0,0\nlrtc.max_rank=3\nseed=0\n")
+        by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+        (tmp_path / "flag.cfg").write_text(settings + f"output_dir={by_flag}\n")
+        (tmp_path / "file.cfg").write_text(settings + f"output_dir={by_file}\nn_clusters=2\n")
+        assert run_cli("evaluate", "--experiment", "shortterm",
+                       "--config", tmp_path / "flag.cfg", "--clusters", 2) == 0
+        assert run_cli("evaluate", "--experiment", "shortterm",
+                       "--config", tmp_path / "file.cfg") == 0
+        for out_dir in (by_flag, by_file):
+            summary = json.loads((out_dir / "shortterm_summary.json").read_text())
+            assert summary["use_clustering"] is True
+            assert summary["n_clusters"] == 2
 
     def test_horizon_flag_is_not_an_evaluate_option(self, capsys):
         # each report works out its own horizon, so the setting would be ignored

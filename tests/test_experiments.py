@@ -205,6 +205,16 @@ class TestLongterm:
         with pytest.raises(ValueError, match="not enough interior cells"):
             longterm_report(*load_input(cfg), cfg)
 
+    def test_split_past_the_data_is_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("cp_fit ran before the split check")
+
+        monkeypatch.setattr("flowcast.experiments.cp_fit", no_fit)
+        tensor, _ = generate_synthetic(SyntheticSpec(extents=(5, 35, 12)))
+        cfg = ExperimentConfig(split_day=49)
+        with pytest.raises(ValueError, match=re.escape("split_day 49 must lie in [1, 35)")):
+            longterm_report(tensor, [f"s{l}" for l in range(5)], cfg)
+
     def test_report_shape_and_plan_consistency(self):
         cfg = weekly_cfg(0)
         report = longterm_report(*load_input(cfg), cfg)
@@ -334,6 +344,16 @@ class TestUpdate:
         # 99% of 48 slots leaves one slot: a block, but no early half of the remainder
         with pytest.raises(ValueError, match=r"0\.99 leaves 1 of 48 slots to score, too few"):
             update_report(tensor, weekly_cfg(0), 0.99, window=1)
+
+    def test_split_past_the_data_is_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("cp_fit ran before the split check")
+
+        monkeypatch.setattr("flowcast.pipeline.cp_fit", no_fit)
+        tensor, _ = generate_synthetic(SyntheticSpec(extents=(5, 35, 12)))
+        cfg = ExperimentConfig(split_day=49)
+        with pytest.raises(ValueError, match=re.escape("split_day 49 must lie in [1, 35)")):
+            update_report(tensor, cfg, 0.3)
 
     def test_plan_als_settings_reach_the_forecast(self):
         cfg = short_als_cfg()
