@@ -10,9 +10,9 @@ with i in [0,p1], j in [0,p2] on the AR side, i in [0,q1], j in [0,q2] on the
 MA side, and e white noise of variance sigma2.  b_00 is pinned to 1 so the
 noise scale lives in sigma2 alone.
 
-Estimation is two-stage least squares: a high-order pure-AR fit recovers
-innovation estimates, then the AR and lagged-MA coefficients are regressed
-jointly; a pure AR (q1 = q2 = 0) reads no innovations and skips stage 1.
+Estimation is the two-stage least squares of Hannan & Rissanen (1982): a
+high-order pure AR estimates the innovations, then the AR and lagged-MA
+coefficients are regressed jointly; a pure AR (q1 = q2 = 0) skips stage 1.
 Only interior cells (every lag index on the grid, every involved cell
 present) become regression rows.  Fields are centered on their sample mean
 before fitting and the mean is restored after forecasting.
@@ -21,6 +21,7 @@ before fitting and the mean is restored after forecasting.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ import numpy as np
 from .tensor_ops import DegenerateSolveWarning
 
 DAYS_PER_WEEK = 7
+BURNIN_WEEKS = 50
 TOO_FEW_CELLS = "not enough interior cells to estimate the requested orders"
 
 
@@ -86,14 +88,6 @@ class Arma2dModel:
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be non-negative")
 
-    @property
-    def n_ar_coefficients(self) -> int:
-        return self.ar.size - 1
-
-    @property
-    def n_ma_coefficients(self) -> int:
-        return self.ma.size
-
 
 def reshape_to_field(u, days_per_week: int = DAYS_PER_WEEK) -> Field2D:
     """Lay a length-T series onto a D x ceil(T/D) grid, column per week.
@@ -104,9 +98,9 @@ def reshape_to_field(u, days_per_week: int = DAYS_PER_WEEK) -> Field2D:
     u = np.asarray(u, dtype=np.float64).ravel()
     if u.size == 0:
         raise ValueError("series is empty")
+    if not isinstance(days_per_week, numbers.Integral) or days_per_week < 1:
+        raise ValueError("days_per_week must be an integer >= 1")
     d = int(days_per_week)
-    if d < 1:
-        raise ValueError("days_per_week must be >= 1")
     w = math.ceil(u.size / d)
     padded = np.zeros(d * w)
     padded[: u.size] = u
@@ -147,10 +141,15 @@ def _interior(valid, offs, d_min, w_min):
     return rows.T
 
 
+def as_orders(orders) -> tuple:
+    """The orders ``(p1, p2, q1, q2)`` as ints; ``ValueError`` unless four integers >= 0."""
+    if len(orders) != 4 or not all(isinstance(o, numbers.Integral) and o >= 0 for o in orders):
+        raise ValueError(f"arma_orders must be four non-negative integers, got {orders!r}")
+    return tuple(int(o) for o in orders)
+
+
 def _checked_orders(days, weeks, orders):
-    p1, p2, q1, q2 = (int(o) for o in orders)
-    if min(p1, p2, q1, q2) < 0:
-        raise ValueError("orders must be non-negative")
+    p1, p2, q1, q2 = as_orders(orders)
     if days <= p1 + q1 or weeks <= p2 + q2:
         raise ValueError(f"grid {days}x{weeks} too small for orders ({p1},{p2},{q1},{q2}); "
                          f"need D > p1+q1 and W > p2+q2")
@@ -164,8 +163,17 @@ def check_orders(n_days, orders, days_per_week: int = DAYS_PER_WEEK) -> None:
     p1, p2, q1, q2 = _checked_orders(*valid.shape, orders)
     ar_offs = _lag_offsets(p1, p2)
     n_par = len(ar_offs) + len(_lag_offsets(q1, q2))
-    if n_par and _interior(valid, ar_offs, max(p1, q1), max(p2, q2)).sum() <= n_par:
+    if _interior(valid, ar_offs, max(p1, q1), max(p2, q2)).sum() <= n_par:
         raise ValueError(TOO_FEW_CELLS)
+
+
+def _regress(x, y, what):
+    """Minimum-norm least squares of ``y`` on ``x``; warns when ``x`` is rank deficient."""
+    coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    if rank < x.shape[1]:
+        warnings.warn(f"{what} is rank deficient; minimum-norm coefficients",
+                      DegenerateSolveWarning, stacklevel=3)
+    return coef
 
 
 def arma2d_fit(f: Field2D, orders) -> Arma2dModel:
@@ -182,35 +190,22 @@ def arma2d_fit(f: Field2D, orders) -> Arma2dModel:
         lags, rows = _lagged(c, offs), _interior(f.valid, offs, s1, s2)
         x1, y1 = lags.swapaxes(0, 1)[rows], c.T[rows]
         if len(y1):
-            gamma, _, rank1, _ = np.linalg.lstsq(x1, y1, rcond=None)
-            if rank1 < x1.shape[1]:
-                warnings.warn("stage-1 AR regression is rank deficient",
-                              DegenerateSolveWarning, stacklevel=2)
+            gamma = _regress(x1, y1, "stage-1 AR regression")
             # zero-padded prediction everywhere so lagged innovations exist on the full grid
             eps = np.where(f.valid, c - lags @ gamma, 0.0)
 
-    # stage 2: joint AR + lagged-MA regression
+    # stage 2: joint AR + lagged-MA regression; orders (0, 0, 0, 0) regress on no column
     ar_offs = _lag_offsets(p1, p2)
     ma_offs = _lag_offsets(q1, q2)
-    n_par = len(ar_offs) + len(ma_offs)
-    ar = np.zeros((p1 + 1, p2 + 1))
-    ma = np.zeros((q1 + 1, q2 + 1))
-    ma[0, 0] = 1.0
-    if n_par == 0:
-        resid = c[f.valid]
-        return Arma2dModel(ar, ma, float(np.mean(resid**2)), (p1, p2, q1, q2))
-
     rows = _interior(f.valid, ar_offs, max(p1, q1), max(p2, q2))
     x2 = np.concatenate([_lagged(c, ar_offs), _lagged(eps, ma_offs)], axis=2).swapaxes(0, 1)[rows]
     y2 = c.T[rows]
     # the rank is reported before the size is judged: too few rows is rank deficient too
-    coef, _, rank2, _ = np.linalg.lstsq(x2, y2, rcond=None)
-    if rank2 < n_par:
-        warnings.warn("2D-ARMA regression is rank deficient; minimum-norm coefficients",
-                      DegenerateSolveWarning, stacklevel=2)
-    if len(y2) <= n_par:
+    coef = _regress(x2, y2, "2D-ARMA regression")
+    if len(y2) <= x2.shape[1]:
         raise ValueError(TOO_FEW_CELLS)
-    ar.flat[1:], ma.flat[1:] = -coef[: len(ar_offs)], coef[len(ar_offs):]
+    ar = np.append(0.0, -coef[: len(ar_offs)]).reshape(p1 + 1, p2 + 1)
+    ma = np.append(1.0, coef[len(ar_offs):]).reshape(q1 + 1, q2 + 1)
     resid = y2 - x2 @ coef
     return Arma2dModel(ar, ma, float(np.mean(resid**2)), (p1, p2, q1, q2))
 
@@ -268,16 +263,15 @@ def arma2d_forecast(model: Arma2dModel, f: Field2D, horizon_weeks: int) -> Field
     return Field2D(out)
 
 
-def simulate_field(model: Arma2dModel, days: int, weeks: int, seed: int = 0,
-                   burnin_weeks: int = 50) -> Field2D:
+def simulate_field(model: Arma2dModel, days: int, weeks: int, seed: int = 0) -> Field2D:
     """Drive the model recursion with seeded Gaussian noise (zero-mean output).
 
-    ``burnin_weeks`` leading columns are simulated and discarded so the
+    ``BURNIN_WEEKS`` leading columns are simulated and discarded so the
     retained grid is close to the stationary regime in the week direction.
     """
     rng = np.random.default_rng(seed)
-    w_tot = weeks + burnin_weeks
+    w_tot = weeks + BURNIN_WEEKS
     eps = rng.normal(0.0, math.sqrt(model.sigma2), size=(days, w_tot))
     v = np.zeros((days, w_tot))
     _recursion(model, v, np.zeros(v.shape, dtype=bool), eps)
-    return Field2D(v[:, burnin_weeks:])
+    return Field2D(v[:, BURNIN_WEEKS:])

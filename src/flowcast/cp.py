@@ -62,8 +62,8 @@ class AlsConfig:
             raise ValueError("rank must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
 
 
 def _check_rank_feasible(shape, rank):

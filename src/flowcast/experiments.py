@@ -23,8 +23,7 @@ from .clustering import agglomerate, choose_cluster_count, embed_stations
 from .cp import cp_fit
 from .io import ingest
 from .lrtc import LrtcHyperParams, short_term_predict
-from .pipeline import (ForecastPlan, _forecast, forecast_from_model, lean_update,
-                       two_step_forecast)
+from .pipeline import ForecastPlan, forecast_from_model, lean_update, two_step_forecast
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tensor_ops import residual_or_nan
 
@@ -135,8 +134,8 @@ def longterm_report(tensor, station_ids, cfg: ExperimentConfig) -> ExperimentRep
     truth = tensor[:, cfg.split_day:, :]
 
     model, _ = cp_fit(train, cfg.plan.als)
-    prediction = forecast_from_model(model, dataclasses.replace(cfg.plan, horizon_days=horizon))
-    baseline = _forecast(model, horizon, (0, cfg.n_baseline_lags, 0, 0), 1).tensor
+    prediction = forecast_from_model(model, horizon, cfg.plan.arma_orders)
+    baseline = forecast_from_model(model, horizon, (0, cfg.n_baseline_lags, 0, 0), 1).tensor
 
     rows = []
     for l, sid in enumerate(station_ids):

@@ -64,8 +64,8 @@ class LrtcHyperParams:
             raise ValueError("max_rank must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.elbo_tol <= 0:
-            raise ValueError("elbo_tol must be > 0")
+        if not 0 < self.elbo_tol < math.inf:
+            raise ValueError("elbo_tol must be finite and > 0")
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Long-term tensor forecasting and lean intra-day updating.
 
-``two_step_forecast`` runs the two-step procedure: ``cp_fit`` fits a CP
-model, then ``forecast_from_model`` extends each temporal factor column with
-a 2D-ARMA forecast on its day-by-week field and reconstructs the future day
-slices from the extended factor.
+``two_step_forecast`` runs the two-step procedure: ``cp_fit`` fits a CP model,
+then ``forecast_from_model(model, horizon_days, arma_orders)`` extends each
+temporal factor column with a 2D-ARMA forecast on its day-by-week field (one
+row, a scalar AR, with ``days_per_week=1``) and reconstructs the future days.
 
 ``lean_update`` folds a partially observed new day back into the location
 factor without refitting the whole decomposition: the observed prefix is
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arma2d import (DAYS_PER_WEEK, arma2d_fit, arma2d_forecast, check_orders,
+from .arma2d import (DAYS_PER_WEEK, arma2d_fit, arma2d_forecast, as_orders, check_orders,
                      field_to_vector, reshape_to_field)
 from .cp import AlsConfig, CpModel, _normalize_columns, _solve_mode, cp_fit
 from .tensor_ops import as_tensor, cp_reconstruct
@@ -43,8 +43,7 @@ class ForecastPlan:
     def __post_init__(self):
         if self.horizon_days < 1:
             raise ValueError("horizon_days must be >= 1")
-        if len(self.arma_orders) != 4 or min(self.arma_orders) < 0:
-            raise ValueError("arma_orders must be four non-negative integers")
+        as_orders(self.arma_orders)
         if self.als is None:
             self.als = AlsConfig(rank=self.rank)
         elif self.als.rank != self.rank:
@@ -84,34 +83,33 @@ def two_step_forecast(t, plan: ForecastPlan) -> DayPrediction:
         raise ValueError("expected a 3-way tensor (locations x days x slots)")
     check_orders(t.shape[1], plan.arma_orders)
     model, _ = cp_fit(t, plan.als)
-    return forecast_from_model(model, plan)
+    return forecast_from_model(model, plan.horizon_days, plan.arma_orders)
 
 
-def forecast_from_model(model: CpModel, plan: ForecastPlan) -> DayPrediction:
-    """Forecast the ``plan.horizon_days`` days that follow a fitted CP model.
+def forecast_from_model(model: CpModel, horizon_days: int, arma_orders,
+                        days_per_week: int = DAYS_PER_WEEK) -> DayPrediction:
+    """Forecast the ``horizon_days`` days that follow a fitted 3-way CP model.
 
-    Each temporal factor column is laid out as a day-of-week by week field,
-    modelled as a 2D ARMA process, and extended far enough to cover the
+    Each temporal factor column is laid out as a ``days_per_week`` by week field,
+    modelled as a 2D ARMA process of ``arma_orders`` and extended to cover the
     horizon; the extended columns replace the temporal factor in the
     reconstruction.  Negative reconstructed counts are clamped to 0.
     """
-    return _forecast(model, plan.horizon_days, plan.arma_orders, DAYS_PER_WEEK)
-
-
-def _forecast(model, tau, orders, days_per_week):
+    if horizon_days < 1:
+        raise ValueError("horizon_days must be >= 1")
     if len(model.factors) != 3:
         raise ValueError("expected a 3-way model (locations x days x slots)")
     u_t = model.factors[1]
     n_days = u_t.shape[0]
     weeks_have = math.ceil(n_days / days_per_week)
-    weeks_need = math.ceil((n_days + tau) / days_per_week)
+    weeks_need = math.ceil((n_days + horizon_days) / days_per_week)
     h = max(1, weeks_need - weeks_have)
-    extended = np.empty((n_days + tau, model.rank))
+    extended = np.empty((n_days + horizon_days, model.rank))
     for r in range(model.rank):
         f = reshape_to_field(u_t[:, r], days_per_week)
-        arma = arma2d_fit(f, orders)
+        arma = arma2d_fit(f, arma_orders)
         g = arma2d_forecast(arma, f, h)
-        extended[:, r] = field_to_vector(g)[: n_days + tau]
+        extended[:, r] = field_to_vector(g)[: n_days + horizon_days]
 
     source = CpModel(model.weights, [model.factors[0], extended[n_days:], model.factors[2]])
     return DayPrediction(np.maximum(cp_reconstruct(source), 0.0), source, "long_term")
@@ -150,7 +148,8 @@ def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpMo
     recomputed from that spliced day against the prediction's temporal row
     and the model's intra-day factor (:func:`update_location_factor`), and
     the day is reconstructed as ``(weighted * row) @ u_p.T``, clamped at 0.
-    Observed cells in the output carry the actual observations.
+    Observed cells in the output carry the actual observations.  Cells after the
+    prefix are never read; a non-finite cell in it raises ``ValueError``.
     """
     if prediction.horizon_days != 1:
         raise ValueError("lean_update expects a single-day prediction")
@@ -175,6 +174,11 @@ def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpMo
     row = prediction.source_model.factors[1][0]
     u_p = model.factors[2]
     weighted = update_location_factor(spliced, row, u_p)
+    # a non-finite prefix cell reaches its station's loadings, so only failures look further
+    if not np.isfinite(weighted).all():
+        bad = np.flatnonzero(~np.isfinite(day_new[:, :n_obs]).all(axis=1))
+        raise ValueError(f"new_data is not finite in station {bad[0]}'s observed prefix"
+                         if bad.size else "the prediction or model is not finite")
 
     out = np.maximum((weighted * row) @ u_p.T, 0.0)
     out[:, :n_obs] = day_new[:, :n_obs]

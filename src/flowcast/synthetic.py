@@ -9,6 +9,7 @@ tensor so tests can compare against ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +39,11 @@ class SyntheticSpec:
             raise ValueError("extents must be three positive integers")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.weekly_strength < 0 or self.daily_strength < 0:
-            raise ValueError("pattern strengths must be >= 0")
         if not 1 <= self.n_clusters <= self.extents[0]:
             raise ValueError("n_clusters must lie in [1, n_stations]")
-        if self.separation < 0:
-            raise ValueError("separation must be >= 0")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
+        for name in ("weekly_strength", "daily_strength", "separation", "noise_var"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 def planted_labels(spec: SyntheticSpec) -> np.ndarray:

@@ -71,6 +71,8 @@ def test_reshape_rejects_bad_input():
         reshape_to_field([])
     with pytest.raises(ValueError):
         reshape_to_field([1.0, 2.0], days_per_week=0)
+    with pytest.raises(ValueError):
+        reshape_to_field(np.arange(14.0), 7.5)
 
 
 def test_field_validation():
@@ -87,14 +89,6 @@ def test_field_validation():
 # --- model shape ---------------------------------------------------------
 
 
-def test_coefficient_counts():
-    m = Arma2dModel(np.zeros((3, 3)), np.ones((1, 1)), 1.0, (2, 2, 0, 0))
-    assert m.n_ar_coefficients == 8
-    assert m.n_ma_coefficients == 1
-    m2 = Arma2dModel(np.zeros((2, 2)), np.zeros((2, 3)), 1.0, (1, 1, 1, 2))
-    assert m2.n_ma_coefficients == 6
-
-
 def test_model_rejects_mismatched_grids():
     with pytest.raises(ValueError):
         Arma2dModel(np.zeros((2, 2)), np.ones((1, 1)), 1.0, (2, 1, 0, 0))
@@ -109,7 +103,8 @@ def test_white_noise_orders_give_variance_only():
     rng = np.random.default_rng(0)
     f = Field2D(rng.normal(0.0, 2.0, size=(7, 60)))
     m = arma2d_fit(f, (0, 0, 0, 0))
-    assert m.n_ar_coefficients == 0
+    assert m.ar.shape == m.ma.shape == (1, 1)
+    assert m.ar[0, 0] == 0.0
     assert m.ma[0, 0] == 1.0
     assert abs(m.sigma2 - 4.0) < 0.5
 
@@ -167,6 +162,8 @@ def test_fit_rejects_small_grids():
         arma2d_fit(Field2D(np.arange(4.0).reshape(2, 2)), (1, 1, 0, 0))
     with pytest.raises(ValueError):
         arma2d_fit(f, (0, -1, 0, 0))
+    with pytest.raises(ValueError, match="non-negative integers"):
+        arma2d_fit(Field2D(np.ones((7, 20))), (1, 1.9, 0, 0))
 
 
 def test_fit_skips_cells_whose_lags_fall_in_a_hole():

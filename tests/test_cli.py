@@ -395,6 +395,16 @@ class TestComplete:
             ending = "converged" if converged else "stopped at max_iters without converging"
             assert printed.splitlines()[0].endswith(f"effective rank {rank}, {ending}")
 
+    def test_infinite_elbo_tol_fails_without_a_fit(self, tmp_path, base_archive, capsys):
+        out = tmp_path / "done.npz"
+        assert run_cli("complete", "--tensor", base_archive, "--elbo-tol", "inf",
+                       "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("flowcast: error:")
+        assert len(captured.err.splitlines()) == 1 and "elbo_tol" in captured.err
+        assert not out.exists()
+
     def test_default_suffix_is_third_of_day(self, tmp_path, base_archive, capsys):
         out = tmp_path / "done.npz"
         assert run_cli("complete", "--tensor", base_archive, "--max-rank", 3,

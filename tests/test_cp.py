@@ -451,6 +451,12 @@ def test_solve_mode_shape_mismatch():
         cp_solve_mode(t, model, 0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, np.nan])
+def test_config_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        AlsConfig(rank=1, tol=tol)
+
+
 def test_rank_infeasible():
     with pytest.raises(ValueError):
         cp_fit(np.ones((2, 2, 2)), AlsConfig(rank=5))

@@ -18,7 +18,7 @@ from flowcast.experiments import (
 from flowcast.cp import AlsConfig, CpModel, cp_fit
 from flowcast.io import export
 from flowcast.lrtc import LrtcHyperParams, short_term_predict
-from flowcast.pipeline import ForecastPlan, _forecast, lean_update, two_step_forecast
+from flowcast.pipeline import ForecastPlan, forecast_from_model, lean_update, two_step_forecast
 from flowcast.synthetic import SyntheticSpec, generate_synthetic
 from flowcast.tensor_ops import DegenerateSolveWarning, relative_residual, residual_or_nan
 
@@ -105,7 +105,7 @@ def ar_baseline(series, n_lags, horizon):
     # temporal factor is the series; its extended factor is the unclamped forecast
     u_t = np.asarray(series, dtype=np.float64)[:, None]
     model = CpModel(np.ones(1), [np.ones((1, 1)), u_t, np.ones((1, 1))])
-    return _forecast(model, horizon, (0, n_lags, 0, 0), 1).source_model.factors[1][:, 0]
+    return forecast_from_model(model, horizon, (0, n_lags, 0, 0), 1).source_model.factors[1][:, 0]
 
 
 class TestArBaseline:

@@ -56,8 +56,9 @@ def test_hyperparam_validation():
         LrtcHyperParams(max_rank=0)
     with pytest.raises(ValueError):
         LrtcHyperParams(max_iters=0)
-    with pytest.raises(ValueError):
-        LrtcHyperParams(elbo_tol=0.0)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="elbo_tol"):
+            LrtcHyperParams(elbo_tol=tol)
 
 
 # --- fitting ----------------------------------------------------------------

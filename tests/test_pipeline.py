@@ -12,10 +12,11 @@ import warnings
 import numpy as np
 import pytest
 
-from flowcast.cp import AlsConfig, CpModel, cp_solve_mode
+from flowcast.cp import AlsConfig, CpModel, cp_fit, cp_solve_mode
 from flowcast.pipeline import (
     DayPrediction,
     ForecastPlan,
+    forecast_from_model,
     lean_update,
     two_step_forecast,
     update_location_factor,
@@ -65,6 +66,8 @@ def test_plan_validation():
         ForecastPlan(horizon_days=0, rank=2)
     with pytest.raises(ValueError):
         ForecastPlan(horizon_days=1, rank=2, arma_orders=(1, 1, 1))
+    with pytest.raises(ValueError, match="non-negative integers"):
+        ForecastPlan(horizon_days=1, rank=2, arma_orders=(1, 1.9, 0, 0))
     with pytest.raises(ValueError):
         ForecastPlan(horizon_days=1, rank=2, als=AlsConfig(rank=3))
     plan = ForecastPlan(horizon_days=3, rank=4)
@@ -140,6 +143,20 @@ def test_infeasible_orders_are_rejected_before_the_fit(monkeypatch, n_days, matc
         two_step_forecast(t, ForecastPlan(horizon_days=7, rank=2))
 
 
+def test_forecast_from_model_is_the_two_step_forecast_on_a_fitted_model():
+    t = np.random.default_rng(6).uniform(size=(5, 35, 8))
+    als = AlsConfig(rank=2, max_iters=30)
+    model, _ = cp_fit(t, als)
+    for horizon in (1, 7):
+        plan = ForecastPlan(horizon, rank=2, arma_orders=(1, 1, 0, 0), als=als)
+        direct = forecast_from_model(model, horizon, plan.arma_orders)
+        assert np.array_equal(direct.tensor, two_step_forecast(t, plan).tensor)
+    with pytest.raises(ValueError, match="horizon_days"):
+        forecast_from_model(model, 0, (1, 1, 0, 0))
+    with pytest.raises(ValueError, match="3-way"):
+        forecast_from_model(CpModel(model.weights, model.factors[:2]), 1, (1, 1, 0, 0))
+
+
 # --- lean update -----------------------------------------------------------
 
 
@@ -209,6 +226,23 @@ def test_update_rejects_bad_masks_and_shapes():
                          "long_term")
     with pytest.raises(ValueError):
         lean_update(wide, truth_day, np.ones(24, dtype=bool), model)
+    for bad in (np.nan, np.inf):
+        day = truth_day.copy()
+        day[2, 1] = bad
+        with pytest.raises(ValueError, match="station 2's observed prefix"):
+            lean_update(prediction, day, np.arange(24) < 4, model)
+
+
+def test_update_ignores_cells_after_the_prefix():
+    prediction, model, truth_day = update_scenario(seed=3)
+    observed = np.arange(24) < 4
+    unknown = truth_day.copy()
+    unknown[:, 4:] = np.nan
+    got = lean_update(prediction, unknown, observed, model)
+    want = lean_update(prediction, truth_day, observed, model)
+    assert np.array_equal(got.tensor, want.tensor)
+    for a, b in zip(got.source_model.factors, want.source_model.factors):
+        assert np.array_equal(a, b)
 
 
 def test_update_rejects_a_mismatched_model_before_solving(monkeypatch):

@@ -32,6 +32,10 @@ class TestSpecValidation:
             SyntheticSpec(separation=-0.5)
         with pytest.raises(ValueError):
             SyntheticSpec(noise_var=-0.01)
+        for name in ("weekly_strength", "daily_strength", "separation", "noise_var"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=name):
+                    SyntheticSpec(**{name: value})
 
 
 class TestPlantedLabels:
