@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dlange, dpocon, dposv
 
 from .tensor_ops import (DegenerateSolveWarning, _error_from_statistics, _half_kr, _split,
-                         _SweepTrace, _tree_mttkrps, as_mask, as_tensor, cp_reconstruct,
+                         _SweepTrace, _tree_steps, as_mask, as_tensor, cp_reconstruct,
                          khatri_rao_all, relative_residual, unfold)
 
 PINV_RCOND = 1e-12
@@ -107,10 +107,10 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     sweep, whose ``converged`` says the fit stopped on two errors within ``cfg.tol *
     max(1, |previous|)``, the stop rule ``lrtc_fit`` shares, not at ``cfg.max_iters``.
 
-    MTTKRPs come from the dimension tree of ``tensor_ops._tree_mttkrps`` on
-    one C-order view ``x`` of ``t``, with no unfolding copied: two
-    component-major tensor products per sweep, each mode finished inside its
-    half.  ALS iterates do not
+    MTTKRPs come from the dimension tree of ``tensor_ops._tree_steps``, bound
+    once per fit to one C-order view ``x`` of ``t``, from which ``||X||`` is
+    read too, with no unfolding copied: two component-major tensor products
+    per sweep, each mode finished inside its half.  ALS iterates do not
     change under column scaling (Kolda & Bader 2009), so the sweeps keep each
     mode's raw solve and its raw Gram, and the weights come out once, after
     the last sweep: the model has unit-norm columns and non-increasing
@@ -134,7 +134,8 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     s = _split(t.shape)
     n_rows = math.prod(t.shape[:s])
     if observed is None:
-        x, norm_t = t.reshape(n_rows, -1), np.linalg.norm(t)
+        x = t.reshape(n_rows, -1)  # a copy only where t is a view that cannot flatten
+        norm_t = np.linalg.norm(x)
     else:
         x = np.where(observed, t, float(t[observed].mean())).reshape(n_rows, -1)
         seen, norm_t = observed.reshape(n_rows, -1), np.linalg.norm(t[observed])
@@ -142,16 +143,20 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     factors = [rng.uniform(-1.0, 1.0, size=(n, cfg.rank)) for n in t.shape]
     grams = [f.T @ f for f in factors]
 
+    steps = [(mode, step, [k for k in range(t.ndim) if k != mode])
+             for mode, step in _tree_steps(x, factors, s)]
+    sq_norm = norm_t**2
     history = _SweepTrace()
     for _ in range(cfg.max_iters):
-        for mode, mttkrp in _tree_mttkrps(x, factors, s):
-            g = reduce(np.multiply, [gk for k, gk in enumerate(grams) if k != mode])
-            factors[mode] = _solve_mode(mttkrp, g)
-            grams[mode] = factors[mode].T @ factors[mode]
+        for mode, step, others in steps:
+            mttkrp = step()
+            g = reduce(np.multiply, [grams[k] for k in others])
+            factors[mode] = a = _solve_mode(mttkrp, g)
+            grams[mode] = a.T @ a
         if observed is None:
-            err2 = _error_from_statistics(norm_t**2, g, mttkrp, factors[-1], grams[-1])
-        if observed is None and err2 > GRAM_ERR_FLOOR * norm_t**2:
-            err = np.sqrt(err2)
+            err2 = _error_from_statistics(sq_norm, g, mttkrp, factors[-1], grams[-1])
+        if observed is None and err2 > GRAM_ERR_FLOOR * sq_norm:
+            err = math.sqrt(err2)
         else:  # the model in the view's layout, from each half's Khatri-Rao matrix
             recon = _half_kr(factors, range(s)) @ _half_kr(factors, range(s, t.ndim)).T
             err = np.linalg.norm(x - recon if observed is None else (x - recon)[seen])

@@ -106,6 +106,14 @@ def _recorded(fh, lines):
         yield line
 
 
+def _station_codes(sids, station_row):
+    """Each row's station number, an id not yet in ``station_row`` taking the next one:
+    one lookup per run of rows with equal ids, in row order."""
+    ends = np.concatenate(([True], sids[1:] != sids[:-1], [True])).nonzero()[0]
+    runs = [station_row.setdefault(s, len(station_row)) for s in sids[ends[:-1]]]
+    return np.array(runs, dtype=np.int64).repeat(ends[1:] - ends[:-1])
+
+
 def _scatter_block(lines, fh, n_days, n_slots, station_row, tensor):
     """Parse ``BLOCK_ROWS`` records from ``lines`` and then ``fh``, check them, then
     scatter them into ``tensor``.  Every line read from ``fh`` is appended to ``lines``;
@@ -133,11 +141,9 @@ def _scatter_block(lines, fh, n_days, n_slots, station_row, tensor):
     if (day.min() < 0 or day.max() >= n_days or slot.min() < 0 or slot.max() >= n_slots
             or not np.isfinite(count).all() or count.min() < 0):
         return None
-    codes = np.array([station_row.setdefault(sid, len(station_row)) for sid in rec["sid"]],
-                     dtype=np.int64)
+    cell = (_station_codes(rec["sid"], station_row) * n_days + day) * n_slots + slot
     if len(station_row) > len(tensor):
         _resize(tensor, len(station_row))
-    cell = (codes * n_days + day) * n_slots + slot
     in_order = np.sort(cell)
     flat = tensor.reshape(-1)
     if (in_order[1:] == in_order[:-1]).any() or not np.isnan(flat[cell]).all():

@@ -14,13 +14,14 @@ sweep inverts one precision per pattern and gathers it back to the rows, and
 the bound's entropy takes one log-determinant per pattern.  A suffix mask
 such as today's missing slots has one or two patterns per mode.  Each sweep's
 sums of y times the other modes' means are MTTKRPs of the zero-filled data on
-the dimension tree ``cp_fit`` sweeps with (``tensor_ops._tree_mttkrps``); the
+the dimension tree ``cp_fit`` sweeps with (``tensor_ops._tree_steps``); the
 rank-R² sums of their second moments are formed at each pattern's first row
 alone, by contracting that row's boolean mask slice, cut once per fit, with
-the other modes' moments one mode at a time.  The bound's
-terms that no sweep moves (the fixed Gamma shapes' digamma and gammaln, the
-priors' constants, the row count) are computed once per fit, and each sweep
-evaluates the rest on Python floats.
+the other modes' moments one mode at a time.  Both are bound to the fit's
+lists of means and moments once per fit, and again after a pruning sweep.
+The bound's terms that no sweep moves (the fixed Gamma shapes' digamma and
+gammaln, the priors' constants, the row count) are computed once per fit,
+and each sweep evaluates the rest on Python floats.
 
 Every Gamma prior is the fixed broad Gamma(``PRIOR``, ``PRIOR``) of Zhao, Zhang
 & Cichocki (2015), and pruning always runs: components whose posterior-mean
@@ -28,6 +29,15 @@ precision exceeds ``PRUNE_RATIO`` times the smallest are candidates for
 removal as the sweeps proceed; a candidate set is dropped only when doing so
 does not lower the bound, which keeps the ELBO trace monotone and turns
 ``max_rank`` into an upper bound (automatic rank determination).
+
+A dying component can outlive that test for a few sweeps while its means fall
+doubly exponentially (each mode's are y times the product of the others'),
+into subnormal numbers, on which BLAS runs about 60 times slower.  Its rate
+falls every sweep: with its means near zero, the rate is half the sum of its
+row variances, each below the last 1/E[lambda_r].  So in the sweep after any
+rate falls below ``DYING_FALL`` times its last value, each mode's new
+covariances, means and moments have their subnormal entries set to zero; a
+sweep after which no rate falls pays only that test of the R rates.
 """
 
 from __future__ import annotations
@@ -39,13 +49,16 @@ from functools import reduce
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .tensor_ops import _error_from_statistics, _split, _SweepTrace, _tree_mttkrps, as_mask
+from .tensor_ops import _error_from_statistics, _split, _SweepTrace, _tree_steps, as_mask
 
 PRIOR = 1e-6  # shape and rate of every Gamma prior, on lambda and on tau
 LOG_2PI = math.log(2 * math.pi)
 # a Gamma(PRIOR, PRIOR) prior's E[ln p(x)] is this plus (PRIOR - 1) E[ln x] - PRIOR E[x]
 PRIOR_LOG_NORM = PRIOR * math.log(PRIOR) - math.lgamma(PRIOR)
 PRUNE_RATIO = 100.0
+# a rate below this share of its last value marks a dying component (see above)
+DYING_FALL = 0.9
+TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
 @dataclass
@@ -104,6 +117,12 @@ def _second_moments(means, covs):
     return [m[:, :, None] * m[:, None, :] + v for m, v in zip(means, covs)]
 
 
+def _flush_subnormals(*arrays):
+    """Set the entries of ``arrays`` below ``TINY`` in magnitude to zero, in place."""
+    for a in arrays:
+        a[np.abs(a) < TINY] = 0.0
+
+
 def _row_groups(mask):
     """Per mode, ``(first, index, counts)`` over the rows that share a mask pattern, in
     first-row order: each group's first row, each row's group and the group sizes.  Each
@@ -136,18 +155,31 @@ def _pattern_rows(mask, groups):
 
 
 def _statistics(rows, filled, split, means, moments):
-    """Yield ``(k, s, proj)`` per mode k: ``s`` sums the other modes' second moments over the
-    observed cells of each of mode k's first rows, ``rows[k]`` (``_pattern_rows``) contracted
-    with their moments flattened to I_j x R², one mode at a time from the last, and ``proj``
-    y times their means at every row, the tree MTTKRPs of the zero-filled ``filled``.  Each
-    mode's moments are read at its turn, so updates to ``means[k]`` and ``moments[k]``
-    reach mode k+1."""
-    for k, proj in _tree_mttkrps(filled, means, split):
-        *rest, last = (v.reshape(v.shape[0], -1) for j, v in enumerate(moments) if j != k)
-        s = rows[k] @ last
-        for f in reversed(rest):
-            s = np.einsum("...jq,jq->...q", s, f)
-        yield k, s.reshape((-1,) + moments[k].shape[1:]), proj
+    """Bind each sweep's statistics to the lists ``means`` and ``moments`` once per fit:
+    ``(k, step)`` per mode k in order, where ``step()`` returns ``(s, proj)``.  ``s`` sums
+    the other modes' second moments over the observed cells of each of mode k's first
+    rows, ``rows[k]`` (``_pattern_rows``) contracted with their moments flattened to
+    I_j x R², one mode at a time from the last, and ``proj`` is y times their means at
+    every row, the tree MTTKRP of the zero-filled ``filled``.  Each step reads the lists
+    when it is called, so updates to ``means[k]`` and ``moments[k]`` reach mode k+1; a
+    pruning sweep, which cuts the rank, binds anew."""
+    return [(k, _statistics_step(rows[k], proj, [j for j in range(len(means)) if j != k],
+                                 moments)) for k, proj in _tree_steps(filled, means, split)]
+
+
+def _statistics_step(rows, proj, others, moments):
+    """The step of ``_statistics`` for the mode whose pattern rows are ``rows``."""
+    *rest, last = others
+    rest.reverse()
+    rank = moments[last].shape[1]
+    flat = rank * rank
+
+    def step():
+        s = rows @ moments[last].reshape(-1, flat)
+        for j in rest:
+            s = np.einsum("...jq,jq->...q", s, moments[j].reshape(-1, flat))
+        return s.reshape(-1, rank, rank), proj()
+    return step
 
 
 def _elbo(stats, group_covs, d_rate, e_lam, fixed):
@@ -208,38 +240,52 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
     means = [rng.normal(0.0, scale, size=(i, rank)) for i in extents]
     groups = _row_groups(mask)
     rows = _pattern_rows(mask, groups)
+    index = [i for _, i, _ in groups]  # each row's group, per mode
     counts = np.concatenate([c for _, _, c in groups])
     group_covs = [None] * y.ndim  # each sweep sets one covariance per mask-pattern group
     eye = np.eye(rank)
     moments = [np.einsum("ir,is->irs", m, m) + scale**2 * eye for m in means]
     e_lam = np.ones(rank)
+    d_rate, flush = np.zeros(rank), False  # no rate has fallen before the first sweep
     e_tau = 1.0 / var if var > 0 else 1.0
     # every lambda_r has the same Gamma shape, and tau's shape is fixed by the cell count
     c_terms = _gamma_terms(PRIOR + 0.5 * sum(extents))
     a_terms = _gamma_terms(PRIOR + 0.5 * n)
     fixed = (n, counts, int(counts.sum()), c_terms, a_terms)
 
+    steps = _statistics(rows, filled, split, means, moments)
     elbo_trace = _SweepTrace()
     for _ in range(hp.max_iters):
-        for k, s, proj in _statistics(rows, filled, split, means, moments):
-            v = np.linalg.inv(e_lam * eye + e_tau * s)
-            group_covs[k] = 0.5 * (v + v.swapaxes(1, 2))
-            cov = group_covs[k][groups[k][1]]
-            means[k] = e_tau * np.einsum("irs,is->ir", cov, proj)
-            moments[k] = np.einsum("ir,is->irs", means[k], means[k]) + cov
+        lam = e_lam * eye  # the factor rows' prior precision
+        for k, step in steps:
+            s, proj = step()
+            v = e_tau * s
+            v += lam
+            v = np.linalg.inv(v)
+            group_covs[k] = v = np.add(v, v.swapaxes(1, 2))
+            v *= 0.5
+            cov = v[index[k]]
+            means[k] = m = e_tau * np.einsum("irs,is->ir", cov, proj)
+            moments[k] = mom = m[:, :, None] * m[:, None, :]
+            mom += cov
+            if flush:
+                _flush_subnormals(v, m, mom)
 
         # diag(m m^T + V) = m^2 + diag V, summed over every row of every mode
-        d_rate = PRIOR + 0.5 * sum(np.diagonal(v, axis1=1, axis2=2).sum(axis=0) for v in moments)
+        rate = PRIOR + 0.5 * reduce(np.add, [v.diagonal(0, 1, 2).sum(0) for v in moments])
+        flush = bool((rate < DYING_FALL * d_rate).any())
+        d_rate = rate
         e_lam = c_terms[0] / d_rate
 
         # the last mode's statistics, back on its rows, already hold every other mode's update
-        s = s[groups[-1][1]]
+        s = s[index[-1]]
         elbo, b_rate = _elbo((sum_y2, s, proj, means[-1], moments[-1]), group_covs, d_rate,
                              e_lam, fixed)
 
         pruned = False
-        keep = e_lam <= PRUNE_RATIO * e_lam.min()
-        if not keep.all():
+        cap = PRUNE_RATIO * e_lam.min()
+        if e_lam.max() > cap:
+            keep = e_lam <= cap
             # the last axis sliced first lays each moment out as m m^T + V on the cut means
             # would, so the next sweep's sums run in the same order
             cut = ([m[:, keep] for m in means], [v[:, :, keep][:, keep] for v in group_covs],
@@ -251,6 +297,7 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
                 (means, group_covs, moments), e_lam, d_rate, b_rate, elbo = (
                     cut, e_lam[keep], d_rate[keep], cut_b, cut_elbo)
                 eye = eye[keep][:, keep]
+                steps = _statistics(rows, filled, split, means, moments)
         e_tau = a_terms[0] / b_rate
 
         elbo_trace.append(elbo)
@@ -259,7 +306,7 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
             elbo_trace.converged = sum_y2 == 0 or all(m.any() for m in means)
             break
 
-    covs = [v[index] for v, (_, index, _) in zip(group_covs, groups)]
+    covs = [v[i] for v, i in zip(group_covs, index)]
     return LrtcPosterior(means, covs, (np.full(d_rate.size, c_terms[0]), d_rate),
                          (a_terms[0], b_rate), elbo_trace)
 

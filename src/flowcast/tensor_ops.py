@@ -12,7 +12,6 @@ All functions here are pure and never mutate their inputs.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -86,7 +85,7 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("khatri_rao expects two matrices")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
-    return np.einsum("ir,jr->ijr", a, b).reshape(a.shape[0] * b.shape[0], a.shape[1])
+    return khatri_rao_all([b, a])
 
 
 def khatri_rao_all(factors, skip: int | None = None) -> np.ndarray:
@@ -96,12 +95,13 @@ def khatri_rao_all(factors, skip: int | None = None) -> np.ndarray:
     ``unfold(t, skip) @ khatri_rao_all(factors, skip)`` accumulates
     ``sum_cells t[i] * prod_{k != skip} factors[k][i_k, r]``.
     """
-    mats = [factors[k] for k in reversed(range(len(factors))) if k != skip]
+    mats = list(factors) if skip is None else [f for k, f in enumerate(factors) if k != skip]
     if not mats:
         raise ValueError("khatri_rao_all needs at least one factor")
-    out = mats[0]
-    for m in mats[1:]:
-        out = khatri_rao(out, m)
+    out = mats.pop()
+    while mats:
+        out = np.einsum("ir,jr->ijr", out, mats.pop())
+        out = out.reshape(-1, out.shape[2])
     return out
 
 
@@ -117,56 +117,59 @@ def _half_kr(factors, half):
     return khatri_rao_all([factors[k] for k in reversed(half)])
 
 
-@lru_cache(maxsize=64)
-def _tree_plan(shape, split):
-    """Per half of the tree at ``split``: the other half's modes, and per mode ``(mode, I_k,
-    a, b, rest)``, where ``a`` and ``b`` multiply the half's extents before and after the
-    mode and ``rest`` lists its other modes in decreasing order."""
-    left, right = tuple(range(split)), tuple(range(split, len(shape)))
-    plan = []
-    for half, other in ((left, right), (right, left)):
-        steps = tuple((mode, shape[mode], math.prod(shape[half[0]:mode]),
-                       math.prod(shape[mode + 1:half[-1] + 1]),
-                       tuple(k for k in reversed(half) if k != mode)) for mode in half)
-        plan.append((other, steps))
-    return tuple(plan)
-
-
-def _tree_mttkrps(t, factors, split):
-    """Yield ``(mode, MTTKRP)`` for every mode in order, from a dimension tree (Phan,
-    Tichavsky & Cichocki 2013) on the C-order view ``x`` of ``t`` with modes ``[0, split)``
-    on its rows; no unfolding is copied.  A factor is read only when a mode's MTTKRP is
-    formed, so updating ``factors[mode]`` before the next mode gives a Gauss-Seidel sweep.
+def _tree_steps(t, factors, split):
+    """Bind a dimension tree (Phan, Tichavsky & Cichocki 2013) to ``t`` and the list
+    ``factors`` once per fit: ``(mode, step)`` in mode order, where ``step()`` returns the
+    mode's MTTKRP from ``factors`` as they stand when it is called, so replacing
+    ``factors[mode]`` before the next step gives a Gauss-Seidel sweep.  The tree works on
+    the C-order view ``x`` of ``t`` with modes ``[0, split)`` on its rows; no unfolding is
+    copied.  A step binds the extents and the rank, so a fit whose rank falls binds anew.
 
     The products are component-major: each half's product with the other half is
-    R x the half's rows (``KR.T @ x.T`` on the left, ``KR.T @ x`` on the right), and a
-    mode that leads or ends its half is finished by one matmul batched over the R
-    components; only a mode between two others of its half takes an ``einsum``.  Each
-    MTTKRP is yielded as the I_k x R transposed view of its R x I_k result.  The tree's
-    plan depends only on the extents and ``split``, so it is worked out once per pair."""
+    R x the half's rows (``KR.T @ x.T`` on the left, ``KR.T @ x`` on the right), formed by
+    the half's first step and read by its others, and a mode that leads or ends its half is
+    finished by one matmul batched over the R components; only a mode between two others
+    of its half takes an ``einsum``.  Each MTTKRP is the I_k x R transposed view of its
+    R x I_k result.  Steps look ``khatri_rao_all`` up in the module at each call, so a
+    tracer that replaces it there sees every call."""
     shape = tuple(f.shape[0] for f in factors)
+    rank = factors[0].shape[1]
     x = t.reshape(math.prod(shape[:split]), -1)
-    for (other, steps), rows in zip(_tree_plan(shape, split), (x.T, x)):
-        p = _half_kr(factors, other).T @ rows  # the half's product with the other half
-        for step in steps:
-            yield step[0], _finish_mode(p, factors, step).T
+    left, right = tuple(range(split)), tuple(range(split, len(shape)))
+    steps = []
+    for half, other, rows in ((left, right, x.T), (right, left, x)):
+        held = [None]  # the half's product with the other half
+        steps += [(mode, _tree_step(factors, shape, rank, half, other, rows, held, mode))
+                  for mode in half]
+    return steps
 
 
-def _finish_mode(p, factors, step):
-    """One mode's R x I_k MTTKRP from ``p``, its half's R x rows product with the other half,
-    for the ``_tree_plan`` step ``(mode, I_k, a, b, rest)``; it reads ``factors`` at ``rest``."""
-    _, n, a, b, rest = step
+def _tree_step(factors, shape, rank, half, other, rows, held, mode):
+    """The step of ``_tree_steps`` for ``mode`` of ``half``; ``held[0]`` is the half's
+    product with ``other``, which the half's first step forms from ``rows``."""
+    n, rest = shape[mode], [k for k in reversed(half) if k != mode]
+    a, b = math.prod(shape[half[0]:mode]), math.prod(shape[mode + 1:half[-1] + 1])
     if not rest:
-        return p
-    rank = p.shape[0]
-    kr = khatri_rao_all([factors[k] for k in rest]).T
-    if a == 1:  # the mode leads its half
-        out = p.reshape(rank, n, -1) @ kr[:, :, None]
+        finish = None
+    elif a == 1:  # the mode leads its half
+        def finish(p, kr):
+            return (p.reshape(rank, n, b) @ kr[:, :, None]).reshape(rank, n)
     elif b == 1:  # the mode ends its half
-        out = kr[:, None, :] @ p.reshape(rank, a, n)
+        def finish(p, kr):
+            return (kr[:, None, :] @ p.reshape(rank, a, n)).reshape(rank, n)
     else:
-        out = np.einsum("raib,rab->ri", p.reshape(rank, a, n, -1), kr.reshape(rank, a, -1))
-    return out.reshape(rank, n)
+        def finish(p, kr):
+            return np.einsum("raib,rab->ri", p.reshape(rank, a, n, b), kr.reshape(rank, a, b))
+
+    if mode != half[0]:
+        return lambda: finish(held[0], khatri_rao_all([factors[k] for k in rest]).T).T
+
+    def step():
+        held[0] = p = _half_kr(factors, other).T @ rows
+        if finish is None:
+            return p.T
+        return finish(p, khatri_rao_all([factors[k] for k in rest]).T).T
+    return step
 
 
 def _error_from_statistics(sum_y2, s, proj, mean, moment):

@@ -186,7 +186,8 @@ def test_tree_mttkrp_matches_the_unfolding_product(shape, split):
     t = rng.normal(size=shape)
     factors = [rng.normal(size=(n, 3)) for n in shape]
     modes = []
-    for mode, got in tensor_ops._tree_mttkrps(t, factors, split):
+    for mode, step in tensor_ops._tree_steps(t, factors, split):
+        got = step()
         want = unfold(t, mode) @ khatri_rao_all(factors, mode)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         modes.append(mode)
@@ -194,8 +195,8 @@ def test_tree_mttkrp_matches_the_unfolding_product(shape, split):
 
 
 def test_tree_plans_are_kept_apart_by_extents_and_split():
-    # one process, alternating orders, extents and splits: a plan looked up under the
-    # wrong key would finish some mode with another tensor's extents
+    # one process, alternating orders, extents and splits: steps that kept another
+    # tensor's extents would finish some mode with the wrong shape
     cases = [((7, 5), 1), ((5, 7), 1), ((2, 3, 4, 5), 2), ((4, 6, 3), 1), ((2, 3, 4, 5), 1),
              ((6, 4, 3), 2), ((3, 2, 5, 4), 2), ((2, 3, 4, 5), 3), ((4, 6, 3), 2)]
     rng = np.random.default_rng(33)
@@ -203,7 +204,8 @@ def test_tree_plans_are_kept_apart_by_extents_and_split():
         t = rng.normal(size=shape)
         factors = [rng.normal(size=(n, 3)) for n in shape]
         modes = []
-        for mode, got in tensor_ops._tree_mttkrps(t, factors, split):
+        for mode, step in tensor_ops._tree_steps(t, factors, split):
+            got = step()
             want = unfold(t, mode) @ khatri_rao_all(factors, mode)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (shape, split)
             modes.append(mode)
@@ -221,7 +223,8 @@ def test_tree_mttkrp_matches_on_strided_factors_at_any_rank(shape, rank):
     factors = [rng.normal(size=(rank, 2 * n))[:, ::2].T for n in shape]
     assert not any(f.flags.c_contiguous or f.flags.f_contiguous for f in factors)
     modes = []
-    for mode, got in tensor_ops._tree_mttkrps(t, factors, tensor_ops._split(shape)):
+    for mode, step in tensor_ops._tree_steps(t, factors, tensor_ops._split(shape)):
+        got = step()
         want = unfold(t, mode) @ khatri_rao_all(factors, mode)
         assert got.shape == (shape[mode], rank)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -282,6 +285,24 @@ def test_fit_memory_stays_under_twice_the_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 2 * t.nbytes
+
+
+@pytest.mark.parametrize("shape", [(12, 56, 48), (60, 50, 48)])
+def test_fit_of_a_sliced_history_copies_it_at_most_once(shape):
+    # the short-term path fits observed[:, :-1]: at 12 x 55 x 48 (split 2) its C-order
+    # view is a copy, and ||X|| is read from that copy, not from a second flattening;
+    # at 60 x 49 x 48 (split 1) the view is no copy and the norm makes the one
+    t = np.random.default_rng(30).uniform(size=shape)
+    history = t[:, :-1]
+    cfg = AlsConfig(rank=2, max_iters=2)
+    cp_fit(history, cfg)  # first-call allocations are not the fit's own
+    tracemalloc.start()
+    try:
+        cp_fit(history, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * history.nbytes
 
 
 def test_all_zero_tensor():

@@ -45,6 +45,29 @@ class TestIngest:
         assert ids == ["b", "a"]
         assert np.array_equal(tensor, [[[1.0, 3.0]], [[4.0, 2.0]]])
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 5, io.BLOCK_ROWS])
+    def test_ids_interleaved_row_by_row_and_recurring_across_blocks(self, tmp_path,
+                                                                   monkeypatch, block_rows):
+        # runs of one id, ids alternating row by row, ids that come back in a later
+        # block and ids first seen there: each station keeps its first appearance
+        order = "caacbcadddbeca"
+        seen, rows = {}, []
+        want = np.zeros((5, 2, 3))
+        for sid in order:
+            cell = seen.get(sid, 0)
+            seen[sid] = cell + 1
+            rows.append(f"{sid},{cell // 3},{cell % 3},{len(rows) + 1}")
+            want["cabde".index(sid), cell // 3, cell % 3] = len(rows)
+        path = tmp_path / "flows.csv"
+        write_csv(path, rows)
+        monkeypatch.setattr(io, "BLOCK_ROWS", block_rows)
+        tensor, ids, report = ingest(path, (2, 3))
+        assert ids == list("cabde")
+        assert np.array_equal(tensor, want)
+        assert (report.n_rows, report.n_stations, report.missing_count) == (14, 5, 16)
+        assert outcome(lambda p: ingest(p, (2, 3)), path) == outcome(
+            lambda p: io._ingest_rows(p, 2, 3), path)
+
     def test_absent_cells_are_zero_filled_and_counted(self, tmp_path):
         path = tmp_path / "flows.csv"
         rows = full_grid_rows()

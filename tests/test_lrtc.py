@@ -168,6 +168,40 @@ def test_pruning_does_not_cost_accuracy(monkeypatch):
     assert res_pruned <= 1.1 * res_kept + 1e-12
 
 
+def noise_scenario():
+    # N(0, 1) + 1 noise, 70 % observed: all but a few components die, their means
+    # falling doubly exponentially, sweep by sweep, until pruning drops them
+    rng = np.random.default_rng(0)
+    y = rng.normal(size=(12, 56, 48)) + 1.0
+    return y, rng.random(y.shape) < 0.7
+
+
+def test_dying_components_leave_no_subnormal_means_or_covariances():
+    # unflushed, sweep 6 leaves subnormal covariance entries, and BLAS products on
+    # subnormal operands run about 60 times slower than on normal ones
+    y, mask = noise_scenario()
+    post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=10, max_iters=6, seed=0))
+    for a in post.factor_means + post.factor_covs:
+        assert not np.any((a != 0) & (np.abs(a) < np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("scenario", ["noise", "tail"])
+def test_flushing_subnormals_leaves_a_whole_fit_unchanged(monkeypatch, scenario):
+    # the flush zeroes only what is below the smallest normal number, which every
+    # later sum absorbs: the fit ends bit for bit where the unflushed one does
+    y, mask = noise_scenario() if scenario == "noise" else tail_scenario()
+    hp = LrtcHyperParams(max_rank=10, seed=0)
+    flushed = lrtc_fit(y, mask, hp)
+    monkeypatch.setattr(lrtc, "DYING_FALL", 0.0)  # no rate ever falls below 0
+    plain = lrtc_fit(y, mask, hp)
+    assert list(flushed.elbo) == list(plain.elbo)
+    for got, want in zip(flushed.factor_means + flushed.factor_covs,
+                         plain.factor_means + plain.factor_covs):
+        assert got.tobytes() == want.tobytes()
+    assert flushed.lambda_post[1].tobytes() == plain.lambda_post[1].tobytes()
+    assert flushed.tau_post == plain.tau_post
+
+
 def test_pruned_posterior_agrees_with_itself():
     # a fit cut at a pruning sweep returns the prune candidate as it was accepted, so a
     # wrongly sliced candidate would leave the rates off the returned factors
@@ -372,7 +406,8 @@ def test_dense_statistics_match_cellwise_sums(shape, kind):
     # are out, as a sweep does: the next mode's statistics must see the new values
     for update in (False, True):
         modes = []
-        for k, s, proj in lrtc._statistics(rows, filled, split, means, moments):
+        for k, step in lrtc._statistics(rows, filled, split, means, moments):
+            s, proj = step()
             first, index, counts = groups[k]
             assert np.all(np.diff(first) > 0) and s.shape[0] == first.size == counts.size
             s = s[index]  # each row's sums are its group's
