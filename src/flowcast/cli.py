@@ -18,10 +18,10 @@ dots and underscores turned into dashes (``--plan-rank``); some keys also
 keep a short spelling (``--rank``).  Each command registers only the keys
 it reads, except ``evaluate``: it registers every key that any of its three
 experiments reads, so each experiment ignores the flags meant for the
-others.  ``synth`` and ``evaluate`` also read a ``key=value`` file
-(``--config``) of those keys; command line flags take precedence over file
-entries.  Each command's handler returns the paths it wrote, and ``main``
-reports them.
+others, and each flag's help names the experiments that read it.  ``synth``
+and ``evaluate`` also read a ``key=value`` file (``--config``) of those keys;
+command line flags take precedence over file entries.  Each command's
+handler returns the paths it wrote, and ``main`` reports them.
 """
 
 import argparse
@@ -78,6 +78,23 @@ _SCHEMA = {
     "lrtc.elbo_tol": (float, "completion convergence tolerance", "--elbo-tol"),
 }
 
+_EXPERIMENTS = ("longterm", "update", "shortterm")
+# the evaluate experiments that read a setting, where not all of them do
+_READ_BY = {
+    "split_day": ("longterm", "update"),
+    "n_baseline_lags": ("longterm",),
+    "n_clusters": ("shortterm",),
+    "suffix_start": ("shortterm",),
+    "lrtc.max_rank": ("shortterm",),
+    "lrtc.max_iters": ("shortterm",),
+    "lrtc.elbo_tol": ("shortterm",),
+}
+
+
+def _read_by(*experiments):
+    """Help suffix naming the evaluate experiments that read a flag."""
+    return f" (read by {', '.join(experiments)})"
+
 
 def load_config(path, keys=_SCHEMA):
     """Read ``key=value`` settings; ``#`` at the start of a line or after whitespace
@@ -133,11 +150,14 @@ def _config(args):
     return build_experiment_config(settings)
 
 
-def _command(sub, name, help, func, keys=(), tensor=False, out=None, config_file=False):
+def _command(sub, name, help, func, keys=(), tensor=False, out=None, config_file=False,
+             readers=None):
     """Declare subcommand ``name`` run by ``func``: its ``--tensor`` input archive
     if ``tensor``, a ``--config`` file if ``config_file``, a flag for each
     ``_SCHEMA`` key in ``keys``, and its ``--out`` path, described by ``out``, if
-    given.  Returns the parser, for the arguments the command alone reads."""
+    given.  With ``readers``, a key's help ends with the experiments that read
+    it, ``readers[key]`` or else all of them.  Returns the parser, for the
+    arguments the command alone reads."""
     parser = sub.add_parser(name, help=help)
     if tensor:
         parser.add_argument("--tensor", required=True, metavar="PATH", help="input .npz archive")
@@ -147,6 +167,8 @@ def _command(sub, name, help, func, keys=(), tensor=False, out=None, config_file
         parser.set_defaults(config_keys=frozenset(keys))
     for key in keys:
         _, text, *short = _SCHEMA[key]
+        if readers is not None:
+            text += _read_by(*readers.get(key, _EXPERIMENTS))
         flag = "--" + key.replace(".", "-").replace("_", "-")
         parser.add_argument(flag, *short, dest=key, metavar="VALUE", help=text)
     if out is not None:
@@ -155,10 +177,10 @@ def _command(sub, name, help, func, keys=(), tensor=False, out=None, config_file
     return parser
 
 
-def _add_update_options(parser):
+def _add_update_options(parser, note=""):
     parser.add_argument("--observed-fraction", type=float, default=0.3,
-                        help="revealed fraction of the day, in (0, 1)")
-    parser.add_argument("--window", type=int, default=5, help="scoring block length")
+                        help="revealed fraction of the day, in (0, 1)" + note)
+    parser.add_argument("--window", type=int, default=5, help="scoring block length" + note)
 
 
 def _save_tensor(path, tensor, station_ids, **extra):
@@ -328,13 +350,13 @@ def build_parser():
 
     # each report works out its own horizon
     p = _command(sub, "evaluate", "run a named experiment and write reports", _cmd_evaluate,
-                 [k for k in _SCHEMA if k != "plan.horizon_days"], config_file=True)
-    p.add_argument("--experiment", required=True,
-                   choices=("longterm", "update", "shortterm"))
-    _add_update_options(p)
+                 [k for k in _SCHEMA if k != "plan.horizon_days"], config_file=True,
+                 readers=_READ_BY)
+    p.add_argument("--experiment", required=True, choices=_EXPERIMENTS)
+    _add_update_options(p, _read_by("update"))
     p.add_argument("--use-clustering", action="store_true",
-                   help="complete per cluster in the shortterm experiment "
-                        "(implied by a fixed --clusters)")
+                   help="complete per cluster (implied by a fixed --clusters)"
+                        + _read_by("shortterm"))
 
     return parser
 

@@ -15,8 +15,8 @@ from functools import reduce
 import numpy as np
 from scipy.linalg.lapack import dlange, dpocon, dposv
 
-from .tensor_ops import (DegenerateSolveWarning, _error_from_statistics, _half_kr, _split,
-                         _SweepTrace, _tree_steps, as_mask, as_tensor, cp_reconstruct,
+from .tensor_ops import (DegenerateSolveWarning, _error_from_statistics, _half_kr, _picker,
+                         _split, _SweepTrace, _tree_steps, as_mask, as_tensor, cp_reconstruct,
                          khatri_rao_all, relative_residual, unfold)
 
 PINV_RCOND = 1e-12
@@ -143,14 +143,15 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     factors = [rng.uniform(-1.0, 1.0, size=(n, cfg.rank)) for n in t.shape]
     grams = [f.T @ f for f in factors]
 
-    steps = [(mode, step, [k for k in range(t.ndim) if k != mode])
+    # each step with its partner modes' Gram getter, bound once per fit
+    steps = [(mode, step, _picker(tuple(k for k in range(t.ndim) if k != mode)))
              for mode, step in _tree_steps(x, factors, s)]
     sq_norm = norm_t**2
     history = _SweepTrace()
     for _ in range(cfg.max_iters):
-        for mode, step, others in steps:
+        for mode, step, partners in steps:
             mttkrp = step()
-            g = reduce(np.multiply, [grams[k] for k in others])
+            g = reduce(np.multiply, partners(grams))
             factors[mode] = a = _solve_mode(mttkrp, g)
             grams[mode] = a.T @ a
         if observed is None:

@@ -16,12 +16,18 @@ such as today's missing slots has one or two patterns per mode.  Each sweep's
 sums of y times the other modes' means are MTTKRPs of the zero-filled data on
 the dimension tree ``cp_fit`` sweeps with (``tensor_ops._tree_steps``); the
 rank-R² sums of their second moments are formed at each pattern's first row
-alone, by contracting that row's boolean mask slice, cut once per fit, with
-the other modes' moments one mode at a time.  Both are bound to the fit's
-lists of means and moments once per fit, and again after a pruning sweep.
-The bound's terms that no sweep moves (the fixed Gamma shapes' digamma and
-gammaln, the priors' constants, the row count) are computed once per fit,
-and each sweep evaluates the rest on Python floats.
+alone, by contracting that row's mask slice with the other modes' moments one
+mode at a time.  The slices are cut once per fit, and cast to float64 then
+too where they hold no more cells than the mask (a suffix mask's hold about a
+quarter), so no sweep casts them; a mask whose rows mostly differ keeps them
+boolean.  Both are bound to the fit's lists of means and moments once per
+fit, and again after a pruning sweep.  The bound's error term meets each
+last-mode group's sums with that group's second moments summed, one product
+with a group-indicator matrix built once per fit.  The bound's terms that no
+sweep moves (the fixed Gamma shapes' digamma and gammaln, the priors'
+constants, the row count) are computed once per fit, and each sweep
+evaluates the rest, and its tests of the R rates and precisions for a dying
+component and for pruning, on Python floats.
 
 Every Gamma prior is the fixed broad Gamma(``PRIOR``, ``PRIOR``) of Zhao, Zhang
 & Cichocki (2015), and pruning always runs: components whose posterior-mean
@@ -139,6 +145,13 @@ def _row_groups(mask):
     return groups
 
 
+def _group_indicator(group):
+    """The indicator matrix of one mode's ``_row_groups`` entry, groups x rows: row g
+    flags the rows of group g, so its product with per-row values sums them per group."""
+    first, index, _ = group
+    return np.equal.outer(np.arange(first.size), index).astype(np.float64)
+
+
 def _gamma_terms(shape):
     """A Gamma shape with its digamma and gammaln, which stay fixed while its rate moves."""
     return shape, float(digamma(shape)), float(gammaln(shape))
@@ -149,9 +162,14 @@ def _gathered_product(arrs, idx):
 
 
 def _pattern_rows(mask, groups):
-    """Per mode k, the boolean mask rows at k's first rows, mode k leading, the others in
-    order: cut once per fit, they are all ``_statistics`` reads of the mask."""
-    return [np.moveaxis(mask, k, 0)[first] for k, (first, _, _) in enumerate(groups)]
+    """Per mode k, the mask rows at k's first rows, mode k leading, the others in order:
+    cut once per fit, they are all ``_statistics`` reads of the mask.  Where they hold no
+    more cells than the mask, as on a suffix mask, they are cast to float64 here, so no
+    sweep casts them; otherwise (a mask whose rows mostly differ) they stay boolean."""
+    rows = [np.moveaxis(mask, k, 0)[first] for k, (first, _, _) in enumerate(groups)]
+    if sum(r.size for r in rows) <= mask.size:
+        rows = [r.astype(np.float64) for r in rows]
+    return rows
 
 
 def _statistics(rows, filled, split, means, moments):
@@ -183,10 +201,11 @@ def _statistics_step(rows, proj, others, moments):
 
 
 def _elbo(stats, group_covs, d_rate, e_lam, fixed):
-    """The bound and tau's rate, from the last mode's ``stats`` for ``_error_from_statistics``;
-    ``group_covs`` holds one covariance per row group of every mode, and ``fixed`` the
-    fit's cell count, rows per group, row count and lambda's and tau's ``_gamma_terms``,
-    so the entropy takes one log-determinant per group."""
+    """The bound and tau's rate, from the last mode's ``stats`` for ``_error_from_statistics``,
+    whose sums and second moments are both per row group (the moments summed over each
+    group's rows, by ``_group_indicator``); ``group_covs`` holds one covariance per row
+    group of every mode, and ``fixed`` the fit's cell count, rows per group, row count and
+    lambda's and tau's ``_gamma_terms``, so the entropy takes one log-determinant per group."""
     n, counts, n_rows, (c_shape, digamma_c, gammaln_c), (a_shape, digamma_a, gammaln_a) = fixed
     err = _error_from_statistics(*stats)
     b_rate = PRIOR + 0.5 * err
@@ -241,6 +260,7 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
     groups = _row_groups(mask)
     rows = _pattern_rows(mask, groups)
     index = [i for _, i, _ in groups]  # each row's group, per mode
+    members = _group_indicator(groups[-1])  # sums the last mode's moments per group
     counts = np.concatenate([c for _, _, c in groups])
     group_covs = [None] * y.ndim  # each sweep sets one covariance per mask-pattern group
     eye = np.eye(rank)
@@ -264,7 +284,7 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
             v = np.linalg.inv(v)
             group_covs[k] = v = np.add(v, v.swapaxes(1, 2))
             v *= 0.5
-            cov = v[index[k]]
+            cov = v.take(index[k], 0)  # each row's group covariance
             means[k] = m = e_tau * np.einsum("irs,is->ir", cov, proj)
             moments[k] = mom = m[:, :, None] * m[:, None, :]
             mom += cov
@@ -273,25 +293,27 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
 
         # diag(m m^T + V) = m^2 + diag V, summed over every row of every mode
         rate = PRIOR + 0.5 * reduce(np.add, [v.diagonal(0, 1, 2).sum(0) for v in moments])
-        flush = bool((rate < DYING_FALL * d_rate).any())
+        flush = any(r < DYING_FALL * d for r, d in zip(rate.tolist(), d_rate.tolist()))
         d_rate = rate
         e_lam = c_terms[0] / d_rate
 
-        # the last mode's statistics, back on its rows, already hold every other mode's update
-        s = s[index[-1]]
-        elbo, b_rate = _elbo((sum_y2, s, proj, means[-1], moments[-1]), group_covs, d_rate,
+        # the last mode's statistics already hold every other mode's update
+        grouped = (members @ moments[-1].reshape(extents[-1], -1)).reshape(s.shape)
+        elbo, b_rate = _elbo((sum_y2, s, proj, means[-1], grouped), group_covs, d_rate,
                              e_lam, fixed)
 
         pruned = False
-        cap = PRUNE_RATIO * e_lam.min()
-        if e_lam.max() > cap:
+        lams = e_lam.tolist()
+        cap = PRUNE_RATIO * min(lams)
+        if max(lams) > cap:
             keep = e_lam <= cap
             # the last axis sliced first lays each moment out as m m^T + V on the cut means
             # would, so the next sweep's sums run in the same order
             cut = ([m[:, keep] for m in means], [v[:, :, keep][:, keep] for v in group_covs],
                    [v[:, :, keep][:, keep] for v in moments])
             cut_elbo, cut_b = _elbo((sum_y2, s[:, keep][:, :, keep], proj[:, keep], cut[0][-1],
-                                     cut[2][-1]), cut[1], d_rate[keep], e_lam[keep], fixed)
+                                     grouped[:, keep][:, :, keep]), cut[1], d_rate[keep],
+                                    e_lam[keep], fixed)
             if cut_elbo >= elbo:
                 pruned = True
                 (means, group_covs, moments), e_lam, d_rate, b_rate, elbo = (

@@ -112,7 +112,8 @@ def forecast_from_model(model: CpModel, horizon_days: int, arma_orders,
         extended[:, r] = field_to_vector(g)[: n_days + horizon_days]
 
     source = CpModel(model.weights, [model.factors[0], extended[n_days:], model.factors[2]])
-    return DayPrediction(np.maximum(cp_reconstruct(source), 0.0), source, "long_term")
+    days = cp_reconstruct(source)
+    return DayPrediction(np.maximum(days, 0.0, out=days), source, "long_term")
 
 
 def update_location_factor(day, temporal_row, u_p) -> np.ndarray:
@@ -174,13 +175,15 @@ def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpMo
     row = prediction.source_model.factors[1][0]
     u_p = model.factors[2]
     weighted = update_location_factor(spliced, row, u_p)
+    del spliced  # read by the solve alone
     # a non-finite prefix cell reaches its station's loadings, so only failures look further
     if not np.isfinite(weighted).all():
         bad = np.flatnonzero(~np.isfinite(day_new[:, :n_obs]).all(axis=1))
         raise ValueError(f"new_data is not finite in station {bad[0]}'s observed prefix"
                          if bad.size else "the prediction or model is not finite")
 
-    out = np.maximum((weighted * row) @ u_p.T, 0.0)
+    out = (weighted * row) @ u_p.T
+    np.maximum(out, 0.0, out=out)
     out[:, :n_obs] = day_new[:, :n_obs]
 
     location, norms = _normalize_columns(weighted)

@@ -12,6 +12,7 @@ All functions here are pure and never mutate their inputs.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -117,6 +118,12 @@ def _half_kr(factors, half):
     return khatri_rao_all([factors[k] for k in reversed(half)])
 
 
+def _picker(idx):
+    """``factors[k] for k in idx`` by one C call: an ``itemgetter`` that returns a tuple
+    for two indices or more and a one-item list slice for one."""
+    return itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
+
+
 def _tree_steps(t, factors, split):
     """Bind a dimension tree (Phan, Tichavsky & Cichocki 2013) to ``t`` and the list
     ``factors`` once per fit: ``(mode, step)`` in mode order, where ``step()`` returns the
@@ -145,30 +152,38 @@ def _tree_steps(t, factors, split):
 
 
 def _tree_step(factors, shape, rank, half, other, rows, held, mode):
-    """The step of ``_tree_steps`` for ``mode`` of ``half``; ``held[0]`` is the half's
-    product with ``other``, which the half's first step forms from ``rows``."""
-    n, rest = shape[mode], [k for k in reversed(half) if k != mode]
+    """The step of ``_tree_steps`` for ``mode`` of ``half``, bound once to its rows view,
+    reshape extents, finish kind and partner factors' indices; ``held[0]`` is the half's
+    product with ``other``, which the half's first step forms from ``rows``.  A one-mode
+    ``other`` half's Khatri-Rao matrix is its factor, so that product takes no call."""
+    n, rest = shape[mode], tuple(k for k in reversed(half) if k != mode)
     a, b = math.prod(shape[half[0]:mode]), math.prod(shape[mode + 1:half[-1] + 1])
+    first, lone, pick_other = mode == half[0], len(other) == 1, _picker(other[::-1])
+    pick = _picker(rest) if rest else None
     if not rest:
-        finish = None
+        kind = None
     elif a == 1:  # the mode leads its half
-        def finish(p, kr):
-            return (p.reshape(rank, n, b) @ kr[:, :, None]).reshape(rank, n)
+        kind, extents = "lead", (rank, n, b)
     elif b == 1:  # the mode ends its half
-        def finish(p, kr):
-            return (kr[:, None, :] @ p.reshape(rank, a, n)).reshape(rank, n)
+        kind, extents = "end", (rank, a, n)
     else:
-        def finish(p, kr):
-            return np.einsum("raib,rab->ri", p.reshape(rank, a, n, b), kr.reshape(rank, a, b))
-
-    if mode != half[0]:
-        return lambda: finish(held[0], khatri_rao_all([factors[k] for k in rest]).T).T
+        kind, extents, kr_extents = "inner", (rank, a, n, b), (rank, a, b)
+    out = (rank, n)
 
     def step():
-        held[0] = p = _half_kr(factors, other).T @ rows
-        if finish is None:
-            return p.T
-        return finish(p, khatri_rao_all([factors[k] for k in rest]).T).T
+        if first:
+            kr = factors[other[0]] if lone else khatri_rao_all(pick_other(factors))
+            held[0] = p = kr.T @ rows
+            if kind is None:
+                return p.T
+        else:
+            p = held[0]
+        kr = khatri_rao_all(pick(factors)).T
+        if kind == "lead":
+            return (p.reshape(extents) @ kr[:, :, None]).reshape(out).T
+        if kind == "end":
+            return (kr[:, None, :] @ p.reshape(extents)).reshape(out).T
+        return np.einsum("raib,rab->ri", p.reshape(extents), kr.reshape(kr_extents)).T
     return step
 
 

@@ -63,6 +63,17 @@ def subcommands():
     return sorted(action.choices)
 
 
+def evaluate_readers():
+    """Each ``evaluate`` option string with the experiments its help names, or None."""
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    readers = {}
+    for option in action.choices["evaluate"]._actions:
+        named = re.search(r"\(read by ([a-z, ]+)\)$", option.help or "")
+        readers.update(dict.fromkeys(option.option_strings, named and named[1].split(", ")))
+    return readers
+
+
 class TestConfigFile:
     def test_parses_comments_blanks_and_spaces(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -604,6 +615,22 @@ class TestParser:
     def test_requires_output_path(self):
         with pytest.raises(SystemExit):
             main(["synth"])
+
+    def test_evaluate_help_names_the_experiments_that_read_each_flag(self, capsys):
+        readers = evaluate_readers()
+        assert readers["--max-rank"] == readers["--lrtc-max-rank"] == ["shortterm"]
+        assert readers["--split-day"] == ["longterm", "update"]
+        assert readers["--n-baseline-lags"] == ["longterm"]
+        assert readers["--window"] == readers["--observed-fraction"] == ["update"]
+        assert readers["--use-clustering"] == readers["--suffix-start"] == ["shortterm"]
+        assert readers["--clusters"] == ["shortterm"]
+        assert readers["--rank"] == readers["--seed"] == ["longterm", "update", "shortterm"]
+        # every flag names its experiments but help, the settings file and the choice itself
+        unnamed = {flag for flag, named in readers.items() if named is None}
+        assert unnamed == {"-h", "--help", "--config", "--experiment"}
+        with pytest.raises(SystemExit):
+            main(["evaluate", "--help"])
+        assert "(read by shortterm)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", subcommands())
     def test_every_subcommand_prints_help(self, command, capsys):

@@ -212,6 +212,24 @@ def test_tree_plans_are_kept_apart_by_extents_and_split():
         assert modes == list(range(len(shape)))
 
 
+@pytest.mark.parametrize("shape", [(12, 55, 48), (20, 4, 3), (3, 4, 20)])
+def test_a_three_way_sweep_builds_three_khatri_rao_matrices(monkeypatch, shape):
+    # one for the half of two modes against the other's factor, one to finish each of
+    # that half's modes; a one-mode half's matrix is its factor, built by no call
+    calls = []
+    counted = tensor_ops.khatri_rao_all
+
+    def counting(factors, skip=None):
+        calls.append(len(factors))
+        return counted(factors, skip)
+
+    monkeypatch.setattr(tensor_ops, "khatri_rao_all", counting)
+    t = np.random.default_rng(31).normal(size=shape)  # noise: the Gram identity holds
+    _, history = cp_fit(t, AlsConfig(rank=2, max_iters=4, tol=1e-300))
+    assert len(history) == 4
+    assert sorted(calls) == sorted([1, 1, 2] * 4)
+
+
 @pytest.mark.parametrize("rank", [1, 64])
 @pytest.mark.parametrize("shape", [(7, 5), (12, 55, 48), (20, 4, 3), (2, 3, 4, 5),
                                    (5, 2, 2, 2, 2), (9, 2, 2, 2, 2)])

@@ -425,6 +425,37 @@ def test_dense_statistics_match_cellwise_sums(shape, kind):
         assert modes == list(range(len(shape)))
 
 
+@pytest.mark.parametrize("shape, kind", [
+    ((5, 7, 6), "random"), ((4, 3, 5, 6), "random"), ((5, 7, 6), "tail"),
+    ((4, 3, 5, 6), "tail"), ((9, 7), "tail"), ((5, 7, 6), "block"), ((4, 3, 5, 6), "block"),
+])
+def test_group_summed_error_term_matches_the_row_gathered_one(shape, kind):
+    # the bound meets each last-mode group's sums with its rows' moments summed; each
+    # row's gathered sums against that row's moments give the same error
+    rng = np.random.default_rng(7)
+    rank = 3
+    y = rng.normal(size=shape) + 1.0
+    mask = statistics_mask(shape, kind, rng)
+    means = [rng.normal(size=(i, rank)) for i in shape]
+    covs = [0.1 * a @ a.swapaxes(1, 2) for a in (rng.normal(size=(i, rank, rank)) for i in shape)]
+    moments = lrtc._second_moments(means, covs)
+    groups = lrtc._row_groups(mask)
+    rows, filled = lrtc._pattern_rows(mask, groups), np.where(mask, y, 0.0)
+    # a half's first step forms the product its other steps read, so all of them run
+    k, (s, proj) = [(k, step()) for k, step in
+                    lrtc._statistics(rows, filled, tensor_ops._split(shape), means, moments)][-1]
+    members = lrtc._group_indicator(groups[k])
+    assert members.shape == (groups[k][0].size, shape[k])
+    np.testing.assert_array_equal(members.sum(axis=1), groups[k][2])
+    grouped = (members @ moments[k].reshape(shape[k], -1)).reshape(s.shape)
+    sum_y2 = np.sum(y[mask] ** 2)
+    by_row = lrtc._error_from_statistics(sum_y2, s[groups[k][1]], proj, means[k], moments[k])
+    by_group = lrtc._error_from_statistics(sum_y2, s, proj, means[k], grouped)
+    assert by_group == pytest.approx(by_row, rel=1e-12)
+    assert by_group == pytest.approx(cellwise_statistics(y, mask, means, moments, k)[2],
+                                     rel=1e-12)
+
+
 def test_fit_memory_stays_off_the_observed_cell_count():
     # per-cell gathers would build n_obs x R x R arrays of about 8 MB each here
     rng = np.random.default_rng(0)
@@ -572,6 +603,50 @@ def test_rows_with_one_mask_pattern_share_one_covariance(scenario):
             assert all(np.array_equal(m, members[0]) for m in members)
         # and rows with different patterns keep different covariances
         assert len({m.tobytes() for m in v}) == len(patterns)
+
+
+def boolean_pattern_rows(mask, groups):
+    return [np.moveaxis(mask, k, 0)[first] for k, (first, _, _) in enumerate(groups)]
+
+
+def wide_block_scenario():
+    # a 4-way block mask whose pattern rows hold fewer cells than the mask:
+    # the block spans mode 2, so that mode has one pattern
+    rng = np.random.default_rng(8)
+    shape = (8, 9, 5, 10)
+    y = rng.normal(size=shape) + 1.0
+    mask = np.ones(shape, dtype=bool)
+    mask[2:5, 3:6, :, 6:] = False
+    return y, mask
+
+
+@pytest.mark.parametrize("scenario", [tail_scenario, wide_block_scenario])
+def test_float_pattern_rows_leave_the_fit_bit_identical(monkeypatch, scenario):
+    y, mask = scenario()
+    rows = lrtc._pattern_rows(mask, lrtc._row_groups(mask))
+    assert all(r.dtype == np.float64 for r in rows)
+    assert sum(r.size for r in rows) <= mask.size
+    hp = LrtcHyperParams(max_rank=6, max_iters=60)
+    fits = [lrtc_fit(y, mask, hp)]
+    monkeypatch.setattr(lrtc, "_pattern_rows", boolean_pattern_rows)
+    fits.append(lrtc_fit(y, mask, hp))
+    got, want = fits
+    assert list(got.elbo) == list(want.elbo) and got.converged == want.converged
+    for a, b in zip(got.factor_means + got.factor_covs + [*got.lambda_post],
+                    want.factor_means + want.factor_covs + [*want.lambda_post]):
+        np.testing.assert_array_equal(a, b)
+    assert got.tau_post == want.tau_post
+    np.testing.assert_array_equal(lrtc_predict(got, mask, y).imputed,
+                                  lrtc_predict(want, mask, y).imputed)
+
+
+def test_pattern_rows_stay_boolean_on_a_random_mask():
+    # every row is its own pattern, so float rows would hold N float copies of the mask
+    mask = np.random.default_rng(9).random((12, 56, 48)) < 0.7
+    rows = lrtc._pattern_rows(mask, lrtc._row_groups(mask))
+    assert all(r.dtype == np.bool_ for r in rows)
+    for k, r in enumerate(rows):
+        np.testing.assert_array_equal(r, np.moveaxis(mask, k, 0))
 
 
 # --- prediction --------------------------------------------------------------

@@ -7,6 +7,7 @@ representable, so the spliced least-squares update must shrink the suffix
 error).
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -259,6 +260,24 @@ def test_update_rejects_a_mismatched_model_before_solving(monkeypatch):
     rank_one = CpModel(model.weights[:1], [f[:, :1] for f in model.factors])
     with pytest.raises(ValueError, match="rank 1 .* rank 3"):
         lean_update(prediction, truth_day, observed, rank_one)
+
+
+def test_update_holds_under_two_day_slices_at_once():
+    # the spliced day is released once the solve has read it and the rebuilt day is
+    # clamped in place: one day slice and the small solve, not three day slices
+    rng = np.random.default_rng(0)
+    model = CpModel(np.ones(3), [rng.uniform(0.5, 1.5, size=(n, 3)) for n in (60, 1, 48)])
+    prediction = DayPrediction(cp_reconstruct(model), model, "long_term")
+    day = 1.1 * prediction.tensor[:, 0, :]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        updated = lean_update(prediction, day, np.arange(48) < 20, model)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * day.nbytes
+    np.testing.assert_array_equal(updated.tensor[:, 0, :20], day[:, :20])
 
 
 def test_every_prefix_update_matches_an_independent_reference():
