@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import DegenerateSolveWarning
+from .tensor_ops import DegenerateSolveWarning, as_whole
 
 DAYS_PER_WEEK = 7
 BURNIN_WEEKS = 50
@@ -98,9 +98,7 @@ def reshape_to_field(u, days_per_week: int = DAYS_PER_WEEK) -> Field2D:
     u = np.asarray(u, dtype=np.float64).ravel()
     if u.size == 0:
         raise ValueError("series is empty")
-    if not isinstance(days_per_week, numbers.Integral) or days_per_week < 1:
-        raise ValueError("days_per_week must be an integer >= 1")
-    d = int(days_per_week)
+    d = as_whole(days_per_week, "days_per_week")
     w = math.ceil(u.size / d)
     padded = np.zeros(d * w)
     padded[: u.size] = u
@@ -247,9 +245,7 @@ def arma2d_forecast(model: Arma2dModel, f: Field2D, horizon_weeks: int) -> Field
     (future noise is zero), so later cells see the filled values.  Observed
     cells pass through unchanged.
     """
-    h = int(horizon_weeks)
-    if h < 1:
-        raise ValueError("horizon_weeks must be >= 1")
+    h = as_whole(horizon_weeks, "horizon_weeks")
     mu = float(f.values[f.valid].mean())
     d_ext, w_in = f.values.shape
     c = np.zeros((d_ext, w_in + h))

@@ -15,8 +15,8 @@ from functools import reduce
 import numpy as np
 from scipy.linalg.lapack import dlange, dpocon, dposv
 
-from .tensor_ops import (DegenerateSolveWarning, _error_from_statistics, _half_kr, _picker,
-                         _split, _SweepTrace, _tree_steps, as_mask, as_tensor, cp_reconstruct,
+from .tensor_ops import (DegenerateSolveWarning, _error_from_statistics, _picker, _split,
+                         _SweepTrace, _tree_steps, as_mask, as_tensor, as_whole, cp_reconstruct,
                          khatri_rao_all, relative_residual, unfold)
 
 PINV_RCOND = 1e-12
@@ -58,10 +58,8 @@ class AlsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        self.rank = as_whole(self.rank, "rank")
+        self.max_iters = as_whole(self.max_iters, "max_iters")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be finite and > 0")
 
@@ -95,9 +93,13 @@ def _normalize_columns(a):
     return a / safe, norms
 
 
-def _sorted_model(weights, factors):
+def _normal_form(factors):
+    """The model of raw ``factors`` in normal form (Kolda & Bader 2009): unit-norm columns,
+    weights the products of their norms, components stably sorted by non-increasing weight."""
+    units, norms = zip(*map(_normalize_columns, factors))
+    weights = reduce(np.multiply, norms)
     order = np.argsort(-weights, kind="stable")
-    return CpModel(weights[order], [f[:, order] for f in factors])
+    return CpModel(weights[order], [u[:, order] for u in units])
 
 
 def cp_fit(t, cfg: AlsConfig, observed=None):
@@ -158,8 +160,8 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
             err2 = _error_from_statistics(sq_norm, g, mttkrp, factors[-1], grams[-1])
         if observed is None and err2 > GRAM_ERR_FLOOR * sq_norm:
             err = math.sqrt(err2)
-        else:  # the model in the view's layout, from each half's Khatri-Rao matrix
-            recon = _half_kr(factors, range(s)) @ _half_kr(factors, range(s, t.ndim)).T
+        else:  # the model in the view's layout: each half's Khatri-Rao matrix, in C order
+            recon = khatri_rao_all(reversed(factors[:s])) @ khatri_rao_all(reversed(factors[s:])).T
             err = np.linalg.norm(x - recon if observed is None else (x - recon)[seen])
             if observed is not None:
                 np.copyto(x, recon, where=~seen)
@@ -167,8 +169,7 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
         if history.settled(cfg.tol):
             history.converged = True
             break
-    units, norms = zip(*map(_normalize_columns, factors))
-    return _sorted_model(reduce(np.multiply, norms), list(units)), history
+    return _normal_form(factors), history
 
 
 def cp_solve_mode(t, model: CpModel, mode: int) -> np.ndarray:
@@ -201,7 +202,7 @@ def cp_rank_select(t, candidate_ranks, holdout_fraction: float, cfg: AlsConfig) 
     ties go to the smaller rank.
     """
     t = as_tensor(t, min_modes=2)
-    candidates = sorted(int(r) for r in candidate_ranks)
+    candidates = sorted(as_whole(r, "candidate_ranks") for r in candidate_ranks)
     if not candidates:
         raise ValueError("candidate_ranks is empty")
     if not 0.0 < holdout_fraction < 0.5:

@@ -25,7 +25,7 @@ from .io import ingest
 from .lrtc import LrtcHyperParams, short_term_predict
 from .pipeline import ForecastPlan, forecast_from_model, lean_update, two_step_forecast
 from .synthetic import SyntheticSpec, generate_synthetic
-from .tensor_ops import residual_or_nan
+from .tensor_ops import as_whole, residual_or_nan
 
 
 @dataclass
@@ -55,12 +55,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.split_day < 1:
-            raise ValueError("split_day must be >= 1")
-        if self.n_baseline_lags < 1:
-            raise ValueError("n_baseline_lags must be >= 1")
-        if self.n_clusters is not None and self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
+        self.split_day = as_whole(self.split_day, "split_day")
+        self.n_baseline_lags = as_whole(self.n_baseline_lags, "n_baseline_lags")
+        if self.n_clusters is not None:
+            self.n_clusters = as_whole(self.n_clusters, "n_clusters")
+        if self.suffix_start is not None:  # its range, [1, n_slots), is checked with the data
+            self.suffix_start = as_whole(self.suffix_start, "suffix_start", minimum=None)
         if self.extents is not None and len(self.extents) != 2:
             raise ValueError("extents must declare (n_days, n_slots)")
 

@@ -55,7 +55,7 @@ from functools import reduce
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .tensor_ops import _error_from_statistics, _split, _SweepTrace, _tree_steps, as_mask
+from .tensor_ops import _error_from_statistics, _split, _SweepTrace, _tree_steps, as_mask, as_whole
 
 PRIOR = 1e-6  # shape and rate of every Gamma prior, on lambda and on tau
 LOG_2PI = math.log(2 * math.pi)
@@ -79,10 +79,8 @@ class LrtcHyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_rank < 1:
-            raise ValueError("max_rank must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        self.max_rank = as_whole(self.max_rank, "max_rank")
+        self.max_iters = as_whole(self.max_iters, "max_iters")
         if not 0 < self.elbo_tol < math.inf:
             raise ValueError("elbo_tol must be finite and > 0")
 
@@ -113,10 +111,6 @@ class LrtcPosterior:
     @property
     def rank(self) -> int:
         return int(self.factor_means[0].shape[1])
-
-    @property
-    def tau_mean(self) -> float:
-        return float(self.tau_post[0] / self.tau_post[1])
 
 
 def _second_moments(means, covs):
@@ -264,7 +258,7 @@ def lrtc_fit(y, mask, hp: LrtcHyperParams) -> LrtcPosterior:
     counts = np.concatenate([c for _, _, c in groups])
     group_covs = [None] * y.ndim  # each sweep sets one covariance per mask-pattern group
     eye = np.eye(rank)
-    moments = [np.einsum("ir,is->irs", m, m) + scale**2 * eye for m in means]
+    moments = _second_moments(means, [scale**2 * eye] * y.ndim)
     e_lam = np.ones(rank)
     d_rate, flush = np.zeros(rank), False  # no rate has fallen before the first sweep
     e_tau = 1.0 / var if var > 0 else 1.0

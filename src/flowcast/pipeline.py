@@ -26,7 +26,7 @@ import numpy as np
 from .arma2d import (DAYS_PER_WEEK, arma2d_fit, arma2d_forecast, as_orders, check_orders,
                      field_to_vector, reshape_to_field)
 from .cp import AlsConfig, CpModel, _normalize_columns, _solve_mode, cp_fit
-from .tensor_ops import as_tensor, cp_reconstruct
+from .tensor_ops import as_tensor, as_whole, cp_reconstruct
 
 PROVENANCE_TAGS = ("long_term", "updated")
 
@@ -41,8 +41,7 @@ class ForecastPlan:
     als: AlsConfig = None
 
     def __post_init__(self):
-        if self.horizon_days < 1:
-            raise ValueError("horizon_days must be >= 1")
+        self.horizon_days = as_whole(self.horizon_days, "horizon_days")
         as_orders(self.arma_orders)
         if self.als is None:
             self.als = AlsConfig(rank=self.rank)
@@ -95,8 +94,7 @@ def forecast_from_model(model: CpModel, horizon_days: int, arma_orders,
     horizon; the extended columns replace the temporal factor in the
     reconstruction.  Negative reconstructed counts are clamped to 0.
     """
-    if horizon_days < 1:
-        raise ValueError("horizon_days must be >= 1")
+    horizon_days = as_whole(horizon_days, "horizon_days")
     if len(model.factors) != 3:
         raise ValueError("expected a 3-way model (locations x days x slots)")
     u_t = model.factors[1]
@@ -130,15 +128,6 @@ def update_location_factor(day, temporal_row, u_p) -> np.ndarray:
     return _solve_mode(day @ kr, kr.T @ kr)
 
 
-def _as_day_slice(values, n_locations, n_slots, name):
-    a = np.asarray(values, dtype=np.float64)
-    if a.ndim == 3 and a.shape[1] == 1:
-        a = a[:, 0, :]
-    if a.shape != (n_locations, n_slots):
-        raise ValueError(f"{name} must be a {n_locations} x {n_slots} day slice")
-    return a
-
-
 def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpModel) -> DayPrediction:
     """Re-solve the location factor for one day from a partial observation.
 
@@ -162,7 +151,11 @@ def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpMo
     n_loc, _, n_slots = prediction.tensor.shape
     if model.factors[0].shape[0] != n_loc or model.factors[2].shape[0] != n_slots:
         raise ValueError("model shape does not match the prediction")
-    day_new = _as_day_slice(new_data, n_loc, n_slots, "new_data")
+    day_new = np.asarray(new_data, dtype=np.float64)
+    if day_new.ndim == 3 and day_new.shape[1] == 1:
+        day_new = day_new[:, 0, :]
+    if day_new.shape != (n_loc, n_slots):
+        raise ValueError(f"new_data must be a {n_loc} x {n_slots} day slice")
     observed = np.asarray(observed_slots, dtype=bool).ravel()
     if observed.shape != (n_slots,):
         raise ValueError("observed_slots must cover the intra-day axis")

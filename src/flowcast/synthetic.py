@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp import _normalize_columns, _sorted_model
-from .tensor_ops import cp_reconstruct
+from .cp import _normal_form
+from .tensor_ops import as_whole, cp_reconstruct
 
 DAY_AR = 0.6
 
@@ -34,12 +34,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.extents = tuple(int(e) for e in self.extents)
-        if len(self.extents) != 3 or min(self.extents) < 1:
+        self.extents = tuple(as_whole(e, "extents") for e in self.extents)
+        if len(self.extents) != 3:
             raise ValueError("extents must be three positive integers")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if not 1 <= self.n_clusters <= self.extents[0]:
+        self.rank = as_whole(self.rank, "rank")
+        self.n_clusters = as_whole(self.n_clusters, "n_clusters")
+        if self.n_clusters > self.extents[0]:
             raise ValueError("n_clusters must lie in [1, n_stations]")
         for name in ("weekly_strength", "daily_strength", "separation", "noise_var"):
             if not 0 <= getattr(self, name) < math.inf:
@@ -114,13 +114,7 @@ def generate_synthetic(spec: SyntheticSpec):
         load[off_cluster] /= 1.0 + spec.separation
         u_l[:, r] = load
 
-    norms = []
-    factors = []
-    for f in (u_l, u_t, u_p):
-        normed, scale = _normalize_columns(f)
-        factors.append(normed)
-        norms.append(scale)
-    model = _sorted_model(np.prod(norms, axis=0), factors)
+    model = _normal_form([u_l, u_t, u_p])
 
     tensor = np.clip(cp_reconstruct(model), 0.0, None)
     if spec.noise_var > 0:

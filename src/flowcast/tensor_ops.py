@@ -12,6 +12,7 @@ All functions here are pure and never mutate their inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from operator import itemgetter
 
 import numpy as np
@@ -19,6 +20,17 @@ import numpy as np
 
 class DegenerateSolveWarning(UserWarning):
     """A least-squares system was rank deficient; a minimum-norm solution was used."""
+
+
+def as_whole(value, name: str, minimum: int | None = 1) -> int:
+    """The setting ``name``, a whole number of any numeric type (2, ``np.int64(2)``, 2.0), as
+    an ``int``; a ``ValueError`` naming it if not, or if below ``minimum`` (``None``: no bound)."""
+    if not (isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
 
 
 def as_tensor(data, min_modes: int = 1) -> np.ndarray:
@@ -39,9 +51,7 @@ def as_tensor(data, min_modes: int = 1) -> np.ndarray:
 
 def as_mask(flags, shape: tuple, require_nonempty: bool = True) -> np.ndarray:
     """Validate an observation mask against the companion tensor's shape."""
-    m = np.asarray(flags)
-    if m.dtype != np.bool_:
-        m = m.astype(bool)
+    m = np.asarray(flags, dtype=bool)
     if m.shape != tuple(shape):
         raise ValueError(f"mask shape {m.shape} does not match tensor shape {tuple(shape)}")
     if require_nonempty and not m.any():
@@ -109,13 +119,6 @@ def khatri_rao_all(factors, skip: int | None = None) -> np.ndarray:
 def _split(shape):
     """The tree's halves, modes ``[0, s)`` and ``[s, N)``: the ``s`` whose larger half is least."""
     return min(range(1, len(shape)), key=lambda s: max(math.prod(shape[:s]), math.prod(shape[s:])))
-
-
-def _half_kr(factors, half):
-    """Khatri-Rao matrix of one half's factors, its rows in C order (last mode fastest)."""
-    if len(half) == 1:
-        return factors[half[0]]
-    return khatri_rao_all([factors[k] for k in reversed(half)])
 
 
 def _picker(idx):

@@ -75,6 +75,12 @@ def test_reshape_rejects_bad_input():
         reshape_to_field(np.arange(14.0), 7.5)
 
 
+def test_reshape_takes_a_whole_float_week():
+    u = np.arange(16.0)
+    want, got = reshape_to_field(u, 7), reshape_to_field(u, 7.0)
+    assert np.array_equal(got.values, want.values) and np.array_equal(got.valid, want.valid)
+
+
 def test_field_validation():
     with pytest.raises(ValueError):
         Field2D(np.ones((2, 2)), np.ones((2, 3), dtype=bool))
@@ -82,6 +88,8 @@ def test_field_validation():
         Field2D(np.ones((2, 2)), np.zeros((2, 2), dtype=bool))
     with pytest.raises(ValueError):
         Field2D(np.array([[np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="D x W matrix"):
+        Field2D(np.ones(3))
     # a non-finite value behind an absent cell is tolerated
     Field2D(np.array([[np.nan, 1.0]]), np.array([[False, True]]))
 
@@ -306,6 +314,8 @@ def test_forecast_rejects_bad_horizon():
     f = Field2D(np.ones((7, 4)) + np.eye(7, 4))
     with pytest.raises(ValueError):
         arma2d_forecast(m, f, 0)
+    with pytest.raises(ValueError, match="horizon_weeks must be a whole number"):
+        arma2d_forecast(m, f, 1.5)
 
 
 def test_forecast_beats_zero_prediction_on_ar_field():

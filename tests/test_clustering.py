@@ -270,6 +270,8 @@ class TestAgglomerate:
             ClusterAssignment(np.array([0, 0, 2]), 3)  # cluster 1 empty
         with pytest.raises(ValueError):
             ClusterAssignment(np.array([], dtype=int), 1)
+        with pytest.raises(ValueError, match="stations x components"):
+            StationEmbedding(np.arange(5.0))
 
 
 class TestChooseClusterCount:

@@ -488,6 +488,22 @@ def test_solve_mode_shape_mismatch():
     model = random_model(rng, (4, 3, 4), 2)
     with pytest.raises(ValueError):
         cp_solve_mode(t, model, 0)
+    with pytest.raises(ValueError, match="mode 3 out of range"):
+        cp_solve_mode(t, random_model(rng, (4, 3, 5), 2), 3)
+    with pytest.raises(ValueError, match="model order"):
+        cp_solve_mode(t, random_model(rng, (4, 3), 2), 0)
+
+
+def test_model_rejects_ranks_that_disagree():
+    with pytest.raises(ValueError, match="share one rank"):
+        CpModel(np.ones(2), [np.ones((3, 2)), np.ones((4, 3))])
+
+
+@pytest.mark.parametrize("field, value", [("rank", 0), ("rank", 2.5), ("max_iters", 0),
+                                          ("max_iters", 1.5)])
+def test_config_rejects_counts_that_are_not_whole_and_positive(field, value):
+    with pytest.raises(ValueError, match=field):
+        AlsConfig(**{"rank": 1, field: value})
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, np.nan])
@@ -531,3 +547,5 @@ def test_rank_select_bad_fraction():
 def test_rank_select_empty_candidates():
     with pytest.raises(ValueError):
         cp_rank_select(np.ones((3, 3, 3)), [], 0.2, AlsConfig(rank=1))
+    with pytest.raises(ValueError, match="candidate_ranks must be a whole number"):
+        cp_rank_select(np.ones((3, 3, 3)), [1.5], 0.2, AlsConfig(rank=1))

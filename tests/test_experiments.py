@@ -61,6 +61,10 @@ class TestConfig:
             ExperimentConfig(extents=(56,))
         with pytest.raises(ValueError, match="n_clusters must be >= 1"):
             ExperimentConfig(n_clusters=0)
+        with pytest.raises(ValueError, match="split_day must be a whole number"):
+            ExperimentConfig(split_day=48.5)
+        with pytest.raises(ValueError, match="suffix_start must be a whole number"):
+            ExperimentConfig(suffix_start=15.5)
 
     def test_load_input_seed_overrides_the_synth_seed(self):
         cfg = ExperimentConfig(seed=3)

@@ -56,6 +56,10 @@ def test_hyperparam_validation():
         LrtcHyperParams(max_rank=0)
     with pytest.raises(ValueError):
         LrtcHyperParams(max_iters=0)
+    with pytest.raises(ValueError, match="max_rank must be a whole number"):
+        LrtcHyperParams(max_rank=2.5)
+    with pytest.raises(ValueError, match="max_iters must be a whole number"):
+        LrtcHyperParams(max_iters=1.5)
     for tol in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="elbo_tol"):
             LrtcHyperParams(elbo_tol=tol)
@@ -88,7 +92,7 @@ def test_zero_tensor_gives_zero_mean_and_high_precision():
     post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=4, max_iters=50, seed=1))
     result = lrtc_predict(post, mask, y)
     np.testing.assert_allclose(result.imputed, 0.0, atol=1e-8)
-    assert post.tau_mean > 1e3
+    assert post.tau_post[0] / post.tau_post[1] > 1e3
 
 
 def test_fit_says_whether_the_stop_rule_fired():

@@ -65,6 +65,8 @@ def update_scenario(seed=0, n_loc=10, n_slots=24, perturbation=0.3):
 def test_plan_validation():
     with pytest.raises(ValueError):
         ForecastPlan(horizon_days=0, rank=2)
+    with pytest.raises(ValueError, match="horizon_days must be a whole number"):
+        ForecastPlan(horizon_days=1.5, rank=2)
     with pytest.raises(ValueError):
         ForecastPlan(horizon_days=1, rank=2, arma_orders=(1, 1, 1))
     with pytest.raises(ValueError, match="non-negative integers"):
@@ -81,6 +83,8 @@ def test_prediction_validation():
     day = CpModel(model.weights, [model.factors[0], model.factors[1][:1], model.factors[2]])
     with pytest.raises(ValueError):
         DayPrediction(np.zeros((6, 2, 10)), day, "long_term")
+    with pytest.raises(ValueError, match="3-way"):
+        DayPrediction(np.zeros((6, 10)), day, "long_term")
     with pytest.raises(ValueError):
         DayPrediction(np.zeros((6, 1, 10)), day, "guess")
     p = DayPrediction(np.zeros((6, 1, 10)), day, "updated")
@@ -127,6 +131,8 @@ def test_forecast_rejects_bad_input():
     plan = ForecastPlan(horizon_days=1, rank=1)
     with pytest.raises(ValueError):
         two_step_forecast(np.ones((3, 4)), plan)
+    with pytest.raises(ValueError, match="3-way"):
+        two_step_forecast(np.ones((3, 14, 4, 2)), plan)
     with pytest.raises(ValueError):
         # 10 days is one partial week plus change: too short for the default orders
         two_step_forecast(np.ones((3, 10, 4)) + np.random.default_rng(0).normal(size=(3, 10, 4)), plan)
@@ -260,6 +266,9 @@ def test_update_rejects_a_mismatched_model_before_solving(monkeypatch):
     rank_one = CpModel(model.weights[:1], [f[:, :1] for f in model.factors])
     with pytest.raises(ValueError, match="rank 1 .* rank 3"):
         lean_update(prediction, truth_day, observed, rank_one)
+    short = CpModel(model.weights, [model.factors[0][:-1], *model.factors[1:]])
+    with pytest.raises(ValueError, match="model shape does not match"):
+        lean_update(prediction, truth_day, observed, short)
 
 
 def test_update_holds_under_two_day_slices_at_once():

@@ -13,6 +13,12 @@ class TestSpecValidation:
         assert spec.extents == (12, 56, 48)
         assert spec.rank == 6
 
+    def test_whole_floats_are_read_as_ints(self):
+        spec = SyntheticSpec(extents=(12.0, 56.0, np.int64(48)), n_clusters=2.0, rank=6.0)
+        assert all(type(v) is int for v in (*spec.extents, spec.n_clusters, spec.rank))
+        assert planted_labels(spec).dtype == np.int64
+        assert np.array_equal(generate_synthetic(spec)[0], generate_synthetic(SyntheticSpec())[0])
+
     def test_invalid_fields_are_rejected(self):
         with pytest.raises(ValueError):
             SyntheticSpec(extents=(0, 5, 5))
@@ -32,6 +38,12 @@ class TestSpecValidation:
             SyntheticSpec(separation=-0.5)
         with pytest.raises(ValueError):
             SyntheticSpec(noise_var=-0.01)
+        with pytest.raises(ValueError, match="extents must be a whole number"):
+            SyntheticSpec(extents=(12.7, 56, 48))
+        with pytest.raises(ValueError, match="n_clusters must be a whole number"):
+            SyntheticSpec(n_clusters=1.5)
+        with pytest.raises(ValueError, match="rank must be a whole number"):
+            SyntheticSpec(rank=2.5)
         for name in ("weekly_strength", "daily_strength", "separation", "noise_var"):
             for value in (np.nan, np.inf):
                 with pytest.raises(ValueError, match=name):

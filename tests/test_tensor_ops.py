@@ -6,6 +6,9 @@ import pytest
 from flowcast.tensor_ops import (
     _error_from_statistics,
     _SweepTrace,
+    as_mask,
+    as_tensor,
+    as_whole,
     cp_reconstruct,
     fold,
     khatri_rao,
@@ -66,6 +69,37 @@ def test_unfold_fold_round_trip_bit_exact():
         np.testing.assert_array_equal(back, t)
 
 
+@pytest.mark.parametrize("value", [2, np.int64(2), np.uint8(2), 2.0, np.float32(2.0)])
+def test_whole_number_of_any_numeric_type_is_an_int(value):
+    got = as_whole(value, "setting")
+    assert got == 2 and type(got) is int
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(1.5), np.inf, -np.inf, np.nan, "2", None,
+                                   [2]])
+def test_a_fraction_or_non_number_names_the_setting(value):
+    with pytest.raises(ValueError, match="^setting must be a whole number, got "):
+        as_whole(value, "setting")
+
+
+def test_whole_number_below_its_minimum_names_the_setting():
+    for value in (0, 0.0, -3):
+        with pytest.raises(ValueError, match="^setting must be >= 1$"):
+            as_whole(value, "setting")
+    with pytest.raises(ValueError, match="^setting must be >= 0$"):
+        as_whole(-1, "setting", minimum=0)
+    assert as_whole(-4.0, "setting", minimum=None) == -4
+
+
+def test_tensor_and_mask_validation():
+    with pytest.raises(ValueError, match="extents must all be >= 1"):
+        as_tensor(np.zeros((2, 0, 3)))
+    m = as_mask(np.array([[1, 0], [0, 2]]), (2, 2))
+    assert m.dtype == bool and np.array_equal(m, [[True, False], [False, True]])
+    with pytest.raises(ValueError, match="does not match tensor shape"):
+        as_mask(np.ones((2, 3), dtype=bool), (3, 2))
+
+
 def test_unfold_degenerate_1x1x1():
     t = np.array([[[7.5]]])
     for mode in range(3):
@@ -87,6 +121,8 @@ def test_fold_row_vector_mode0():
 def test_fold_dimension_mismatch():
     with pytest.raises(ValueError):
         fold(np.zeros((2, 5)), 0, (2, 2, 2))
+    with pytest.raises(ValueError, match="mode 3 out of range"):
+        fold(np.zeros((2, 4)), 3, (2, 2, 2))
 
 
 def test_khatri_rao_hand_expansion():
@@ -119,6 +155,10 @@ def test_khatri_rao_is_the_broadcast_product_bit_for_bit(rows, rank):
 def test_khatri_rao_column_mismatch():
     with pytest.raises(ValueError):
         khatri_rao(np.ones((2, 2)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="two matrices"):
+        khatri_rao(np.ones(2), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="at least one factor"):
+        khatri_rao_all([])
 
 
 def test_khatri_rao_row_count_law():
@@ -212,6 +252,8 @@ def test_relative_residual_three_four_five():
 def test_relative_residual_zero_truth_on_mask():
     with pytest.raises(ValueError):
         relative_residual(np.ones(3), np.zeros(3))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        relative_residual(np.ones(3), np.ones(4))
 
 
 def test_relative_residual_scale_invariance():
