@@ -17,6 +17,7 @@ from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist
 
 from .cp import CpModel
+from .tensor_ops import as_whole
 
 # share of the centred factor's variance that the kept principal components explain
 VARIANCE_RETAINED = 0.9
@@ -96,6 +97,7 @@ def agglomerate(e: StationEmbedding, k: int) -> ClusterAssignment:
     Labels are numbered by each cluster's smallest station index.
     """
     n = len(e.coords)
+    k = as_whole(k, "k", minimum=None)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}]")
     return ClusterAssignment(_labels_from_trace(n, e.upgma_trace, k), k)

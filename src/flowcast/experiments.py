@@ -182,6 +182,7 @@ def update_report(tensor, cfg: ExperimentConfig, observed_fraction: float,
     n_slots = tensor.shape[2]
     _check_split(cfg.split_day, tensor.shape[1])
     n_obs = min(int(np.ceil(observed_fraction * n_slots)), n_slots - 1)
+    window = as_whole(window, "window", minimum=None)
     if not 1 <= window <= n_slots - n_obs:
         raise ValueError(
             f"window {window} must lie in [1, {n_slots - n_obs}]: observed_fraction "

@@ -6,13 +6,16 @@ temporal factor column with a 2D-ARMA forecast on its day-by-week field (one
 row, a scalar AR, with ``days_per_week=1``) and reconstructs the future days.
 
 ``lean_update`` folds a partially observed new day back into the location
-factor without refitting the whole decomposition: the observed prefix is
-copied over the first slots of the long-term prediction's day, and the
-weighted location factor is re-solved against the fixed temporal row and
-intra-day factor.  With one temporal row the Khatri-Rao matrix of the solve
-is ``u_p * row`` and its Gram is that matrix's own ``kr.T @ kr``, the
+factor without refitting the whole decomposition: the observed prefix stands
+in for the first slots of the long-term prediction's day, and the weighted
+location factor is re-solved against the fixed temporal row and intra-day
+factor.  With one temporal row the Khatri-Rao matrix of the solve is
+``kr = u_p * row`` and its Gram is that matrix's own ``kr.T @ kr``, the
 identity ``(u_p (.) row)^T (u_p (.) row) = (row^T row) * (u_p^T u_p)`` of
-Kolda & Bader (2009); the day is rebuilt by one matmul,
+Kolda & Bader (2009).  Both stay fixed all day, so the solve operator
+``S = kr G^-1`` is built once per (row, intra-day factor) pair and cached,
+as online CP keeps its fixed factors (Nion & Sidiropoulos 2009); each update
+is then two products, and the day is rebuilt by one matmul,
 ``(weighted * row) @ u_p.T``.
 """
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from .arma2d import (DAYS_PER_WEEK, arma2d_fit, arma2d_forecast, as_orders, check_orders,
                      field_to_vector, reshape_to_field)
-from .cp import AlsConfig, CpModel, _normalize_columns, _solve_mode, cp_fit
+from .cp import AlsConfig, CpModel, _solve_mode, cp_fit
 from .tensor_ops import as_tensor, as_whole, cp_reconstruct
 
 PROVENANCE_TAGS = ("long_term", "updated")
@@ -114,18 +117,45 @@ def forecast_from_model(model: CpModel, horizon_days: int, arma_orders,
     return DayPrediction(np.maximum(days, 0.0, out=days), source, "long_term")
 
 
+# (key, S) of the last pair _day_operator solved for: read once per call and replaced
+# by one assignment, so a concurrent caller sees one whole entry or the other
+_operator_cache = (None, None)
+
+
+def _day_operator(row, u_p) -> np.ndarray:
+    """The solve operator ``S = kr G^-1`` of a temporal row and an intra-day factor.
+
+    ``kr = u_p * row`` and ``G = kr.T @ kr``, so ``day @ S`` is the weighted
+    location factor that best explains ``day``; a singular ``G`` gives the
+    minimum-norm operator through ``_solve_mode``'s ``pinv`` fallback.  One
+    entry is cached, keyed by the 64-bit hash of the arrays' shape and bytes,
+    so an array edited in place gets a new operator unless its hash collides
+    (a chance of about 2^-64); the hash keeps the key an int, where the bytes
+    themselves would hold a second copy of ``u_p``.
+    """
+    global _operator_cache
+    key = hash((u_p.shape, row.tobytes(), u_p.tobytes()))
+    cached, s = _operator_cache
+    if cached != key:
+        kr = u_p * row
+        s = _solve_mode(kr, kr.T @ kr)
+        _operator_cache = (key, s)
+    return s
+
+
 def update_location_factor(day, temporal_row, u_p) -> np.ndarray:
     """Weighted location factor that best explains one day slice.
 
     Solves ``day ~ W kr^T`` in the least squares sense, where
     ``kr = u_p * temporal_row`` is the Khatri-Rao matrix of the one temporal
-    row and the intra-day factor, and ``W`` carries the component weights.
-    ``kr`` is formed once; it gives both the MTTKRP ``day @ kr`` and the Gram
-    ``kr.T @ kr``, which equals ``(row.T @ row) * (u_p.T @ u_p)``.
+    row and the intra-day factor, and ``W`` carries the component weights:
+    ``W = day @ S`` with the solve operator ``S = kr (kr.T @ kr)^-1``, which
+    is built once per (row, intra-day factor) pair and reused while both
+    keep their contents.
     """
-    day = np.asarray(day, dtype=np.float64)
-    kr = u_p * np.asarray(temporal_row, dtype=np.float64).reshape(1, -1)
-    return _solve_mode(day @ kr, kr.T @ kr)
+    s = _day_operator(np.asarray(temporal_row, dtype=np.float64).reshape(-1),
+                      np.asarray(u_p, dtype=np.float64))
+    return np.asarray(day, dtype=np.float64) @ s
 
 
 def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpModel) -> DayPrediction:
@@ -133,13 +163,15 @@ def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpMo
 
     ``observed_slots`` must flag a non-empty prefix of the intra-day axis, and
     ``model`` must be 3-way with the rank of ``prediction.source_model``.
-    The first ``n_obs`` slots of a copy of the prediction's day are
-    overwritten with the observations, the weighted location factor is
-    recomputed from that spliced day against the prediction's temporal row
-    and the model's intra-day factor (:func:`update_location_factor`), and
-    the day is reconstructed as ``(weighted * row) @ u_p.T``, clamped at 0.
-    Observed cells in the output carry the actual observations.  Cells after the
-    prefix are never read; a non-finite cell in it raises ``ValueError``.
+    The weighted location factor is recomputed from the day whose first
+    ``n_obs`` slots are the observations and whose rest is the prediction's,
+    against the prediction's temporal row and the model's intra-day factor,
+    by the solve of :func:`update_location_factor`.  Both parts are read in
+    place, as ``observed @ S[:n_obs] + predicted @ S[n_obs:]``, so no spliced
+    day is copied.  The day is reconstructed as ``(weighted * row) @ u_p.T``,
+    clamped at 0.  Observed cells in the output carry the actual
+    observations.  Cells after the prefix are never read; a non-finite cell
+    in it raises ``ValueError``.
     """
     if prediction.horizon_days != 1:
         raise ValueError("lean_update expects a single-day prediction")
@@ -163,22 +195,28 @@ def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpMo
     if n_obs < 1 or not observed[:n_obs].all():
         raise ValueError("observed_slots must mark a non-empty prefix")
 
-    spliced = prediction.tensor[:, 0, :].copy()
-    spliced[:, :n_obs] = day_new[:, :n_obs]
     row = prediction.source_model.factors[1][0]
     u_p = model.factors[2]
-    weighted = update_location_factor(spliced, row, u_p)
-    del spliced  # read by the solve alone
+    s = _day_operator(row, u_p)  # first, so a new operator is built beside nothing else
+    # an inf prefix cell meets signed operator entries; it is reported below, by station
+    with np.errstate(invalid="ignore"):
+        weighted = day_new[:, :n_obs] @ s[:n_obs]
+        weighted += prediction.tensor[:, 0, n_obs:] @ s[n_obs:]
     # a non-finite prefix cell reaches its station's loadings, so only failures look further
     if not np.isfinite(weighted).all():
         bad = np.flatnonzero(~np.isfinite(day_new[:, :n_obs]).all(axis=1))
         raise ValueError(f"new_data is not finite in station {bad[0]}'s observed prefix"
                          if bad.size else "the prediction or model is not finite")
 
-    out = (weighted * row) @ u_p.T
+    # the day's factor is taken and the loadings normalised in place (cp._normalize_columns's
+    # rule without its full-size square) before the day slice is allocated beside them
+    rebuilt = weighted * row
+    norms = np.sqrt(np.einsum("lr,lr->r", weighted, weighted))
+    weighted /= np.where(norms > 0, norms, 1.0)
+    out = rebuilt @ u_p.T
+    del rebuilt  # not held while the source model is built
     np.maximum(out, 0.0, out=out)
     out[:, :n_obs] = day_new[:, :n_obs]
 
-    location, norms = _normalize_columns(weighted)
-    source = CpModel(norms, [location, row[None, :], u_p])
+    source = CpModel(norms, [weighted, row[None, :], u_p])
     return DayPrediction(out[:, None, :], source, "updated")

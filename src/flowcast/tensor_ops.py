@@ -75,7 +75,7 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
 def fold(m: np.ndarray, mode: int, shape: tuple) -> np.ndarray:
     """Inverse of :func:`unfold` for the given ``mode`` and full tensor ``shape``."""
     m = np.asarray(m)
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(as_whole(s, f"shape[{k}]", minimum=0) for k, s in enumerate(shape))
     if not 0 <= mode < len(shape):
         raise ValueError(f"mode {mode} out of range for shape {shape}")
     lead = (shape[mode],) + tuple(s for k, s in enumerate(shape) if k != mode)

@@ -264,6 +264,9 @@ class TestAgglomerate:
         for bad in (0, 6, -1):
             with pytest.raises(ValueError):
                 agglomerate(e, bad)
+        with pytest.raises(ValueError, match="k must be a whole number, got 1.5"):
+            agglomerate(e, 1.5)
+        assert np.array_equal(agglomerate(e, 2.0).labels, agglomerate(e, 2).labels)
 
     def test_assignment_validation(self):
         with pytest.raises(ValueError):

@@ -345,6 +345,8 @@ class TestUpdate:
             update_report(tensor, weekly_cfg(0), 0.95)
         with pytest.raises(ValueError, match="window 0"):
             update_report(tensor, weekly_cfg(0), 0.3, window=0)
+        with pytest.raises(ValueError, match="window must be a whole number, got 2.5"):
+            update_report(tensor, weekly_cfg(0), 0.3, window=2.5)
         # 99% of 48 slots leaves one slot: a block, but no early half of the remainder
         with pytest.raises(ValueError, match=r"0\.99 leaves 1 of 48 slots to score, too few"):
             update_report(tensor, weekly_cfg(0), 0.99, window=1)

@@ -7,12 +7,14 @@ representable, so the spliced least-squares update must shrink the suffix
 error).
 """
 
+import copy
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from flowcast import pipeline
 from flowcast.cp import AlsConfig, CpModel, cp_fit, cp_solve_mode
 from flowcast.pipeline import (
     DayPrediction,
@@ -45,10 +47,10 @@ def bumpy_intraday_factor(n_slots, centers, width=2.0):
     return u / np.linalg.norm(u, axis=0)
 
 
-def update_scenario(seed=0, n_loc=10, n_slots=24, perturbation=0.3):
+def update_scenario(seed=0, n_loc=10, n_slots=24, perturbation=0.3, centers=(3, 12, 19)):
     """Long-term prediction from a base model, truth from a perturbed location factor."""
     rng = np.random.default_rng(seed)
-    u_p = bumpy_intraday_factor(n_slots, centers=(3, 12, 19))
+    u_p = bumpy_intraday_factor(n_slots, centers=centers)
     row = np.array([[1.0, 0.8, 1.2]])
     weights = np.array([5.0, 4.0, 3.0])
     u_l = rng.uniform(0.5, 1.5, size=(n_loc, 3))
@@ -271,55 +273,109 @@ def test_update_rejects_a_mismatched_model_before_solving(monkeypatch):
         lean_update(prediction, truth_day, observed, short)
 
 
-def test_update_holds_under_two_day_slices_at_once():
-    # the spliced day is released once the solve has read it and the rebuilt day is
-    # clamped in place: one day slice and the small solve, not three day slices
+def test_update_holds_under_two_day_slices_at_once(monkeypatch):
+    # no spliced day is copied and the rebuilt day is clamped in place: one day slice
+    # and the small solve, not three day slices, on the call that builds the operator
+    # (the first) as on one that reads it from the cache
     rng = np.random.default_rng(0)
     model = CpModel(np.ones(3), [rng.uniform(0.5, 1.5, size=(n, 3)) for n in (60, 1, 48)])
     prediction = DayPrediction(cp_reconstruct(model), model, "long_term")
     day = 1.1 * prediction.tensor[:, 0, :]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        updated = lean_update(prediction, day, np.arange(48) < 20, model)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * day.nbytes
-    np.testing.assert_array_equal(updated.tensor[:, 0, :20], day[:, :20])
+    monkeypatch.setattr(pipeline, "_operator_cache", (None, None))
+    for n_obs in (20, 30):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            updated = lean_update(prediction, day, np.arange(48) < n_obs, model)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * day.nbytes
+        np.testing.assert_array_equal(updated.tensor[:, 0, :n_obs], day[:, :n_obs])
+
+
+def assert_matches_the_lstsq_reference(prediction, model, day, n_obs):
+    observed = np.arange(day.shape[1]) < n_obs
+    updated = lean_update(prediction, day, observed, model)
+    out = updated.tensor[:, 0, :]
+    np.testing.assert_array_equal(out[:, :n_obs], day[:, :n_obs])
+
+    kr = model.factors[2] * prediction.source_model.factors[1][0]
+    spliced = np.where(observed[None, :], day, prediction.tensor[:, 0, :])
+    want = np.linalg.lstsq(kr, spliced.T, rcond=None)[0].T
+    got = updated.source_model.factors[0] * updated.source_model.weights
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    recon = np.maximum(cp_reconstruct(updated.source_model)[:, 0, :], 0.0)
+    np.testing.assert_allclose(out[:, n_obs:], recon[:, n_obs:], rtol=0, atol=1e-12)
 
 
 def test_every_prefix_update_matches_an_independent_reference():
     prediction, model, truth_day = update_scenario(seed=7)
-    n_slots = truth_day.shape[1]
-    row = prediction.source_model.factors[1][0]
-    kr = model.factors[2] * row
-    for n_obs in range(1, n_slots + 1):
-        observed = np.arange(n_slots) < n_obs
-        updated = lean_update(prediction, truth_day, observed, model)
-        out = updated.tensor[:, 0, :]
-        np.testing.assert_array_equal(out[:, :n_obs], truth_day[:, :n_obs])
-
-        spliced = np.where(observed[None, :], truth_day, prediction.tensor[:, 0, :])
-        want = np.linalg.lstsq(kr, spliced.T, rcond=None)[0].T
-        got = updated.source_model.factors[0] * updated.source_model.weights
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-
-        recon = np.maximum(cp_reconstruct(updated.source_model)[:, 0, :], 0.0)
-        np.testing.assert_allclose(out[:, n_obs:], recon[:, n_obs:], rtol=0, atol=1e-12)
+    for n_obs in range(1, truth_day.shape[1] + 1):
+        assert_matches_the_lstsq_reference(prediction, model, truth_day, n_obs)
 
 
-def test_update_location_factor_is_min_norm_on_a_singular_gram():
+def test_updates_alternating_two_models_match_the_reference():
+    # each call replaces the other model's cached operator
+    first = update_scenario(seed=7)
+    second = update_scenario(seed=8, centers=(6, 10, 21))
+    for n_obs in range(1, 25):
+        for prediction, model, truth_day in (first, second):
+            assert_matches_the_lstsq_reference(prediction, model, truth_day, n_obs)
+
+
+def test_update_solves_once_per_temporal_row_and_intraday_factor(monkeypatch):
+    solves = []
+    solve = pipeline._solve_mode
+    monkeypatch.setattr(pipeline, "_solve_mode", lambda *args: solves.append(1) or solve(*args))
+    monkeypatch.setattr(pipeline, "_operator_cache", (None, None))
+    prediction, model, truth_day = update_scenario(seed=7)
+    for n_obs in range(1, 25):
+        lean_update(prediction, truth_day, np.arange(24) < n_obs, model)
+    assert len(solves) == 1
+    # new arrays of the same contents: another location factor, the same row and u_p
+    same, other = update_scenario(seed=8), update_scenario(seed=8, centers=(6, 10, 21))
+    lean_update(same[0], same[2], np.arange(24) < 5, same[1])
+    assert len(solves) == 1
+    lean_update(other[0], other[2], np.arange(24) < 5, other[1])
+    lean_update(prediction, truth_day, np.arange(24) < 5, model)
+    assert len(solves) == 3
+
+
+@pytest.mark.parametrize("edit", ["intra-day factor", "temporal row"])
+def test_update_reads_factors_edited_in_place_afresh(monkeypatch, edit):
+    prediction, model, truth_day = update_scenario(seed=4)
+    observed = np.arange(24) < 9
+    before = lean_update(prediction, truth_day, observed, model)
+    if edit == "intra-day factor":
+        model.factors[2][5, 1] *= 1.5
+    else:
+        prediction.source_model.factors[1][0, 1] *= 1.5
+    got = lean_update(prediction, truth_day, observed, model)
+
+    fresh_prediction, fresh_model = copy.deepcopy((prediction, model))
+    monkeypatch.setattr(pipeline, "_operator_cache", (None, None))
+    want = lean_update(fresh_prediction, truth_day, observed, fresh_model)
+    loadings = [u.source_model.factors[0] * u.source_model.weights for u in (before, got, want)]
+    assert not np.allclose(loadings[0], loadings[1])
+    np.testing.assert_allclose(loadings[1], loadings[2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.tensor, want.tensor, rtol=0, atol=1e-12)
+
+
+def test_update_location_factor_is_min_norm_on_a_singular_gram(monkeypatch):
     # a zero in the temporal row zeroes one Khatri-Rao column, so the Gram is
-    # singular and the solve must fall back to the minimum-norm solution
+    # singular and the solve must fall back to the minimum-norm solution; the
+    # second call reads the operator the first one cached
     rng = np.random.default_rng(30)
     row, u_p = np.array([0.7, 0.0, 1.3]), rng.normal(size=(48, 3))
-    day = rng.normal(size=(9, 48))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = update_location_factor(day, row, u_p)
-    want = np.linalg.lstsq(u_p * row, day.T, rcond=None)[0].T
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    monkeypatch.setattr(pipeline, "_operator_cache", (None, None))
+    for day in rng.normal(size=(2, 9, 48)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = update_location_factor(day, row, u_p)
+        want = np.linalg.lstsq(u_p * row, day.T, rcond=None)[0].T
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_update_location_factor_recovers_weighted_factor():

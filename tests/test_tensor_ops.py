@@ -125,6 +125,13 @@ def test_fold_dimension_mismatch():
         fold(np.zeros((2, 4)), 3, (2, 2, 2))
 
 
+def test_fold_reads_whole_extents_only():
+    with pytest.raises(ValueError, match=r"shape\[0\] must be a whole number, got 2.7"):
+        fold(np.zeros((2, 4)), 0, (2.7, 2, 2))
+    m = np.arange(8.0).reshape(2, 4)
+    np.testing.assert_array_equal(fold(m, 0, (2.0, np.int64(2), 2)), fold(m, 0, (2, 2, 2)))
+
+
 def test_khatri_rao_hand_expansion():
     a = np.array([[1.0], [2.0]])
     b = np.array([[3.0], [4.0]])
