@@ -21,7 +21,6 @@ before fitting and the mean is restored after forecasting.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -111,8 +110,6 @@ def field_to_vector(f: Field2D) -> np.ndarray:
     """Flatten a field back to the series order used by :func:`reshape_to_field`."""
     flat = f.values.T.ravel()
     keep = f.valid.T.ravel()
-    if keep.all():
-        return flat.copy()
     last = int(np.nonzero(keep)[0].max())
     if not keep[: last + 1].all():
         raise ValueError("valid cells are not a prefix in time order")
@@ -140,10 +137,10 @@ def _interior(valid, offs, d_min, w_min):
 
 
 def as_orders(orders) -> tuple:
-    """The orders ``(p1, p2, q1, q2)`` as ints; ``ValueError`` unless four integers >= 0."""
-    if len(orders) != 4 or not all(isinstance(o, numbers.Integral) and o >= 0 for o in orders):
+    """The orders ``(p1, p2, q1, q2)`` as ints; ``ValueError`` unless four whole numbers >= 0."""
+    if len(orders) != 4:
         raise ValueError(f"arma_orders must be four non-negative integers, got {orders!r}")
-    return tuple(int(o) for o in orders)
+    return tuple(as_whole(o, "arma_orders", minimum=0) for o in orders)
 
 
 def _checked_orders(days, weeks, orders):
@@ -265,6 +262,7 @@ def simulate_field(model: Arma2dModel, days: int, weeks: int, seed: int = 0) -> 
     ``BURNIN_WEEKS`` leading columns are simulated and discarded so the
     retained grid is close to the stationary regime in the week direction.
     """
+    days, weeks = as_whole(days, "days"), as_whole(weeks, "weeks")
     rng = np.random.default_rng(seed)
     w_tot = weeks + BURNIN_WEEKS
     eps = rng.normal(0.0, math.sqrt(model.sigma2), size=(days, w_tot))

@@ -180,8 +180,7 @@ def cp_solve_mode(t, model: CpModel, mode: int) -> np.ndarray:
     result.
     """
     t = as_tensor(t, min_modes=2)
-    if not 0 <= mode < t.ndim:
-        raise ValueError(f"mode {mode} out of range")
+    x = unfold(t, mode)  # first, so unfold's rule decides the mode before it is used
     if len(model.factors) != t.ndim:
         raise ValueError("model order does not match tensor order")
     for k, f in enumerate(model.factors):
@@ -191,7 +190,7 @@ def cp_solve_mode(t, model: CpModel, mode: int) -> np.ndarray:
     if np.linalg.matrix_rank(g, tol=PINV_RCOND * max(np.linalg.norm(g, 2), 1e-300)) < g.shape[0]:
         warnings.warn("Gram Hadamard product is singular; returning minimum-norm solution",
                       DegenerateSolveWarning, stacklevel=2)
-    return _solve_mode(unfold(t, mode) @ khatri_rao_all(model.factors, mode), g)
+    return _solve_mode(x @ khatri_rao_all(model.factors, mode), g)
 
 
 def cp_rank_select(t, candidate_ranks, holdout_fraction: float, cfg: AlsConfig) -> int:

@@ -34,6 +34,8 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
+from .tensor_ops import as_whole
+
 HEADER = ["station_id", "day_index", "slot_index", "count"]
 
 # object, not U<n>: a fixed-width string dtype would cut long ids short
@@ -217,21 +219,13 @@ def _ingest_rows(path, n_days, n_slots):
     return _ingest(path, n_days, n_slots, blocks=False)
 
 
-def _whole(extent):
-    if not float(extent).is_integer():
-        raise ValueError(f"declared extents must be whole numbers, got {extent!r}")
-    return int(extent)
-
-
 def ingest(path, extents):
     """Read records into a dense (stations, days, slots) tensor.
 
     ``extents`` declares (n_days, n_slots); the station extent is discovered.
     Returns ``(tensor, station_ids, LoadReport)``.
     """
-    n_days, n_slots = (_whole(e) for e in extents)
-    if n_days < 1 or n_slots < 1:
-        raise ValueError("declared extents must be positive")
+    n_days, n_slots = (as_whole(e, f"extents[{k}]") for k, e in enumerate(extents))
     return _ingest(path, n_days, n_slots)
 
 

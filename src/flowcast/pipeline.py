@@ -45,7 +45,8 @@ class ForecastPlan:
 
     def __post_init__(self):
         self.horizon_days = as_whole(self.horizon_days, "horizon_days")
-        as_orders(self.arma_orders)
+        self.rank = as_whole(self.rank, "rank")
+        self.arma_orders = as_orders(self.arma_orders)
         if self.als is None:
             self.als = AlsConfig(rank=self.rank)
         elif self.als.rank != self.rank:
@@ -143,6 +144,11 @@ def _day_operator(row, u_p) -> np.ndarray:
     return s
 
 
+def _not_finite(cells, text) -> ValueError:
+    bad = np.flatnonzero(~np.isfinite(cells).all(axis=1))
+    return ValueError(text.format(bad[0]) if bad.size else "the prediction or model is not finite")
+
+
 def update_location_factor(day, temporal_row, u_p) -> np.ndarray:
     """Weighted location factor that best explains one day slice.
 
@@ -151,11 +157,15 @@ def update_location_factor(day, temporal_row, u_p) -> np.ndarray:
     row and the intra-day factor, and ``W`` carries the component weights:
     ``W = day @ S`` with the solve operator ``S = kr (kr.T @ kr)^-1``, which
     is built once per (row, intra-day factor) pair and reused while both
-    keep their contents.
+    keep their contents; a non-finite cell is a ``ValueError`` naming its station.
     """
     s = _day_operator(np.asarray(temporal_row, dtype=np.float64).reshape(-1),
                       np.asarray(u_p, dtype=np.float64))
-    return np.asarray(day, dtype=np.float64) @ s
+    with np.errstate(invalid="ignore"):  # an inf cell meets signed operator entries
+        weighted = np.asarray(day, dtype=np.float64) @ s
+    if not np.isfinite(weighted).all():
+        raise _not_finite(day, "day is not finite in station {}")
+    return weighted
 
 
 def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpModel) -> DayPrediction:
@@ -204,9 +214,7 @@ def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpMo
         weighted += prediction.tensor[:, 0, n_obs:] @ s[n_obs:]
     # a non-finite prefix cell reaches its station's loadings, so only failures look further
     if not np.isfinite(weighted).all():
-        bad = np.flatnonzero(~np.isfinite(day_new[:, :n_obs]).all(axis=1))
-        raise ValueError(f"new_data is not finite in station {bad[0]}'s observed prefix"
-                         if bad.size else "the prediction or model is not finite")
+        raise _not_finite(day_new[:, :n_obs], "new_data is not finite in station {}'s observed prefix")
 
     # the day's factor is taken and the loadings normalised in place (cp._normalize_columns's
     # rule without its full-size square) before the day slice is allocated beside them

@@ -67,6 +67,7 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     axis fastest).
     """
     t = np.asarray(t)
+    mode = as_whole(mode, "mode", minimum=None)
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for a {t.ndim}-mode tensor")
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
@@ -76,6 +77,7 @@ def fold(m: np.ndarray, mode: int, shape: tuple) -> np.ndarray:
     """Inverse of :func:`unfold` for the given ``mode`` and full tensor ``shape``."""
     m = np.asarray(m)
     shape = tuple(as_whole(s, f"shape[{k}]", minimum=0) for k, s in enumerate(shape))
+    mode = as_whole(mode, "mode", minimum=None)
     if not 0 <= mode < len(shape):
         raise ValueError(f"mode {mode} out of range for shape {shape}")
     lead = (shape[mode],) + tuple(s for k, s in enumerate(shape) if k != mode)
@@ -106,6 +108,8 @@ def khatri_rao_all(factors, skip: int | None = None) -> np.ndarray:
     ``unfold(t, skip) @ khatri_rao_all(factors, skip)`` accumulates
     ``sum_cells t[i] * prod_{k != skip} factors[k][i_k, r]``.
     """
+    if skip is not None and not as_whole(skip, "skip", minimum=0) < len(factors):
+        raise ValueError(f"skip {skip!r} out of range for {len(factors)} factors")
     mats = list(factors) if skip is None else [f for k, f in enumerate(factors) if k != skip]
     if not mats:
         raise ValueError("khatri_rao_all needs at least one factor")

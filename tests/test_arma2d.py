@@ -170,7 +170,7 @@ def test_fit_rejects_small_grids():
         arma2d_fit(Field2D(np.arange(4.0).reshape(2, 2)), (1, 1, 0, 0))
     with pytest.raises(ValueError):
         arma2d_fit(f, (0, -1, 0, 0))
-    with pytest.raises(ValueError, match="non-negative integers"):
+    with pytest.raises(ValueError, match="arma_orders must be a whole number, got 1.9"):
         arma2d_fit(Field2D(np.ones((7, 20))), (1, 1.9, 0, 0))
 
 
@@ -343,6 +343,9 @@ def test_simulate_is_seed_deterministic():
     c = simulate_field(m, 7, 30, seed=10)
     np.testing.assert_array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+    with pytest.raises(ValueError, match="^days must be a whole number, got 7.5"):
+        simulate_field(m, 7.5, 30)
+    np.testing.assert_array_equal(simulate_field(m, 7, 3.0).values, simulate_field(m, 7, 3).values)
 
 
 def test_simulated_variance_tracks_sigma2():

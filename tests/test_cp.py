@@ -490,6 +490,10 @@ def test_solve_mode_shape_mismatch():
         cp_solve_mode(t, model, 0)
     with pytest.raises(ValueError, match="mode 3 out of range"):
         cp_solve_mode(t, random_model(rng, (4, 3, 5), 2), 3)
+    model = random_model(rng, (4, 3, 5), 2)
+    with pytest.raises(ValueError, match="^mode must be a whole number, got 1.5"):
+        cp_solve_mode(t, model, 1.5)
+    np.testing.assert_array_equal(cp_solve_mode(t, model, 1.0), cp_solve_mode(t, model, 1))
     with pytest.raises(ValueError, match="model order"):
         cp_solve_mode(t, random_model(rng, (4, 3), 2), 0)
 

@@ -196,15 +196,16 @@ class TestIngest:
         write_csv(path, [])
         with pytest.raises(ValueError, match="no records"):
             ingest(path, (1, 1))
-        with pytest.raises(ValueError, match="extents"):
-            ingest(path, (0, 1))
+        for extents in ((0, 1), ("28", "12")):
+            with pytest.raises(ValueError, match=r"^extents\[0\] must be "):
+                ingest(path, extents)
 
     @pytest.mark.parametrize("extents", [(3.9, 4.2), (2, 3.5), (float("inf"), 3),
                                          (float("nan"), 3)])
     def test_non_integral_extents_are_rejected(self, tmp_path, extents):
         path = tmp_path / "flows.csv"
         write_csv(path, full_grid_rows())
-        with pytest.raises(ValueError, match="extents must be whole numbers"):
+        with pytest.raises(ValueError, match=r"^extents\[[01]\] must be a whole number, got "):
             ingest(path, extents)
 
     @pytest.mark.parametrize("extents", [(np.int64(2), np.int32(3)), (2.0, np.float32(3)),

@@ -71,13 +71,17 @@ def test_plan_validation():
         ForecastPlan(horizon_days=1.5, rank=2)
     with pytest.raises(ValueError):
         ForecastPlan(horizon_days=1, rank=2, arma_orders=(1, 1, 1))
-    with pytest.raises(ValueError, match="non-negative integers"):
+    with pytest.raises(ValueError, match="arma_orders must be a whole number, got 1.9"):
         ForecastPlan(horizon_days=1, rank=2, arma_orders=(1, 1.9, 0, 0))
     with pytest.raises(ValueError):
         ForecastPlan(horizon_days=1, rank=2, als=AlsConfig(rank=3))
     plan = ForecastPlan(horizon_days=3, rank=4)
     assert plan.als.rank == 4
     assert plan.arma_orders == (2, 2, 1, 1)
+    plan = ForecastPlan(horizon_days=7, rank=6.0, arma_orders=[True, 2, 0, 0])
+    assert type(plan.rank) is int and plan.rank == 6 and plan.als.rank == 6
+    assert type(plan.arma_orders) is tuple and plan.arma_orders == (1, 2, 0, 0)
+    assert all(type(o) is int for o in plan.arma_orders)
 
 
 def test_prediction_validation():
@@ -160,6 +164,12 @@ def test_forecast_from_model_is_the_two_step_forecast_on_a_fitted_model():
         plan = ForecastPlan(horizon, rank=2, arma_orders=(1, 1, 0, 0), als=als)
         direct = forecast_from_model(model, horizon, plan.arma_orders)
         assert np.array_equal(direct.tensor, two_step_forecast(t, plan).tensor)
+    # whole numbers of any numeric type are the same orders, bit for bit
+    want = two_step_forecast(t, ForecastPlan(7, rank=2, arma_orders=(1, 2, 0, 0), als=als)).tensor
+    orders = (1.0, np.int64(2), 0, 0)
+    assert np.array_equal(forecast_from_model(model, 7, orders).tensor, want)
+    plan = ForecastPlan(7, rank=2, arma_orders=orders, als=als)
+    assert np.array_equal(two_step_forecast(t, plan).tensor, want)
     with pytest.raises(ValueError, match="horizon_days"):
         forecast_from_model(model, 0, (1, 1, 0, 0))
     with pytest.raises(ValueError, match="3-way"):
@@ -387,3 +397,8 @@ def test_update_location_factor_recovers_weighted_factor():
     w_hat = update_location_factor(day, row, u_p)
     np.testing.assert_allclose(
         np.einsum("lr,r,pr->lp", w_hat, row, u_p), day, atol=1e-10)
+    for cell in (np.nan, np.inf, -np.inf):
+        broken = day.copy()
+        broken[1, 4] = broken[3, 0] = cell
+        with pytest.raises(ValueError, match=r"^day is not finite in station 1$"):
+            update_location_factor(broken, row, u_p)

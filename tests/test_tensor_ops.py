@@ -109,6 +109,10 @@ def test_unfold_degenerate_1x1x1():
 def test_unfold_mode_out_of_range():
     with pytest.raises(ValueError):
         unfold(np.zeros((2, 2)), 2)
+    with pytest.raises(ValueError, match="^mode must be a whole number, got 1.5"):
+        unfold(np.zeros((2, 2)), 1.5)
+    t = np.arange(8.0).reshape(2, 2, 2)
+    np.testing.assert_array_equal(unfold(t, 1.0), unfold(t, 1))
 
 
 def test_fold_row_vector_mode0():
@@ -130,6 +134,9 @@ def test_fold_reads_whole_extents_only():
         fold(np.zeros((2, 4)), 0, (2.7, 2, 2))
     m = np.arange(8.0).reshape(2, 4)
     np.testing.assert_array_equal(fold(m, 0, (2.0, np.int64(2), 2)), fold(m, 0, (2, 2, 2)))
+    with pytest.raises(ValueError, match="^mode must be a whole number, got 1.5"):
+        fold(m, 1.5, (2, 2, 2))
+    np.testing.assert_array_equal(fold(m, 1.0, (2, 2, 2)), fold(m, 1, (2, 2, 2)))
 
 
 def test_khatri_rao_hand_expansion():
@@ -166,6 +173,12 @@ def test_khatri_rao_column_mismatch():
         khatri_rao(np.ones(2), np.ones((2, 2)))
     with pytest.raises(ValueError, match="at least one factor"):
         khatri_rao_all([])
+    # a skip that names no factor would skip none
+    factors = list(np.random.default_rng(4).normal(size=(3, 2, 2)))
+    for skip in (1.5, 7, 3, -1):
+        with pytest.raises(ValueError, match="^skip "):
+            khatri_rao_all(factors, skip)
+    np.testing.assert_array_equal(khatri_rao_all(factors, 1.0), khatri_rao_all(factors, 1))
 
 
 def test_khatri_rao_row_count_law():
