@@ -55,14 +55,6 @@ class Field2D:
         if not np.all(np.isfinite(self.values[self.valid])):
             raise ValueError("field entries must be finite")
 
-    @property
-    def days(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def weeks(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class Arma2dModel:
@@ -79,7 +71,7 @@ class Arma2dModel:
     orders: tuple
 
     def __post_init__(self):
-        p1, p2, q1, q2 = self.orders
+        p1, p2, q1, q2 = self.orders = as_orders(self.orders)
         self.ar = np.asarray(self.ar, dtype=np.float64)
         self.ma = np.asarray(self.ma, dtype=np.float64)
         if self.ar.shape != (p1 + 1, p2 + 1) or self.ma.shape != (q1 + 1, q2 + 1):
@@ -143,23 +135,30 @@ def as_orders(orders) -> tuple:
     return tuple(as_whole(o, "arma_orders", minimum=0) for o in orders)
 
 
-def _checked_orders(days, weeks, orders):
-    p1, p2, q1, q2 = as_orders(orders)
+def _design(valid, orders):
+    """The orders read by :func:`as_orders`, their AR and MA lags, and the week x day mask
+    of the cells a fit on ``valid`` regresses on; ``ValueError`` if the grid is too small."""
+    p1, p2, q1, q2 = orders = as_orders(orders)
+    days, weeks = valid.shape
     if days <= p1 + q1 or weeks <= p2 + q2:
         raise ValueError(f"grid {days}x{weeks} too small for orders ({p1},{p2},{q1},{q2}); "
                          f"need D > p1+q1 and W > p2+q2")
-    return p1, p2, q1, q2
+    ar_offs, ma_offs = _lag_offsets(p1, p2), _lag_offsets(q1, q2)
+    return orders, ar_offs, ma_offs, _interior(valid, ar_offs, max(p1, q1), max(p2, q2))
+
+
+def _check_size(n_cells, ar_offs, ma_offs):
+    """``ValueError`` unless the ``n_cells`` regression rows outnumber the coefficients."""
+    if n_cells <= len(ar_offs) + len(ma_offs):
+        raise ValueError(TOO_FEW_CELLS)
 
 
 def check_orders(n_days, orders, days_per_week: int = DAYS_PER_WEEK) -> None:
     """Raise, without fitting, the ``ValueError`` :func:`arma2d_fit` raises on the
     field :func:`reshape_to_field` lays out from ``n_days`` daily values."""
     valid = reshape_to_field(np.zeros(n_days), days_per_week).valid
-    p1, p2, q1, q2 = _checked_orders(*valid.shape, orders)
-    ar_offs = _lag_offsets(p1, p2)
-    n_par = len(ar_offs) + len(_lag_offsets(q1, q2))
-    if _interior(valid, ar_offs, max(p1, q1), max(p2, q2)).sum() <= n_par:
-        raise ValueError(TOO_FEW_CELLS)
+    _, ar_offs, ma_offs, cells = _design(valid, orders)
+    _check_size(cells.sum(), ar_offs, ma_offs)
 
 
 def _regress(x, y, what):
@@ -173,32 +172,27 @@ def _regress(x, y, what):
 
 def arma2d_fit(f: Field2D, orders) -> Arma2dModel:
     """Estimate a 2D-ARMA model on ``f`` by two-stage least squares."""
-    p1, p2, q1, q2 = _checked_orders(f.days, f.weeks, orders)
+    (p1, p2, q1, q2), ar_offs, ma_offs, rows = _design(f.valid, orders)
     mu = float(f.values[f.valid].mean())
     c = np.where(f.valid, f.values - mu, 0.0)
 
     # stage 1: high-order pure AR to estimate innovations, which only MA terms read
     eps = c.copy()
     if q1 or q2:
-        s1, s2 = p1 + q1, p2 + q2
-        offs = _lag_offsets(s1, s2)
-        lags, rows = _lagged(c, offs), _interior(f.valid, offs, s1, s2)
-        x1, y1 = lags.swapaxes(0, 1)[rows], c.T[rows]
+        _, offs, _, rows1 = _design(f.valid, (p1 + q1, p2 + q2, 0, 0))
+        lags = _lagged(c, offs)
+        x1, y1 = lags.swapaxes(0, 1)[rows1], c.T[rows1]
         if len(y1):
             gamma = _regress(x1, y1, "stage-1 AR regression")
             # zero-padded prediction everywhere so lagged innovations exist on the full grid
             eps = np.where(f.valid, c - lags @ gamma, 0.0)
 
     # stage 2: joint AR + lagged-MA regression; orders (0, 0, 0, 0) regress on no column
-    ar_offs = _lag_offsets(p1, p2)
-    ma_offs = _lag_offsets(q1, q2)
-    rows = _interior(f.valid, ar_offs, max(p1, q1), max(p2, q2))
     x2 = np.concatenate([_lagged(c, ar_offs), _lagged(eps, ma_offs)], axis=2).swapaxes(0, 1)[rows]
     y2 = c.T[rows]
     # the rank is reported before the size is judged: too few rows is rank deficient too
     coef = _regress(x2, y2, "2D-ARMA regression")
-    if len(y2) <= x2.shape[1]:
-        raise ValueError(TOO_FEW_CELLS)
+    _check_size(len(y2), ar_offs, ma_offs)
     ar = np.append(0.0, -coef[: len(ar_offs)]).reshape(p1 + 1, p2 + 1)
     ma = np.append(1.0, coef[len(ar_offs):]).reshape(q1 + 1, q2 + 1)
     resid = y2 - x2 @ coef

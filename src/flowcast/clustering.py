@@ -59,7 +59,8 @@ class ClusterAssignment:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.ndim != 1 or self.labels.size == 0:
             raise ValueError("labels must be a non-empty vector")
-        if self.k < 1 or set(self.labels.tolist()) != set(range(self.k)):
+        self.k = as_whole(self.k, "k")
+        if set(self.labels.tolist()) != set(range(self.k)):
             raise ValueError("labels must use every cluster in [0, k)")
 
 

@@ -102,6 +102,12 @@ def test_model_rejects_mismatched_grids():
         Arma2dModel(np.zeros((2, 2)), np.ones((1, 1)), 1.0, (2, 1, 0, 0))
     with pytest.raises(ValueError):
         Arma2dModel(np.zeros((1, 1)), np.ones((1, 1)), -1.0, (0, 0, 0, 0))
+    # orders are read as whole numbers, so a float order still drives the recursion
+    m = Arma2dModel(np.zeros((2, 1)), np.ones((1, 1)), 1.0, (1.0, 0, 0, 0))
+    assert m.orders == (1, 0, 0, 0) and all(type(o) is int for o in m.orders)
+    assert arma2d_forecast(m, Field2D(np.ones((7, 3))), 1).values.shape == (7, 4)
+    with pytest.raises(ValueError, match="arma_orders must be a whole number"):
+        Arma2dModel(np.zeros((2, 1)), np.ones((1, 1)), 1.0, (1.5, 0, 0, 0))
 
 
 # --- fitting -------------------------------------------------------------
@@ -193,7 +199,8 @@ def test_fit_skips_cells_whose_lags_fall_in_a_hole():
 
 
 @pytest.mark.parametrize("orders", [(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0), (1, 1, 0, 0),
-                                    (2, 2, 1, 1), (1, 2, 1, 0), (0, 8, 0, 0)])
+                                    (2, 2, 1, 1), (1, 2, 1, 0), (0, 8, 0, 0), (0, 0, 1, 1),
+                                    (0, 1, 0, 2), (2, 0, 0, 1), (1, 1, 1, 1)])
 def test_check_orders_raises_exactly_when_the_fit_does(orders):
     rng = np.random.default_rng(sum(orders))
     # the week grid of the forecast and the one-row field of the AR baseline

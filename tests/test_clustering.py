@@ -273,6 +273,11 @@ class TestAgglomerate:
             ClusterAssignment(np.array([0, 0, 2]), 3)  # cluster 1 empty
         with pytest.raises(ValueError):
             ClusterAssignment(np.array([], dtype=int), 1)
+        # k is read as a whole number: 2.0 is the int 2, 1.5 is named
+        k = ClusterAssignment(np.array([0, 1]), 2.0).k
+        assert k == 2 and type(k) is int
+        with pytest.raises(ValueError, match="^k must be a whole number, got 1.5"):
+            ClusterAssignment(np.array([0, 1]), 1.5)
         with pytest.raises(ValueError, match="stations x components"):
             StationEmbedding(np.arange(5.0))
 
