@@ -50,11 +50,13 @@ class CpModel:
 
 @dataclass
 class AlsConfig:
-    """ALS knobs: target rank, sweep budget, stop tolerance on the error's change, init seed."""
+    """ALS knobs: target rank, sweep budget, init seed, and the stop tolerance on the error's
+    relative change: the fit stops once two sweeps' errors differ by under
+    ``max(tol * |previous|, eps)``."""
 
     rank: int
     max_iters: int = 500
-    tol: float = 1e-8
+    tol: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
@@ -106,8 +108,8 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     """Fit a rank-``cfg.rank`` CP model to ``t`` by alternating least squares.
 
     Returns ``(model, history)``: a list of the relative error (at most 1) after each
-    sweep, whose ``converged`` says the fit stopped on two errors within ``cfg.tol *
-    max(1, |previous|)``, the stop rule ``lrtc_fit`` shares, not at ``cfg.max_iters``.
+    sweep, whose ``converged`` says the fit stopped on two errors within ``max(cfg.tol *
+    |previous|, eps)``, the stop rule ``lrtc_fit`` shares, not at ``cfg.max_iters``.
 
     MTTKRPs come from the dimension tree of ``tensor_ops._tree_steps``, bound
     once per fit to one C-order view ``x`` of ``t``, from which ``||X||`` is
@@ -137,7 +139,7 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     n_rows = math.prod(t.shape[:s])
     if observed is None:
         x = t.reshape(n_rows, -1)  # a copy only where t is a view that cannot flatten
-        norm_t = np.linalg.norm(x)
+        norm_t = math.sqrt(np.einsum("ij,ij->", x, x))  # no flattened copy of a strided x
     else:
         x = np.where(observed, t, float(t[observed].mean())).reshape(n_rows, -1)
         seen, norm_t = observed.reshape(n_rows, -1), np.linalg.norm(t[observed])

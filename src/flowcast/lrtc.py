@@ -70,7 +70,7 @@ TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 @dataclass
 class LrtcHyperParams:
     """Rank cap, sweep budget, and the ELBO stop tolerance: the fit stops once two sweeps'
-    bounds differ by under ``elbo_tol * max(1, |previous|)``.  The Gamma priors are the
+    bounds differ by under ``max(elbo_tol * |previous|, eps)``.  The Gamma priors are the
     fixed broad Gamma(``PRIOR``, ``PRIOR``), and pruning always runs."""
 
     max_rank: int = 10

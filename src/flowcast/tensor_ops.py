@@ -44,7 +44,7 @@ def as_tensor(data, min_modes: int = 1) -> np.ndarray:
         raise ValueError(f"tensor must have at least {min_modes} modes, got {t.ndim}")
     if any(n < 1 for n in t.shape):
         raise ValueError(f"tensor extents must all be >= 1, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t.min()) or not np.isfinite(t.max()):  # no mask as large as t
         raise ValueError("tensor entries must be finite")
     return t
 
@@ -201,13 +201,15 @@ def _error_from_statistics(sum_y2, s, proj, mean, moment):
 
 class _SweepTrace(list):
     """A fit's value after each sweep.  ``settled``, the stop rule both CP fits share, says
-    whether the last two differ by under ``tol * max(1, |previous|)``; a fit sets
-    ``converged`` when that rule ends its sweeps."""
+    whether the last two differ by under ``max(tol * |previous|, eps)``: a relative change,
+    floored at round-off so an exact or all-zero fit settles too; a fit sets ``converged``
+    when that rule ends its sweeps."""
 
     converged = False
+    eps = float(np.finfo(float).eps)
 
     def settled(self, tol):
-        return len(self) > 1 and abs(self[-1] - self[-2]) < tol * max(1.0, abs(self[-2]))
+        return len(self) > 1 and abs(self[-1] - self[-2]) < max(tol * abs(self[-2]), self.eps)
 
 
 def cp_reconstruct(model) -> np.ndarray:

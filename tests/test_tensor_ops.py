@@ -305,10 +305,14 @@ def test_one_value_never_settles():
     assert not trace.settled(1e9) and trace.converged  # a query leaves the flag as it was
 
 
-@pytest.mark.parametrize("prev", [0.5, -1.0, 0.0])
+@pytest.mark.parametrize("prev", [0.5, -1.0, 0.0, 0.05])
 def test_tolerance_is_absolute_up_to_a_previous_value_of_one(prev):
-    assert _SweepTrace([prev, prev + 0.9e-3]).settled(1e-3)
-    assert not _SweepTrace([prev, prev + 1.1e-3]).settled(1e-3)
+    # below a previous value of one the tolerance is relative too, tol * |prev|, and
+    # never below eps: a previous value of 0 settles on a change under eps alone
+    eps = np.finfo(float).eps
+    bound = max(1e-3 * abs(prev), eps)
+    assert _SweepTrace([prev, prev + 0.9 * bound]).settled(1e-3)
+    assert not _SweepTrace([prev, prev + 1.1 * bound]).settled(1e-3)
 
 
 @pytest.mark.parametrize("prev", [-1000.0, 1000.0])
