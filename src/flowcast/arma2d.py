@@ -257,7 +257,7 @@ def simulate_field(model: Arma2dModel, days: int, weeks: int, seed: int = 0) -> 
     retained grid is close to the stationary regime in the week direction.
     """
     days, weeks = as_whole(days, "days"), as_whole(weeks, "weeks")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_whole(seed, "seed", minimum=0))
     w_tot = weeks + BURNIN_WEEKS
     eps = rng.normal(0.0, math.sqrt(model.sigma2), size=(days, w_tot))
     v = np.zeros((days, w_tot))

@@ -62,6 +62,7 @@ class AlsConfig:
     def __post_init__(self):
         self.rank = as_whole(self.rank, "rank")
         self.max_iters = as_whole(self.max_iters, "max_iters")
+        self.seed = as_whole(self.seed, "seed", minimum=0)
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be finite and > 0")
 

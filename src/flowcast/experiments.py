@@ -57,6 +57,7 @@ class ExperimentConfig:
     def __post_init__(self):
         self.split_day = as_whole(self.split_day, "split_day")
         self.n_baseline_lags = as_whole(self.n_baseline_lags, "n_baseline_lags")
+        self.seed = as_whole(self.seed, "seed", minimum=0)
         if self.n_clusters is not None:
             self.n_clusters = as_whole(self.n_clusters, "n_clusters")
         if self.suffix_start is not None:  # its range, [1, n_slots), is checked with the data
@@ -247,12 +248,9 @@ def shortterm_report(tensor, station_ids, cfg: ExperimentConfig,
         cfg.check_n_clusters(n_loc)
     prediction, lean = _forecast_and_update(tensor, cfg, n_days - 1, start)
 
-    if use_clustering:
-        embedding = embed_stations(prediction.source_model)
-        k = cfg.n_clusters if cfg.n_clusters is not None else choose_cluster_count(embedding)
-        labels = agglomerate(embedding, k).labels
-    else:
-        k, labels = 1, np.zeros(n_loc, dtype=np.int64)
+    embedding = embed_stations(prediction.source_model)
+    k = (cfg.n_clusters or choose_cluster_count(embedding)) if use_clustering else 1
+    labels = agglomerate(embedding, k).labels
     completed = np.empty_like(tensor)
     parts = []
     for c in range(k):

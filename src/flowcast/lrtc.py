@@ -81,6 +81,7 @@ class LrtcHyperParams:
     def __post_init__(self):
         self.max_rank = as_whole(self.max_rank, "max_rank")
         self.max_iters = as_whole(self.max_iters, "max_iters")
+        self.seed = as_whole(self.seed, "seed", minimum=0)
         if not 0 < self.elbo_tol < math.inf:
             raise ValueError("elbo_tol must be finite and > 0")
 

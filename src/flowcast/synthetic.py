@@ -39,6 +39,7 @@ class SyntheticSpec:
             raise ValueError("extents must be three positive integers")
         self.rank = as_whole(self.rank, "rank")
         self.n_clusters = as_whole(self.n_clusters, "n_clusters")
+        self.seed = as_whole(self.seed, "seed", minimum=0)
         if self.n_clusters > self.extents[0]:
             raise ValueError("n_clusters must lie in [1, n_stations]")
         for name in ("weekly_strength", "daily_strength", "separation", "noise_var"):

@@ -225,27 +225,29 @@ def cp_reconstruct(model) -> np.ndarray:
     return np.einsum(spec, weights, *factors)
 
 
+def _masked_norms(estimate, truth, mask):
+    """``(||estimate - truth||_F, ||truth||_F)`` over the cells of ``mask`` (``None``: every
+    cell), reading only those cells; ``ValueError`` on a shape mismatch or a bad mask."""
+    estimate = np.asarray(estimate, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if estimate.shape != truth.shape:
+        raise ValueError(f"shape mismatch: {estimate.shape} vs {truth.shape}")
+    if mask is not None:
+        m = as_mask(mask, truth.shape)
+        estimate, truth = estimate[m], truth[m]
+    return np.linalg.norm(estimate - truth), np.linalg.norm(truth)
+
+
 def relative_residual(estimate: np.ndarray, truth: np.ndarray, mask=None) -> float:
     """Masked relative residual ||(estimate - truth) * mask||_F / ||truth * mask||_F.
 
     ``mask=None`` means every cell counts.  Raises ``ValueError`` when the
     truth is all zero on the mask (undefined denominator).
     """
-    estimate = np.asarray(estimate, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if estimate.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {estimate.shape} vs {truth.shape}")
-    if mask is None:
-        diff = estimate - truth
-        ref = truth
-    else:
-        m = as_mask(mask, truth.shape)
-        diff = np.where(m, estimate - truth, 0.0)
-        ref = np.where(m, truth, 0.0)
-    denom = np.linalg.norm(ref)
+    diff, denom = _masked_norms(estimate, truth, mask)
     if denom == 0.0:
         raise ValueError("truth is all zero on the mask; relative residual undefined")
-    return float(np.linalg.norm(diff) / denom)
+    return float(diff / denom)
 
 
 def residual_or_nan(estimate: np.ndarray, truth: np.ndarray, mask=None) -> float:
@@ -254,8 +256,5 @@ def residual_or_nan(estimate: np.ndarray, truth: np.ndarray, mask=None) -> float
     Reports score a station or block with no flow this way (a station closed
     all day, say) and leave it out of their means and fractions.
     """
-    truth = np.asarray(truth, dtype=np.float64)
-    ref = truth if mask is None else truth[as_mask(mask, truth.shape)]
-    if np.linalg.norm(ref) == 0.0:
-        return float("nan")
-    return relative_residual(estimate, truth, mask)
+    diff, denom = _masked_norms(estimate, truth, mask)
+    return float("nan") if denom == 0.0 else float(diff / denom)

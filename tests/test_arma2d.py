@@ -353,6 +353,11 @@ def test_simulate_is_seed_deterministic():
     with pytest.raises(ValueError, match="^days must be a whole number, got 7.5"):
         simulate_field(m, 7.5, 30)
     np.testing.assert_array_equal(simulate_field(m, 7, 3.0).values, simulate_field(m, 7, 3).values)
+    np.testing.assert_array_equal(simulate_field(m, 7, 3, seed=9.0).values,
+                                  simulate_field(m, 7, 3, seed=9).values)
+    for seed in (1.5, -1, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_field(m, 7, 3, seed=seed)
 
 
 def test_simulated_variance_tracks_sigma2():

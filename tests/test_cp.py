@@ -126,7 +126,7 @@ def stop_inputs():
 
 
 @pytest.mark.parametrize("case", range(3), ids=["exact", "noisy", "masked"])
-def test_stop_rule_picks_the_sweep_the_old_absolute_test_picked(case):
+def test_fit_stops_at_the_first_sweep_the_relative_rule_settles(case):
     # the fit stops at the first sweep whose error moved by under max(tol * |previous|,
     # eps); at tol 1e-300 only the round-off floor can stop it
     t, mask, rank = stop_inputs()[case]
@@ -545,10 +545,20 @@ def test_model_rejects_ranks_that_disagree():
 
 
 @pytest.mark.parametrize("field, value", [("rank", 0), ("rank", 2.5), ("max_iters", 0),
-                                          ("max_iters", 1.5)])
+                                          ("max_iters", 1.5), ("seed", 1.5), ("seed", -1),
+                                          ("seed", "3")])
 def test_config_rejects_counts_that_are_not_whole_and_positive(field, value):
     with pytest.raises(ValueError, match=field):
         AlsConfig(**{"rank": 1, field: value})
+
+
+def test_a_whole_float_seed_is_read_as_an_int():
+    t = np.random.default_rng(31).uniform(size=(5, 4, 3))
+    cfg = AlsConfig(rank=2, max_iters=5, seed=2.0)
+    assert type(cfg.seed) is int and cfg.seed == 2
+    model, _ = cp_fit(t, cfg)
+    want, _ = cp_fit(t, AlsConfig(rank=2, max_iters=5, seed=2))
+    np.testing.assert_array_equal(model.weights, want.weights)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, np.nan])

@@ -65,6 +65,9 @@ class TestConfig:
             ExperimentConfig(split_day=48.5)
         with pytest.raises(ValueError, match="suffix_start must be a whole number"):
             ExperimentConfig(suffix_start=15.5)
+        for seed in (1.5, -1, "3"):
+            with pytest.raises(ValueError, match="seed"):
+                ExperimentConfig(seed=seed)
 
     def test_load_input_seed_overrides_the_synth_seed(self):
         cfg = ExperimentConfig(seed=3)
@@ -414,6 +417,17 @@ class TestShortterm:
         joint = shortterm_report(*load_input(cfg), cfg, use_clustering=False)
         assert clustered.summary["n_clusters"] == 1
         assert clustered.summary["mean_res_lrtc"] == joint.summary["mean_res_lrtc"]
+
+    def test_joint_run_is_the_one_cluster_cut(self):
+        tensor, ids = load_input(weekly_cfg(1))
+        lrtc = LrtcHyperParams(max_rank=4, max_iters=20)
+        joint = shortterm_report(tensor, ids, weekly_cfg(1, lrtc=lrtc), use_clustering=False)
+        one = shortterm_report(tensor, ids, weekly_cfg(1, lrtc=lrtc, n_clusters=1),
+                               use_clustering=True)
+        assert joint.rows == one.rows
+        assert {k: v for k, v in joint.summary.items() if k != "use_clustering"} == {
+            k: v for k, v in one.summary.items() if k != "use_clustering"}
+        assert not joint.summary["use_clustering"] and one.summary["use_clustering"]
 
     def test_summary_lists_each_clusters_rank_and_convergence(self, monkeypatch):
         results = []

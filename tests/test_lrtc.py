@@ -63,6 +63,10 @@ def test_hyperparam_validation():
     for tol in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="elbo_tol"):
             LrtcHyperParams(elbo_tol=tol)
+    for seed in (1.5, -1, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            LrtcHyperParams(seed=seed)
+    assert type(LrtcHyperParams(seed=2.0).seed) is int
 
 
 # --- fitting ----------------------------------------------------------------

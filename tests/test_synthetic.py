@@ -19,6 +19,12 @@ class TestSpecValidation:
         assert planted_labels(spec).dtype == np.int64
         assert np.array_equal(generate_synthetic(spec)[0], generate_synthetic(SyntheticSpec())[0])
 
+    def test_a_whole_float_seed_draws_what_the_int_does(self):
+        spec = SyntheticSpec(extents=(4, 14, 6), seed=2.0)
+        assert type(spec.seed) is int
+        want = generate_synthetic(SyntheticSpec(extents=(4, 14, 6), seed=2))[0]
+        assert np.array_equal(generate_synthetic(spec)[0], want)
+
     def test_invalid_fields_are_rejected(self):
         with pytest.raises(ValueError):
             SyntheticSpec(extents=(0, 5, 5))
@@ -44,6 +50,9 @@ class TestSpecValidation:
             SyntheticSpec(n_clusters=1.5)
         with pytest.raises(ValueError, match="rank must be a whole number"):
             SyntheticSpec(rank=2.5)
+        for seed in (1.5, -1, "3"):
+            with pytest.raises(ValueError, match="seed"):
+                SyntheticSpec(seed=seed)
         for name in ("weekly_strength", "daily_strength", "separation", "noise_var"):
             for value in (np.nan, np.inf):
                 with pytest.raises(ValueError, match=name):

@@ -1,5 +1,7 @@
 """Unit and property tests for the dense tensor kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from flowcast.tensor_ops import (
     khatri_rao,
     khatri_rao_all,
     relative_residual,
+    residual_or_nan,
     unfold,
 )
 
@@ -296,6 +299,32 @@ def test_relative_residual_masked():
     assert got == pytest.approx(2.0 / np.sqrt(5.0))
 
 
+@pytest.mark.parametrize("mask", [None, np.ones(3, dtype=bool)], ids=["unmasked", "masked"])
+def test_residual_or_nan_checks_shapes_before_the_truth(mask):
+    # a zero truth is nan only once the shapes agree
+    with pytest.raises(ValueError, match=r"shape mismatch: \(5,\) vs \(3,\)"):
+        residual_or_nan(np.zeros(5), np.zeros(3), mask)
+    assert np.isnan(residual_or_nan(np.zeros(3), np.zeros(3), mask))
+
+
+@pytest.mark.parametrize("residual", [relative_residual, residual_or_nan])
+def test_masked_residual_reads_only_the_masked_cells(residual):
+    # today's suffix of a 60 x 56 x 48 tensor: no copy the size of the tensor is made
+    rng = np.random.default_rng(32)
+    truth = rng.uniform(size=(60, 56, 48))
+    estimate = truth + 0.1 * rng.normal(size=truth.shape)
+    mask = np.zeros(truth.shape, dtype=bool)
+    mask[:, -1, 15:] = True
+    residual(estimate, truth, mask)  # first-call allocations are not the residual's own
+    tracemalloc.start()
+    try:
+        residual(estimate, truth, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * truth.nbytes
+
+
 # --- the stop rule and the error both CP fits share -------------------------
 
 
@@ -306,7 +335,7 @@ def test_one_value_never_settles():
 
 
 @pytest.mark.parametrize("prev", [0.5, -1.0, 0.0, 0.05])
-def test_tolerance_is_absolute_up_to_a_previous_value_of_one(prev):
+def test_tolerance_is_relative_and_floored_at_eps(prev):
     # below a previous value of one the tolerance is relative too, tol * |prev|, and
     # never below eps: a previous value of 0 settles on a change under eps alone
     eps = np.finfo(float).eps
