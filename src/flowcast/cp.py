@@ -23,6 +23,9 @@ PINV_RCOND = 1e-12
 # squared relative error (1e-3 unsquared) down to which the fit error comes from
 # the Gram identity; its cancellation moves it by under about 1e-12 there
 GRAM_ERR_FLOOR = 1e-6
+# each Gram-identity sweep from the STEP_START-th on tries the line-search step
+# prev + sweep ** (1 / STEP_ROOT) * (cur - prev); a scan of both is in CHANGES.md
+STEP_START, STEP_ROOT = 4, 2
 
 
 @dataclass
@@ -52,7 +55,9 @@ class CpModel:
 class AlsConfig:
     """ALS knobs: target rank, sweep budget, init seed, and the stop tolerance on the error's
     relative change: the fit stops once two sweeps' errors differ by under
-    ``max(tol * |previous|, eps)``."""
+    ``max(tol * |previous|, eps)``.  The line-search step that unmasked sweeps take from
+    the ``STEP_START``-th on (see :func:`cp_fit`) has no knob; masked fits and sweeps that
+    need the exact residual take plain sweeps."""
 
     rank: int
     max_iters: int = 500
@@ -105,6 +110,30 @@ def _normal_form(factors):
     return CpModel(weights[order], [u[:, order] for u in units])
 
 
+def _line_search(factors, grams, prev, first, sq_norm, err2, scale):
+    """Bro's (1998) line search on a sweep's change from its start ``prev`` to the factors
+    ``cur`` it solved: trial factors ``prev + scale * (cur - prev)``, scored by the Gram
+    identity on the mode-0 MTTKRP that the tree step ``first`` (``steps[0]`` of ``cp_fit``)
+    forms from them.
+
+    A trial whose squared error is lower, and still above the Gram identity's floor,
+    replaces ``factors`` and ``grams`` in place and returns ``(its error, its MTTKRP)``; any
+    other trial, a non-finite one included, leaves both as they were and returns
+    ``(err2, None)``.  No floating-point warning is raised either way."""
+    _, step, partners = first
+    cur, cur_grams = factors[:], grams[:]
+    with np.errstate(all="ignore"):
+        factors[:] = [p + scale * (c - p) for p, c in zip(prev, cur)]
+        grams[:] = [f.T @ f for f in factors]
+        mttkrp = step()
+        trial2 = _error_from_statistics(sq_norm, reduce(np.multiply, partners(grams)), mttkrp,
+                                        factors[0], grams[0])
+    if GRAM_ERR_FLOOR * sq_norm < trial2 < err2:
+        return trial2, mttkrp
+    factors[:], grams[:] = cur, cur_grams
+    return err2, None
+
+
 def cp_fit(t, cfg: AlsConfig, observed=None):
     """Fit a rank-``cfg.rank`` CP model to ``t`` by alternating least squares.
 
@@ -124,6 +153,19 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
     raw factor ``A`` and Gram Hadamard ``G``; it cancels to noise below about
     sqrt(eps), so at ``GRAM_ERR_FLOOR * ||X||^2`` or below the sweep takes
     the exact residual of the raw factors.
+
+    Each sweep from the ``STEP_START``-th on whose error comes from the Gram
+    identity also tries a line-search step (Bro 1998; Rajih, Comon & Harshman
+    2008): the raw factors ``prev + sweep ** (1 / STEP_ROOT) * (cur - prev)``,
+    from the sweep's start ``prev`` along its change to ``cur``, scored by the
+    same identity on their mode-0 MTTKRP and kept only where that error is
+    lower and still above the floor (a non-finite one is not kept).  A kept
+    trial's MTTKRP is the next sweep's first, so it costs no tensor product; a
+    rejected one costs one half product.  ``history`` holds the error of the
+    model each sweep keeps, so every entry is that model's residual and the
+    history rises by no more than the identity's round-off.  Sweeps at or below
+    the floor, and every sweep of a masked fit (its re-imputation moves the
+    fitted tensor each sweep), are plain ALS sweeps.
 
     With an ``observed`` mask, only those cells are fitted (EM-style masked
     ALS, Tomasi & Bro 2005): the other cells start at the observed mean and
@@ -153,15 +195,20 @@ def cp_fit(t, cfg: AlsConfig, observed=None):
              for mode, step in _tree_steps(x, factors, s)]
     sq_norm = norm_t**2
     history = _SweepTrace()
-    for _ in range(cfg.max_iters):
+    kept = None  # a kept trial's mode-0 MTTKRP: the next sweep's first step, already taken
+    for sweep in range(1, cfg.max_iters + 1):
+        prev = factors[:]
         for mode, step, partners in steps:
-            mttkrp = step()
+            mttkrp, kept = step() if kept is None else kept, None
             g = reduce(np.multiply, partners(grams))
             factors[mode] = a = _solve_mode(mttkrp, g)
             grams[mode] = a.T @ a
         if observed is None:
             err2 = _error_from_statistics(sq_norm, g, mttkrp, factors[-1], grams[-1])
         if observed is None and err2 > GRAM_ERR_FLOOR * sq_norm:
+            if sweep >= STEP_START:
+                err2, kept = _line_search(factors, grams, prev, steps[0], sq_norm, err2,
+                                          sweep ** (1.0 / STEP_ROOT))
             err = math.sqrt(err2)
         else:  # the model in the view's layout: each half's Khatri-Rao matrix, in C order
             recon = khatri_rao_all(reversed(factors[:s])) @ khatri_rao_all(reversed(factors[s:])).T

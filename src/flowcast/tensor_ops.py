@@ -227,7 +227,9 @@ def cp_reconstruct(model) -> np.ndarray:
 
 def _masked_norms(estimate, truth, mask):
     """``(||estimate - truth||_F, ||truth||_F)`` over the cells of ``mask`` (``None``: every
-    cell), reading only those cells; ``ValueError`` on a shape mismatch or a bad mask."""
+    cell), reading only those cells.  ``ValueError`` on a shape mismatch, a bad mask, or a
+    norm that is not finite, as a NaN or inf cell there makes it: the truth's is read first,
+    so a non-finite difference is the estimate's, and no other pass looks for one."""
     estimate = np.asarray(estimate, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if estimate.shape != truth.shape:
@@ -235,7 +237,13 @@ def _masked_norms(estimate, truth, mask):
     if mask is not None:
         m = as_mask(mask, truth.shape)
         estimate, truth = estimate[m], truth[m]
-    return np.linalg.norm(estimate - truth), np.linalg.norm(truth)
+    norm = np.linalg.norm(truth)
+    if not math.isfinite(norm):
+        raise ValueError("truth has a NaN or inf on the scored cells, or a norm that overflows")
+    diff = np.linalg.norm(estimate - truth)  # truth is finite here: no inf - inf
+    if not math.isfinite(diff):
+        raise ValueError("estimate has a NaN or inf on the scored cells, or a norm that overflows")
+    return diff, norm
 
 
 def relative_residual(estimate: np.ndarray, truth: np.ndarray, mask=None) -> float:

@@ -47,6 +47,33 @@ def solve_mode_by_normal_equations(t, factors, mode):
     return rhs @ np.linalg.pinv(g, rcond=1e-12)
 
 
+def dense_error(t, factors):
+    """Independent oracle: the residual norm of raw 3-way factors, by their dense product."""
+    return np.linalg.norm(t - np.einsum("az,bz,cz->abc", *factors))
+
+
+def normal_form(factors):
+    """Weights and unit-norm factors of raw ones, sorted as ``cp_fit`` returns them."""
+    norms = [np.linalg.norm(f, axis=0) for f in factors]
+    weights = np.prod(norms, axis=0)
+    order = np.argsort(-weights, kind="stable")
+    return weights[order], [(f / n)[:, order] for f, n in zip(factors, norms)]
+
+
+def recorded_line_search(monkeypatch):
+    """Replace ``cp._line_search`` by a wrapper; the list it returns gets each trial's
+    outcome, True where the trial was kept."""
+    outcomes, search = [], cp._line_search
+
+    def recording(*args):
+        err2, kept = search(*args)
+        outcomes.append(kept is not None)
+        return err2, kept
+
+    monkeypatch.setattr(cp, "_line_search", recording)
+    return outcomes
+
+
 def test_exact_rank2_recovery():
     rng = np.random.default_rng(10)
     truth = random_model(rng, (8, 9, 7), 2)
@@ -85,10 +112,11 @@ def test_exact_recovery_error_reaches_below_sqrt_eps_without_rising():
                                           ((8, 9, 7, 5), 0.0)])
 def test_every_sweeps_error_is_the_models_residual(shape, noise):
     # the Gram identity gives these errors, the exact product those near a perfect
-    # fit; each sweep's must match its model's, across every error level
+    # fit; each sweep's must match its model's, across every error level. tol 1e-8
+    # gives the noisy fits, which the line search shortens, ten sweeps or more
     rng = np.random.default_rng(24)
     t = cp_reconstruct(random_model(rng, shape, 3)) + noise * rng.normal(size=shape)
-    cfg = AlsConfig(rank=3, max_iters=25, seed=9)
+    cfg = AlsConfig(rank=3, max_iters=25, tol=1e-8, seed=9)
     _, full = cp_fit(t, cfg)
     assert len(full) >= 10
     for k in range(1, len(full) + 1):
@@ -98,23 +126,132 @@ def test_every_sweeps_error_is_the_models_residual(shape, noise):
 
 
 def test_factors_match_a_plain_als_loop():
-    # the fit error never feeds back: same factors as ALS with no error at all
+    # the same factors as ALS on raw factors with the same line search: from sweep
+    # STEP_START on, the step along the sweep's change is kept where its dense residual
+    # is lower; the Gram identity never decides otherwise
     rng = np.random.default_rng(25)
     shape, rank = (6, 5, 4), 3
     t = rng.uniform(0.0, 1.0, size=shape)
     init = np.random.default_rng(10)  # cp_fit's own draw for seed 10
     factors = [init.uniform(-1.0, 1.0, size=(n, rank)) for n in shape]
-    for _ in range(20):
+    kept = 0
+    for sweep in range(1, 21):
+        prev = list(factors)
         for mode in range(len(shape)):
-            raw = solve_mode_by_normal_equations(t, factors, mode)
-            norms = np.linalg.norm(raw, axis=0)
-            factors[mode], weights = raw / np.where(norms > 0, norms, 1.0), norms
+            factors[mode] = solve_mode_by_normal_equations(t, factors, mode)
+        if sweep >= cp.STEP_START:
+            step = sweep ** (1 / cp.STEP_ROOT)
+            trial = [p + step * (f - p) for p, f in zip(prev, factors)]
+            if dense_error(t, trial) < dense_error(t, factors):
+                factors, kept = trial, kept + 1
+    assert 0 < kept < 21 - cp.STEP_START  # both outcomes are taken
     model, history = cp_fit(t, AlsConfig(rank=rank, max_iters=20, tol=1e-300, seed=10))
     assert len(history) == 20
-    order = np.argsort(-weights, kind="stable")
-    np.testing.assert_allclose(model.weights, weights[order], rtol=0, atol=1e-12)
+    weights, factors = normal_form(factors)
+    np.testing.assert_allclose(model.weights, weights, rtol=0, atol=1e-12)
     for got, want in zip(model.factors, factors):
-        np.testing.assert_allclose(got, want[:, order], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_a_masked_fit_takes_plain_sweeps(monkeypatch):
+    # re-imputation moves the filled-in tensor every sweep, so no step is tried: the
+    # factors are those of a plain EM-style masked ALS loop
+    def refuse(*args):
+        raise AssertionError("a masked fit tried a line-search step")
+
+    monkeypatch.setattr(cp, "_line_search", refuse)
+    rng = np.random.default_rng(34)
+    shape, rank = (6, 5, 4), 3
+    t = rng.uniform(0.0, 1.0, size=shape)
+    mask = rng.uniform(size=shape) > 0.3
+    init = np.random.default_rng(11)  # cp_fit's own draw for seed 11
+    factors = [init.uniform(-1.0, 1.0, size=(n, rank)) for n in shape]
+    x = np.where(mask, t, t[mask].mean())
+    for _ in range(20):
+        for mode in range(len(shape)):
+            factors[mode] = solve_mode_by_normal_equations(x, factors, mode)
+        x = np.where(mask, t, np.einsum("az,bz,cz->abc", *factors))
+    model, history = cp_fit(t, AlsConfig(rank=rank, max_iters=20, tol=1e-300, seed=11), mask)
+    assert len(history) == 20
+    weights, factors = normal_form(factors)
+    np.testing.assert_allclose(model.weights, weights, rtol=0, atol=1e-12)
+    for got, want in zip(model.factors, factors):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(7, 6, 5), (5, 4, 3, 4)])
+def test_the_line_search_keeps_only_a_lower_error(monkeypatch, shape):
+    # each sweep from STEP_START on tries a step and keeps it only if the error falls:
+    # the history never rises, and each entry is the residual of the model kept
+    outcomes = recorded_line_search(monkeypatch)
+    rng = np.random.default_rng(24)
+    t = cp_reconstruct(random_model(rng, shape, 3)) + 0.05 * rng.normal(size=shape)
+    cfg = AlsConfig(rank=3, max_iters=40, tol=1e-300, seed=9)
+    _, full = cp_fit(t, cfg)
+    assert len(full) > 20 and len(outcomes) == len(full) + 1 - cp.STEP_START
+    assert any(outcomes) and not all(outcomes)
+    assert np.all(np.diff(full) <= 1e-12)
+    for k in range(cp.STEP_START - 1, len(full) + 1):
+        model, history = cp_fit(t, replace(cfg, max_iters=k))
+        assert history == full[:k]
+        assert abs(history[-1] - relative_residual(cp_reconstruct(model), t)) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [2.0, 1e300], ids=["floor", "overflow"])
+def test_a_trial_at_the_floor_or_not_finite_is_not_kept(scale):
+    # at or below GRAM_ERR_FLOOR the Gram identity scores round-off noise, so a trial
+    # that lands there (a step of 2 lands on the exact factors) is not kept on that
+    # score; nor is one whose Grams overflow, and no floating-point warning is raised
+    rng = np.random.default_rng(36)
+    exact = random_model(rng, (5, 4, 3), 2)
+    t = cp_reconstruct(exact)
+    target = [exact.factors[0] * exact.weights, *exact.factors[1:]]
+    drift = [0.1 * rng.normal(size=f.shape) for f in target]
+    prev = [f + d for f, d in zip(target, drift)]
+    cur = [f + 0.5 * d for f, d in zip(target, drift)]
+    factors, grams = list(cur), [f.T @ f for f in cur]
+    (mode, step), *_ = tensor_ops._tree_steps(t, factors, tensor_ops._split(t.shape))
+    first = (mode, step, tensor_ops._picker((1, 2)))
+    sq_norm, err2 = float(np.sum(t**2)), dense_error(t, cur) ** 2
+    assert err2 > cp.GRAM_ERR_FLOOR * sq_norm and dense_error(t, target) ** 2 < 1e-20
+    assert cp._line_search(factors, grams, prev, first, sq_norm, err2, scale) == (err2, None)
+    assert all(f is c for f, c in zip(factors, cur))
+
+
+def test_a_kept_trial_spares_the_next_sweeps_first_step(monkeypatch):
+    # a kept trial's mode-0 MTTKRP is the one the next sweep starts from, so that sweep
+    # takes no first step of its own; after a rejected trial it takes one
+    events, tree_steps = [], cp._tree_steps
+
+    def counting(*args):
+        steps = tree_steps(*args)
+        (mode, first), rest = steps[0], steps[1:]
+
+        def logged():
+            events.append("step")
+            return first()
+        return [(mode, logged), *rest]
+
+    monkeypatch.setattr(cp, "_tree_steps", counting)
+    search = cp._line_search
+
+    def recording(*args):
+        err2, kept = search(*args)
+        events.append("kept" if kept is not None else "rejected")
+        return err2, kept
+
+    monkeypatch.setattr(cp, "_line_search", recording)
+    shape = (5, 4, 3, 4)
+    t = np.random.default_rng(35).normal(size=shape)
+    _, history = cp_fit(t, AlsConfig(rank=3, max_iters=20, tol=1e-300))
+    outcomes = [e for e in events if e != "step"]
+    want, spared = [], False
+    for sweep, outcome in zip(range(1, 21), [None] * (cp.STEP_START - 1) + outcomes):
+        want += [] if spared else ["step"]
+        want += [] if outcome is None else ["step", outcome]
+        spared = outcome == "kept"
+    assert len(history) == 20 and "kept" in outcomes[:-1] and "rejected" in outcomes
+    assert events == want
 
 
 def stop_inputs():
@@ -240,7 +377,9 @@ def test_tree_plans_are_kept_apart_by_extents_and_split():
 @pytest.mark.parametrize("shape", [(12, 55, 48), (20, 4, 3), (3, 4, 20)])
 def test_a_three_way_sweep_builds_three_khatri_rao_matrices(monkeypatch, shape):
     # one for the half of two modes against the other's factor, one to finish each of
-    # that half's modes; a one-mode half's matrix is its factor, built by no call
+    # that half's modes; a one-mode half's matrix is its factor, built by no call. A
+    # trial's mode-0 step builds one more (the other half's two factors at split 1, the
+    # rest of its own half at split 2), which a kept trial spares the next sweep
     calls = []
     counted = tensor_ops.khatri_rao_all
 
@@ -249,10 +388,14 @@ def test_a_three_way_sweep_builds_three_khatri_rao_matrices(monkeypatch, shape):
         return counted(factors, skip)
 
     monkeypatch.setattr(tensor_ops, "khatri_rao_all", counting)
+    outcomes = recorded_line_search(monkeypatch)
     t = np.random.default_rng(31).normal(size=shape)  # noise: the Gram identity holds
-    _, history = cp_fit(t, AlsConfig(rank=2, max_iters=4, tol=1e-300))
-    assert len(history) == 4
-    assert sorted(calls) == sorted([1, 1, 2] * 4)
+    _, history = cp_fit(t, AlsConfig(rank=2, max_iters=12, tol=1e-300))
+    assert len(history) == 12 and True in outcomes[:-1] and False in outcomes
+    # each rejected trial's first step is taken again; a last kept trial spares no sweep
+    extra = outcomes.count(False) + outcomes[-1]
+    first = 3 - tensor_ops._split(shape)
+    assert sorted(calls) == sorted([1, 1, 2] * 12 + [first] * extra)
 
 
 @pytest.mark.parametrize("rank", [1, 64])

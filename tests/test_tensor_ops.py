@@ -308,6 +308,22 @@ def test_residual_or_nan_checks_shapes_before_the_truth(mask):
 
 
 @pytest.mark.parametrize("residual", [relative_residual, residual_or_nan])
+@pytest.mark.parametrize("mask", [None, np.array([True, True, False])], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_cell_is_named_not_scored(residual, mask, bad):
+    # a nan score reads as a block with no flow, which reports drop: a bad cell raises
+    with pytest.raises(ValueError, match="^estimate has a NaN or inf"):
+        residual(np.array([bad, 1.0, 1.0]), np.ones(3), mask)
+    with pytest.raises(ValueError, match="^truth has a NaN or inf"):
+        residual(np.ones(3), np.array([1.0, bad, 1.0]), mask)
+    with pytest.raises(ValueError, match="^truth has a NaN or inf"):  # both: the truth is named
+        residual(np.array([bad, 1.0, 1.0]), np.array([bad, 1.0, 1.0]), mask)
+    if mask is not None:  # a cell off the mask is not read
+        got = residual(np.array([1.0, 0.0, bad]), np.array([1.0, 1.0, bad]), mask)
+        assert got == pytest.approx(0.5 ** 0.5)
+
+
+@pytest.mark.parametrize("residual", [relative_residual, residual_or_nan])
 def test_masked_residual_reads_only_the_masked_cells(residual):
     # today's suffix of a 60 x 56 x 48 tensor: no copy the size of the tensor is made
     rng = np.random.default_rng(32)
