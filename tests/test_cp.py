@@ -60,10 +60,10 @@ def normal_form(factors):
     return weights[order], [(f / n)[:, order] for f, n in zip(factors, norms)]
 
 
-def recorded_line_search(monkeypatch):
-    """Replace ``cp._line_search`` by a wrapper; the list it returns gets each trial's
-    outcome, True where the trial was kept."""
-    outcomes, search = [], cp._line_search
+def recorded_line_search(monkeypatch, outcomes=None):
+    """Replace ``cp._line_search`` by a wrapper that appends each trial's outcome, True
+    where the trial was kept, to ``outcomes`` (a new list if None), and return that list."""
+    outcomes, search = [] if outcomes is None else outcomes, cp._line_search
 
     def recording(*args):
         err2, kept = search(*args)
@@ -233,24 +233,17 @@ def test_a_kept_trial_spares_the_next_sweeps_first_step(monkeypatch):
         return [(mode, logged), *rest]
 
     monkeypatch.setattr(cp, "_tree_steps", counting)
-    search = cp._line_search
-
-    def recording(*args):
-        err2, kept = search(*args)
-        events.append("kept" if kept is not None else "rejected")
-        return err2, kept
-
-    monkeypatch.setattr(cp, "_line_search", recording)
+    recorded_line_search(monkeypatch, events)
     shape = (5, 4, 3, 4)
     t = np.random.default_rng(35).normal(size=shape)
     _, history = cp_fit(t, AlsConfig(rank=3, max_iters=20, tol=1e-300))
     outcomes = [e for e in events if e != "step"]
     want, spared = [], False
-    for sweep, outcome in zip(range(1, 21), [None] * (cp.STEP_START - 1) + outcomes):
+    for outcome in [None] * (cp.STEP_START - 1) + outcomes:
         want += [] if spared else ["step"]
         want += [] if outcome is None else ["step", outcome]
-        spared = outcome == "kept"
-    assert len(history) == 20 and "kept" in outcomes[:-1] and "rejected" in outcomes
+        spared = outcome is True
+    assert len(history) == 20 and True in outcomes[:-1] and False in outcomes
     assert events == want
 
 
