@@ -16,7 +16,9 @@ Kolda & Bader (2009).  Both stay fixed all day, so the solve operator
 ``S = kr G^-1`` is built once per (row, intra-day factor) pair and cached,
 as online CP keeps its fixed factors (Nion & Sidiropoulos 2009); each update
 is then two products, and the day is rebuilt by one matmul,
-``(weighted * row) @ u_p.T``.
+``(weighted * row) @ u_p.T``.  The updated model keeps the solved loadings,
+weights of one, the forecast's temporal row and the model's intra-day factor;
+``update_location_factor`` returns the same loadings for a whole day.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ def forecast_from_model(model: CpModel, horizon_days: int, arma_orders,
     reconstruction.  Negative reconstructed counts are clamped to 0.
     """
     horizon_days = as_whole(horizon_days, "horizon_days")
+    days_per_week = as_whole(days_per_week, "days_per_week")
     if len(model.factors) != 3:
         raise ValueError("expected a 3-way model (locations x days x slots)")
     u_t = model.factors[1]
@@ -178,10 +181,11 @@ def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpMo
     against the prediction's temporal row and the model's intra-day factor,
     by the solve of :func:`update_location_factor`.  Both parts are read in
     place, as ``observed @ S[:n_obs] + predicted @ S[n_obs:]``, so no spliced
-    day is copied.  The day is reconstructed as ``(weighted * row) @ u_p.T``,
-    clamped at 0.  Observed cells in the output carry the actual
-    observations.  Cells after the prefix are never read; a non-finite cell
-    in it raises ``ValueError``.
+    day is copied.  The result's source model is ``[weighted, row, u_p]``
+    with weights of one, ``weighted`` being what :func:`update_location_factor`
+    returns for the spliced day; its day, clamped at 0, is the output, whose
+    observed cells carry the actual observations.  Cells after the prefix are
+    never read; a non-finite cell in it raises ``ValueError``.
     """
     if prediction.horizon_days != 1:
         raise ValueError("lean_update expects a single-day prediction")
@@ -216,15 +220,9 @@ def lean_update(prediction: DayPrediction, new_data, observed_slots, model: CpMo
     if not np.isfinite(weighted).all():
         raise _not_finite(day_new[:, :n_obs], "new_data is not finite in station {}'s observed prefix")
 
-    # the day's factor is taken and the loadings normalised in place (cp._normalize_columns's
-    # rule without its full-size square) before the day slice is allocated beside them
-    rebuilt = weighted * row
-    norms = np.sqrt(np.einsum("lr,lr->r", weighted, weighted))
-    weighted /= np.where(norms > 0, norms, 1.0)
-    out = rebuilt @ u_p.T
-    del rebuilt  # not held while the source model is built
+    out = (weighted * row) @ u_p.T
     np.maximum(out, 0.0, out=out)
     out[:, :n_obs] = day_new[:, :n_obs]
 
-    source = CpModel(norms, [weighted, row[None, :], u_p])
+    source = CpModel(np.ones(model.rank), [weighted, row[None, :], u_p])
     return DayPrediction(out[:, None, :], source, "updated")

@@ -176,6 +176,13 @@ def test_forecast_from_model_is_the_two_step_forecast_on_a_fitted_model():
         forecast_from_model(CpModel(model.weights, model.factors[:2]), 1, (1, 1, 0, 0))
 
 
+@pytest.mark.parametrize("days_per_week", [0, 1.5, -1])
+def test_forecast_from_model_names_a_bad_days_per_week(days_per_week):
+    model = periodic_model(n_days=14)
+    with pytest.raises(ValueError, match="days_per_week"):
+        forecast_from_model(model, 2, (1, 1, 0, 0), days_per_week=days_per_week)
+
+
 # --- lean update -----------------------------------------------------------
 
 
@@ -225,6 +232,20 @@ def test_update_passes_observations_through():
     recon = cp_reconstruct(updated.source_model)
     np.testing.assert_allclose(
         np.maximum(recon[:, 0, ~observed], 0.0), updated.tensor[:, 0, ~observed], atol=1e-12)
+
+
+def test_updated_model_keeps_the_loadings_as_solved():
+    # weights of one and the solve's own loadings, not unit columns and their norms
+    prediction, model, truth_day = update_scenario(seed=5)
+    row, u_p = prediction.source_model.factors[1][0], model.factors[2]
+    for n_obs in (1, 15, 24):
+        observed = np.arange(24) < n_obs
+        updated = lean_update(prediction, truth_day, observed, model)
+        assert np.array_equal(updated.source_model.weights, np.ones(3))
+        spliced = np.where(observed, truth_day, prediction.tensor[:, 0])
+        want = update_location_factor(spliced, row, u_p)
+        got = updated.source_model.factors[0]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_update_rejects_bad_masks_and_shapes():
