@@ -437,7 +437,8 @@ class TestShortterm:
             return results[-1]
 
         monkeypatch.setattr("flowcast.experiments.short_term_predict", spy)
-        cfg = weekly_cfg(2, n_clusters=2, synth=SyntheticSpec(separation=50.0),
+        # seed 0's clusters settle after 5 and 85 sweeps
+        cfg = weekly_cfg(0, n_clusters=2, synth=SyntheticSpec(separation=50.0),
                          lrtc=LrtcHyperParams(max_rank=4, max_iters=30, elbo_tol=1e-4))
         summary = shortterm_report(*load_input(cfg), cfg, use_clustering=True).summary
         assert summary["effective_ranks"] == [r.effective_rank for r in results]

@@ -22,6 +22,7 @@ from flowcast.lrtc import (
     lrtc_predict,
     short_term_predict,
 )
+from flowcast.synthetic import SyntheticSpec, generate_synthetic, planted_labels
 from flowcast.tensor_ops import cp_reconstruct, relative_residual
 
 
@@ -759,3 +760,73 @@ def test_short_term_reports_convergence():
 def test_short_term_rejects_non_tensor_input():
     with pytest.raises(ValueError):
         short_term_predict(np.ones((3, 4)), np.zeros((3, 4), dtype=bool), LrtcHyperParams())
+
+
+def suffix_scenario():
+    y, _ = intraday_scenario(seed=5, n_slots=24)
+    future = np.zeros_like(y, dtype=bool)
+    future[:, -1, 12:] = True
+    return y, future
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_short_term_rejects_a_non_finite_observed_cell(bad):
+    y, future = suffix_scenario()
+    y[0, 0, 0] = bad
+    with pytest.raises(ValueError, match="observed values must be finite"):
+        short_term_predict(y, future, LrtcHyperParams(max_rank=4))
+    # one behind a cell to predict is fine
+    future[0, 0, 0] = True
+    assert np.isfinite(short_term_predict(y, future, LrtcHyperParams(max_rank=4)).imputed).all()
+
+
+def assert_unit_free(y, future, c):
+    """``short_term_predict(c * y)`` keeps ``c * y``'s observed cells, and its completion
+    is c times ``y``'s, at the same rank and convergence."""
+    hp = LrtcHyperParams(max_rank=6)
+    base, result = short_term_predict(y, future, hp), short_term_predict(c * y, future, hp)
+    np.testing.assert_array_equal(result.imputed[~future], (c * y)[~future])
+    np.testing.assert_allclose(result.imputed, c * base.imputed, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(result.predictive_variance, c**2 * base.predictive_variance,
+                               rtol=1e-9, atol=0)
+    assert result.effective_rank == base.effective_rank
+    assert result.converged == base.converged
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+def test_short_term_completion_does_not_depend_on_the_unit(c):
+    assert_unit_free(*suffix_scenario(), c)
+
+
+def test_short_term_completion_does_not_depend_on_each_stations_unit():
+    c = np.array([1e-3, 1e3, 1.0, 7.0, 1e-3, 1e3, 0.5, 20.0, 1e3, 1e-3])[:, None, None]
+    assert_unit_free(*suffix_scenario(), c)
+
+
+def test_station_without_observed_flow_keeps_unit_one():
+    filled = np.zeros((3, 2, 2))
+    mask = np.ones(filled.shape, dtype=bool)
+    mask[2] = False  # station 2 has no observed cell, station 1 only zeros
+    filled[0] = [[3.0, -3.0], [3.0, 3.0]]
+    np.testing.assert_array_equal(lrtc._station_units(filled, mask).ravel(), [3.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_completion_ends_on_the_stop_rule(monkeypatch, seed):
+    fit, posts = lrtc._fit, []
+
+    def spy(*args):
+        posts.append(fit(*args))
+        return posts[-1]
+
+    monkeypatch.setattr(lrtc, "_fit", spy)
+    spec = SyntheticSpec(extents=(12, 56, 48), seed=seed)
+    y, _ = generate_synthetic(spec)
+    future = np.zeros_like(y, dtype=bool)
+    future[:, -1, 15:] = True
+    labels = planted_labels(spec)
+    hp = LrtcHyperParams(max_rank=8)
+    for c in np.unique(labels):
+        short_term_predict(y[labels == c], future[labels == c], hp)
+    assert len(posts) == spec.n_clusters
+    assert all(p.converged and len(p.elbo) < hp.max_iters for p in posts)
