@@ -276,9 +276,10 @@ def _cmd_complete(args):
     _save_tensor(args.out, result.imputed, station_ids,
                  predictive_variance=result.predictive_variance, mask=future,
                  effective_rank=np.int64(result.effective_rank),
-                 converged=np.bool_(result.converged))
+                 converged=np.bool_(result.converged), sweeps=np.int64(result.sweeps))
     print(f"completed {int(future.sum())} masked cells (slots {start}.."
-          f"{tensor.shape[2] - 1} of the final day), effective rank {result.effective_rank}, "
+          f"{tensor.shape[2] - 1} of the final day) in {result.sweeps} sweeps, "
+          f"effective rank {result.effective_rank}, "
           + ("converged" if result.converged else "stopped at max_iters without converging"))
     return [args.out]
 

@@ -15,14 +15,11 @@ from functools import reduce
 import numpy as np
 from scipy.linalg.lapack import dlange, dpocon, dposv
 
-from .tensor_ops import (DegenerateSolveWarning, _error_from_statistics, _picker, _split,
-                         _SweepTrace, _tree_steps, as_mask, as_tensor, as_whole, cp_reconstruct,
-                         khatri_rao_all, relative_residual, unfold)
+from .tensor_ops import (GRAM_ERR_FLOOR, DegenerateSolveWarning, _error_from_statistics, _picker,
+                         _split, _SweepTrace, _tree_steps, as_mask, as_tensor, as_whole,
+                         cp_reconstruct, khatri_rao_all, relative_residual, unfold)
 
 PINV_RCOND = 1e-12
-# squared relative error (1e-3 unsquared) down to which the fit error comes from
-# the Gram identity; its cancellation moves it by under about 1e-12 there
-GRAM_ERR_FLOOR = 1e-6
 # each Gram-identity sweep from the STEP_START-th on tries the line-search step
 # prev + sweep ** (1 / STEP_ROOT) * (cur - prev); a scan of both is in CHANGES.md
 STEP_START, STEP_ROOT = 4, 2

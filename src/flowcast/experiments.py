@@ -274,6 +274,7 @@ def shortterm_report(tensor, station_ids, cfg: ExperimentConfig,
         "n_clusters": int(k),
         "effective_ranks": [int(p.effective_rank) for p in parts],
         "converged": [bool(p.converged) for p in parts],
+        "sweeps": [int(p.sweeps) for p in parts],
         "suffix_start": int(start),
     }
     return ExperimentReport(

@@ -194,6 +194,11 @@ def _tree_step(factors, shape, rank, half, other, rows, held, mode):
     return step
 
 
+# squared relative error (1e-3 unsquared) down to which a fit's error comes from the
+# Gram identity; its cancellation moves it by under about 1e-12 there
+GRAM_ERR_FLOOR = 1e-6
+
+
 def _error_from_statistics(sum_y2, s, proj, mean, moment):
     """Gram-identity squared error (Kolda & Bader 2009) from one mode's statistics, at least 0."""
     return max(float(sum_y2 - 2.0 * (proj * mean).sum() + (s * moment).sum()), 0.0)
@@ -225,6 +230,21 @@ def cp_reconstruct(model) -> np.ndarray:
     return np.einsum(spec, weights, *factors)
 
 
+def _norm(a, b=None):
+    """``||a - b||_F``, or ``||a||_F`` where ``b`` is ``None``: inf or NaN where a cell is.
+    Where the sum of squares or the difference overflows on finite cells, the norm is taken
+    again with every cell divided by the largest magnitude, so it overflows only where the
+    norm itself does.  No floating-point warning is raised either way."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a if b is None else a - b))
+        if norm == math.inf:
+            scale = max(float(np.abs(x).max()) for x in ((a,) if b is None else (a, b)))
+            if scale < math.inf:
+                a = a / scale
+                norm = scale * float(np.linalg.norm(a if b is None else a - b / scale))
+    return norm
+
+
 def _masked_norms(estimate, truth, mask):
     """``(||estimate - truth||_F, ||truth||_F)`` over the cells of ``mask`` (``None``: every
     cell), reading only those cells.  ``ValueError`` on a shape mismatch, a bad mask, or a
@@ -237,10 +257,10 @@ def _masked_norms(estimate, truth, mask):
     if mask is not None:
         m = as_mask(mask, truth.shape)
         estimate, truth = estimate[m], truth[m]
-    norm = np.linalg.norm(truth)
+    norm = _norm(truth)
     if not math.isfinite(norm):
         raise ValueError("truth has a NaN or inf on the scored cells, or a norm that overflows")
-    diff = np.linalg.norm(estimate - truth)  # truth is finite here: no inf - inf
+    diff = _norm(estimate, truth)  # truth is finite here: no inf - inf
     if not math.isfinite(diff):
         raise ValueError("estimate has a NaN or inf on the scored cells, or a norm that overflows")
     return diff, norm

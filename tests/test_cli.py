@@ -392,6 +392,7 @@ class TestComplete:
             assert np.array_equal(archive["predictive_variance"],
                                   expected.predictive_variance)
             assert int(archive["effective_rank"]) == expected.effective_rank
+            assert int(archive["sweeps"]) == expected.sweeps > 0
             assert np.array_equal(archive["mask"], future)
 
     def test_prints_and_saves_whether_the_fit_converged(self, tmp_path, base_archive, capsys):
@@ -402,9 +403,11 @@ class TestComplete:
             printed = capsys.readouterr().out
             with np.load(out) as archive:
                 assert bool(archive["converged"]) is converged
-                rank = int(archive["effective_rank"])
+                rank, sweeps = int(archive["effective_rank"]), int(archive["sweeps"])
+            assert sweeps == 1 if not converged else sweeps > 1
             ending = "converged" if converged else "stopped at max_iters without converging"
-            assert printed.splitlines()[0].endswith(f"effective rank {rank}, {ending}")
+            assert printed.splitlines()[0].endswith(
+                f"in {sweeps} sweeps, effective rank {rank}, {ending}")
 
     def test_infinite_elbo_tol_fails_without_a_fit(self, tmp_path, base_archive, capsys):
         out = tmp_path / "done.npz"

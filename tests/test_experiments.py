@@ -437,13 +437,14 @@ class TestShortterm:
             return results[-1]
 
         monkeypatch.setattr("flowcast.experiments.short_term_predict", spy)
-        # seed 0's clusters settle after 5 and 85 sweeps
+        # seed 0's clusters settle after 5 and 30 sweeps
         cfg = weekly_cfg(0, n_clusters=2, synth=SyntheticSpec(separation=50.0),
-                         lrtc=LrtcHyperParams(max_rank=4, max_iters=30, elbo_tol=1e-4))
+                         lrtc=LrtcHyperParams(max_rank=4, max_iters=20, elbo_tol=1e-4))
         summary = shortterm_report(*load_input(cfg), cfg, use_clustering=True).summary
         assert summary["effective_ranks"] == [r.effective_rank for r in results]
         # one cluster meets the tolerance inside the budget and the other does not
         assert summary["converged"] == [r.converged for r in results] == [True, False]
+        assert summary["sweeps"] == [r.sweeps for r in results] == [5, 20]
 
     def test_improvement_column_carries_sign(self):
         cfg = weekly_cfg(0)

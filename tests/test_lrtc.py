@@ -301,6 +301,90 @@ def test_elbo_of_a_fit_cut_at_a_pruning_sweep_is_the_textbook_bound():
     assert post.elbo[-1] == pytest.approx(textbook_elbo(y, mask, post), rel=1e-10)
 
 
+# --- the over-relaxed step ----------------------------------------------------------
+
+
+def step_scenario(shape=(9, 8, 10)):
+    y, rng = noisy_block(shape, len(shape))
+    return y, tail_mask(y.shape, rng), LrtcHyperParams(max_rank=5, seed=1)
+
+
+# on 4 modes the last mode's trial statistics read a product of the other tree half
+@pytest.mark.parametrize("shape", [(9, 8, 10), (5, 6, 4, 7)])
+def test_a_fit_whose_last_sweep_keeps_its_trial_step_ends_on_the_textbook_bound(monkeypatch,
+                                                                                 shape):
+    y, mask, hp = step_scenario(shape)
+    stepped = lrtc_fit(y, mask, hp)
+    assert_monotone(stepped.elbo)
+    kept = 0
+    for k in range(lrtc.STEP_START, len(stepped.elbo) + 1):
+        # with the step from sweep k on, a fit cut at sweep k differs from a plain one
+        # exactly where that last sweep kept its trial
+        cut = replace(hp, max_iters=k)
+        monkeypatch.setattr(lrtc, "STEP_START", np.inf)
+        plain = lrtc_fit(y, mask, cut)
+        monkeypatch.setattr(lrtc, "STEP_START", k)
+        post = lrtc_fit(y, mask, cut)
+        assert post.elbo[:-1] == plain.elbo[:-1]
+        if post.elbo[-1] != plain.elbo[-1]:
+            kept += 1
+            assert post.elbo[-1] > plain.elbo[-1]
+            assert post.elbo[-1] == pytest.approx(textbook_elbo(y, mask, post), rel=1e-10)
+    assert kept > 0
+    # with the default start, every cut of the fit, at a kept, a refused or a skipped
+    # trial, ends on the bound of the posterior it returns
+    monkeypatch.undo()
+    for k in range(lrtc.STEP_START, len(stepped.elbo) + 1):
+        post = lrtc_fit(y, mask, replace(hp, max_iters=k))
+        assert post.elbo[-1] == pytest.approx(textbook_elbo(y, mask, post), rel=1e-10)
+
+
+def refused_trials(monkeypatch, corrupt):
+    """Make every trial step's second moments ``corrupt(moments)``; the fit's first call,
+    its starting moments, is left alone.  Returns the number of trials made, as a list."""
+    second_moments, calls = lrtc._second_moments, [0]
+
+    def spoiled(means, covs):
+        calls[0] += 1
+        moments = second_moments(means, covs)
+        return moments if calls[0] == 1 else [corrupt(m) for m in moments]
+
+    monkeypatch.setattr(lrtc, "_second_moments", spoiled)
+    return calls
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda m: m * 1e300,  # its sums overflow: refused without a floating-point warning
+    lambda m: m + 1e6 * np.eye(m.shape[1]),  # finite, with a far lower bound
+    # its Gram-identity error cancels to 0, at the floor, where its bound is not to be trusted
+    lambda m: 0.0 * m,
+], ids=["overflowing", "finite", "at the floor"])
+def test_a_refused_trial_step_leaves_the_fit_as_a_plain_one(monkeypatch, corrupt):
+    y, mask, hp = step_scenario()
+    calls, start = refused_trials(monkeypatch, corrupt), lrtc.STEP_START
+    refused = lrtc_fit(y, mask, hp)
+    monkeypatch.undo()
+    monkeypatch.setattr(lrtc, "STEP_START", np.inf)  # no trial at all
+    plain = lrtc_fit(y, mask, hp)
+    # every trial was refused, so the sweep after each tried none: one trial every
+    # second sweep from STEP_START on
+    assert calls[0] - 1 == len(range(start, len(plain.elbo) + 1, 2)) > 5
+    assert list(refused.elbo) == list(plain.elbo) and refused.converged == plain.converged
+    for a, b in zip(refused.factor_means + refused.factor_covs + [*refused.lambda_post],
+                    plain.factor_means + plain.factor_covs + [*plain.lambda_post]):
+        assert a.tobytes() == b.tobytes()
+    assert refused.tau_post == plain.tau_post
+
+
+def test_no_trial_step_once_the_error_is_at_the_gram_floor(monkeypatch):
+    # on exact data the sweeps' error soon cancels to noise in the Gram identity, and no
+    # trial is scored by it from then on
+    y, _, mask = rank2_scenario(seed=0, noise=0.0)
+    calls = refused_trials(monkeypatch, lambda m: m)  # counts the trials, changes none
+    post = lrtc_fit(y, mask, LrtcHyperParams(max_rank=8, max_iters=300, elbo_tol=1e-8, seed=0))
+    assert len(post.elbo) > 40 and 0 < calls[0] - 1 < 5
+
+
 def test_a_fit_settled_at_zero_on_nonzero_data_does_not_report_converged():
     # a rank-2 block on which the fit shrinks every factor mean to exactly zero and its
     # bound then settles; the zero tensor's zero fit is tested above

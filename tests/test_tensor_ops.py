@@ -291,6 +291,24 @@ def test_relative_residual_scale_invariance():
         assert a == pytest.approx(b, rel=1e-12)
 
 
+@pytest.mark.parametrize("residual", [relative_residual, residual_or_nan])
+def test_huge_finite_cells_do_not_overflow_the_norms(residual):
+    # their sums of squares overflow, so the norms are taken again at the largest magnitude;
+    # the test run turns numpy's overflow RuntimeWarning into an error
+    got = residual(np.array([1e200, 1e200]), np.array([1e200, 2e200]))
+    assert got == pytest.approx(0.4472135954999579, rel=1e-15)
+    got = residual(np.array([[1e200, 3.0], [1e200, 1.0]]), np.array([[1e200, 1.0], [2e200, 1.0]]),
+                   np.array([[True, False], [True, True]]))
+    assert got == pytest.approx(0.4472135954999579, rel=1e-15)
+    # a norm too large for a float still raises
+    with pytest.raises(ValueError, match="^truth has a NaN or inf"):
+        residual(np.ones(2), np.array([1.5e308, 1.5e308]))
+    # ordinary cells keep the bits of the plain quotient
+    rng = np.random.default_rng(9)
+    est, truth = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+    assert residual(est, truth) == np.linalg.norm(est - truth) / np.linalg.norm(truth)
+
+
 def test_relative_residual_masked():
     truth = np.array([[1.0, 5.0], [2.0, 9.0]])
     est = np.array([[1.0, -1.0], [4.0, -1.0]])
